@@ -14,11 +14,9 @@ from .fusion import (
     ReconstructedScene,
     TargetEstimates,
     alpha_weights,
-    coop_posterior,
     extract_targets,
     federated_posterior,
     likelihood_from_cloud,
-    local_posterior,
     motion_prior,
     reconstruct_scene,
 )

@@ -20,6 +20,7 @@ from .harness import (
     DECILES,
     aggregate_sweep,
     export_csv,
+    format_value,
     kl_study,
     run_experiment,
     run_sweep,
@@ -96,8 +97,7 @@ def _cmd_sweep(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: ("" if row[k] is None else repr(row[k]) if isinstance(row[k], float) else row[k])
-                             for k in fields})
+            writer.writerow({k: format_value(row[k]) for k in fields})
     print(f"wrote {path} ({len(rows)} runs)")
     return 0
 
@@ -113,15 +113,11 @@ def _cmd_kl(args) -> int:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["comparison", "radar", "median"] + [f"d{int(q * 100)}" for q in DECILES])
-        if study["fed_pooled"]:
-            writer.writerow(["global_vs_federated", "pooled", repr(study["fed_pooled"]["median"])]
-                            + [repr(v) for v in study["fed_pooled"]["deciles"]])
-        for k, dist in study["fed"].items():
-            writer.writerow(["global_vs_federated", k, repr(dist["median"])]
-                            + [repr(v) for v in dist["deciles"]])
-        for k, dist in study["local"].items():
-            writer.writerow(["global_vs_local", k, repr(dist["median"])]
-                            + [repr(v) for v in dist["deciles"]])
+        rows = [("global_vs_federated", "pooled", study["fed_pooled"])] if study["fed_pooled"] else []
+        rows += [("global_vs_federated", k, dist) for k, dist in study["fed"].items()]
+        rows += [("global_vs_local", k, dist) for k, dist in study["local"].items()]
+        for comparison, radar, dist in rows:
+            writer.writerow([format_value(v) for v in (comparison, radar, dist["median"], *dist["deciles"])])
     print(f"wrote {path}")
     for k, dist in study["local"].items():
         fed_median = study["fed"][k]["median"]
@@ -154,8 +150,7 @@ def _cmd_report(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for row in agg:
-            writer.writerow({k: ("" if row.get(k) is None else repr(row[k]) if isinstance(row[k], float) else row[k])
-                             for k in fields})
+            writer.writerow({k: format_value(row.get(k)) for k in fields})
     for row in agg:
         mae = f"mae_x={row['mae_x_mean']:.4f}" if row["mae_x_mean"] is not None else "mae_x=n/a"
         pu = f"p_u={row['p_u_mean']:.3f}" if row["p_u_mean"] is not None else "p_u=n/a"

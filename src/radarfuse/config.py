@@ -85,6 +85,12 @@ class ExperimentConfig:
             raise ConfigError(f"ego radar {self.ego_radar} is not deployed")
         if set(self.topology.ids) != set(ids):
             raise ConfigError("topology ids must match deployed radars")
+        for k in ids:
+            if self.clock.offset_periods(k, self.dt) < 0:
+                raise ConfigError(
+                    f"radar {k}: clock offset {self.clock.offsets[k]} s is negative in whole update "
+                    "periods; its receivers would need messages not yet sent"
+                )
         for spec in self.targets:
             for w in spec.waypoints:
                 if w not in self.landmarks:

@@ -38,10 +38,6 @@ log = logging.getLogger(__name__)
 # resolvable range cell per update.
 SIGMA_FLOOR = RANGE_RESOLUTION
 
-LOCAL_KIND = "local"
-GLOBAL_KIND = "global"
-FEDERATED_KIND = "federated"
-
 
 @dataclass(frozen=True)
 class FitOptions:
@@ -57,7 +53,6 @@ class Posterior:
     grid: DensityGrid
     mixture: GaussianMixture
     epoch: int
-    kind: str
 
 
 @dataclass
@@ -97,21 +92,7 @@ def likelihood_from_cloud(
     The component count comes from the cloud's clustering; an empty cloud
     (or no surviving clusters) is uninformative and yields a uniform grid.
     """
-    _require_global(cloud)
-    m = choose_components(clusters, fit.m_max)
-    if len(cloud) == 0 or m == 0:
-        return DensityGrid.uniform(spec), GaussianMixture.empty()
-    means, covs, counts = cluster_moments(cloud.points, clusters.labels, clusters.n_clusters, keep=m)
-    mixture = fit_em(
-        cloud.points,
-        m,
-        means,
-        init_covs=covs,
-        init_weights=counts,
-        max_iters=fit.max_iters,
-        tol=fit.tol,
-    )
-    return eval_on_grid(mixture, spec), mixture
+    return pooled_likelihood([(cloud, clusters)], spec, fit)
 
 
 def pooled_likelihood(
@@ -190,18 +171,6 @@ def motion_prior(
     return DensityGrid(spec, mass).normalized()
 
 
-def coop_posterior(
-    ensemble: Sequence[tuple[PointCloud, ClusterResult]],
-    prior: DensityGrid,
-    spec: GridSpec,
-    epoch: int,
-    fit: FitOptions = FitOptions(),
-) -> Posterior:
-    """Global posterior from the pooled clouds of a radar and its neighbors."""
-    lik_grid, mixture = pooled_likelihood(ensemble, spec, fit)
-    return Posterior(bayes_product(lik_grid, prior), mixture, epoch, GLOBAL_KIND)
-
-
 def refit_posterior_mixture(
     cloud: PointCloud,
     lik_mixture: GaussianMixture,
@@ -211,7 +180,10 @@ def refit_posterior_mixture(
     """Re-fit a cloud mixture with points weighted by the prior mass at
     their location, so the parameters summarize the posterior rather than
     the bare likelihood. With a flat prior the weights are equal and the
-    refit reproduces the likelihood fit."""
+    refit reproduces the likelihood fit. The refit is stable only while the
+    prior covers the currently detected clusters; the runner ensures that by
+    seeding each prior with the thresholded likelihood support as well as
+    the previous reconstruction."""
     if lik_mixture.is_empty():
         return GaussianMixture.empty()
     weights = prior.value_at(cloud.points[:, :2])
@@ -225,28 +197,6 @@ def refit_posterior_mixture(
         max_iters=fit.max_iters,
         tol=fit.tol,
     )
-
-
-def local_posterior(
-    cloud: PointCloud,
-    clusters: ClusterResult,
-    prior: DensityGrid,
-    spec: GridSpec,
-    epoch: int,
-    fit: FitOptions = FitOptions(),
-) -> Posterior:
-    """Posterior from one radar's own cloud.
-
-    The grid combines the cloud likelihood with the motion prior. The
-    attached mixture is the transmissible parameter set, re-fitted with
-    prior-weighted points so it represents the local posterior; its
-    stability relies on the prior covering the currently detected clusters
-    (the runner guarantees that by seeding priors with the thresholded
-    evidence support as well as the previous reconstruction).
-    """
-    lik_grid, lik_mixture = likelihood_from_cloud(cloud, clusters, spec, fit)
-    grid = bayes_product(lik_grid, prior)
-    return Posterior(grid, refit_posterior_mixture(cloud, lik_mixture, prior, fit), epoch, LOCAL_KIND)
 
 
 def alpha_weights(q_counts: Sequence[int]) -> np.ndarray:
@@ -290,20 +240,21 @@ def federated_posterior(
         for c in mix.components:
             comps.append(GaussianComponent(float(alpha * c.weight), c.mean, c.cov, c.point_count))
     federated = GaussianMixture(comps, total_points)
-    return Posterior(eval_on_grid(federated, spec), federated, epoch, FEDERATED_KIND)
+    return Posterior(eval_on_grid(federated, spec), federated, epoch)
 
 
 def grid_support(grid: DensityGrid, tau: float) -> np.ndarray:
-    """Centers of the cells whose peak-normalized mass exceeds ``tau``."""
+    """Centers of the cells whose peak-normalized mass exceeds ``tau``.
+
+    A flat grid (a radar with an empty cloud and a flat prior) prefers no
+    cell over another, so it holds no evidence and has no support.
+    """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must be in (0, 1)")
     peak = grid.mass.max()
-    if peak <= 0:
+    if peak <= 0 or peak == grid.mass.min():
         return np.empty((0, 2))
-    support = grid.mass > tau * peak
-    if support.all():
-        log.debug("flat grid: every cell is above threshold")
-    iy, ix = np.nonzero(support)
+    iy, ix = np.nonzero(grid.mass > tau * peak)
     return np.column_stack([grid.spec.x_centers()[ix], grid.spec.y_centers()[iy]])
 
 
@@ -322,12 +273,13 @@ def extract_targets(posterior: Posterior, tau: float, min_separation: float) -> 
     Candidates are accepted greedily in descending posterior order subject
     to a pairwise separation of at least ``min_separation``. Ties break by
     grid index, so the result only depends on posterior shape (it is
-    invariant under positive rescaling of the grid).
+    invariant under positive rescaling of the grid). A flat grid holds no
+    evidence and yields no targets.
     """
     mass = posterior.grid.mass
     spec = posterior.grid.spec
     peak = mass.max()
-    if peak <= 0:
+    if peak <= 0 or peak == mass.min():
         return TargetEstimates(np.empty((0, 2)), posterior.epoch)
     support = mass > tau * peak
 

@@ -1,11 +1,22 @@
 """Experiment runner and metrics.
 
-One experiment advances the scene epoch by epoch; every radar observes,
-preprocesses, exchanges messages according to the configured mode, computes
-its posterior and extracts target estimates. In federation mode the runner
-can additionally maintain a pooled-cloud reference posterior per radar to
-sample divergences against; those reference computations never touch the
-sidelink accounting.
+One experiment advances the scene epoch by epoch. At every epoch each radar
+observes and preprocesses its cloud and diffuses its previous reconstruction
+into a motion prior. The step of the configured mode (``STEPS[cfg.mode]``)
+then turns the clouds and priors into one posterior per radar:
+
+* isolated    - own cloud likelihood times prior; nothing is sent;
+* cooperation - broadcasts the clouds and fuses the pooled likelihood;
+* federation  - fits and broadcasts local-posterior mixtures and combines
+  the received ones.
+
+A step sends through ``exchange(outbox) -> inboxes``, which charges, logs
+and delivers one epoch's messages over the simulated sidelink. The runner
+keeps the epoch loop, the link and the records: it extracts target
+estimates from the posteriors and feeds the next prior. In federation mode
+an observer can additionally run a pooled-cloud reference posterior per
+neighbourhood to sample divergences against; it never touches the sidelink
+accounting.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -21,8 +33,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .config import ExperimentConfig, with_mode
 from .fusion import (
-    GLOBAL_KIND,
-    LOCAL_KIND,
     Posterior,
     ReconstructedScene,
     alpha_weights,
@@ -36,7 +46,7 @@ from .fusion import (
     reconstruct_scene,
     refit_posterior_mixture,
 )
-from .mixture import DensityGrid, eval_on_grid, grid_to_csv, kl_divergence
+from .mixture import eval_on_grid, grid_to_csv, kl_divergence
 from .scene import advance_scene, initial_scene
 from .sensor import dbscan, observe, preprocess
 from .sidelink import (
@@ -124,6 +134,107 @@ def _nearest_waypoint(cfg: ExperimentConfig, spec, center: np.ndarray) -> str:
     return min(dists)[1]
 
 
+# --------------------------------------------------------------- mode steps
+#
+# Every step takes (cfg, epoch, clouds, clusters, priors, exchange), all
+# per-radar dicts in deployment order, and returns (posteriors, local
+# mixtures, fresh support). The local mixtures are what the KL reference is
+# compared against; only federation has them. The fresh support is the
+# thresholded likelihood, which feeds the next prior alongside the posterior
+# support: without it one sub-threshold epoch would remove a target from the
+# recursion permanently.
+
+
+def _isolated_step(cfg, epoch, clouds, clusters, priors, exchange):
+    posteriors, fresh = {}, {}
+    for k in clouds:
+        lik_grid, mixture = likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
+        posteriors[k] = Posterior(bayes_product(lik_grid, priors[k]), mixture, epoch)
+        fresh[k] = grid_support(lik_grid, cfg.tau)
+    return posteriors, {}, fresh
+
+
+def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange):
+    inboxes = exchange({k: encode_coop(clouds[k]) for k in clouds})
+    # Receivers whose own cloud and inbox hold the same (sender, epoch)
+    # members share one pooled likelihood. Under clock jitter every receiver
+    # holds its own noisy copies, so nothing is shared.
+    pooled = {}
+    posteriors, fresh = {}, {}
+    for k in clouds:
+        key = k
+        if cfg.clock.jitter_std == 0:
+            key = tuple(sorted([(k, epoch), *((msg.sender, msg.epoch) for msg in inboxes[k])]))
+        if key not in pooled:
+            members = {(k, epoch): (clouds[k], clusters[k])}
+            for msg in inboxes[k]:
+                cloud = decode_coop(msg)
+                members[msg.sender, msg.epoch] = (cloud, dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts))
+            pooled[key] = pooled_likelihood([members[m] for m in sorted(members)], cfg.grid, cfg.fit)
+        lik_grid, mixture = pooled[key]
+        posteriors[k] = Posterior(bayes_product(lik_grid, priors[k]), mixture, epoch)
+        fresh[k] = grid_support(lik_grid, cfg.tau)
+    return posteriors, {}, fresh
+
+
+def _federation_step(cfg, epoch, clouds, clusters, priors, exchange):
+    local_mixtures, fresh = {}, {}
+    for k in clouds:
+        lik_grid, lik_mix = likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
+        local_mixtures[k] = refit_posterior_mixture(clouds[k], lik_mix, priors[k], cfg.fit)
+        fresh[k] = grid_support(lik_grid, cfg.tau)
+    inboxes = exchange({k: encode_fed(local_mixtures[k], k, epoch) for k in clouds})
+    posteriors = {}
+    for k in clouds:
+        received = [decode_fed(msg) for msg in inboxes[k]]
+        counts = [local_mixtures[k].total_points] + [m.total_points for m in received]
+        posteriors[k] = federated_posterior(
+            local_mixtures[k], received, alpha_weights(counts), cfg.grid, epoch
+        )
+    return posteriors, local_mixtures, fresh
+
+
+STEPS = {
+    "isolated": _isolated_step,
+    "cooperation": _cooperation_step,
+    "federation": _federation_step,
+}
+
+
+def _kl_reference(cfg, epoch, clouds, clusters, posteriors, local_mixtures, ref_prev):
+    """Divergences of the federated and local posteriors from the pooled-cloud
+    reference posterior of each radar's neighbourhood (the radar and its
+    in-neighbours).
+
+    The reference recursion runs once per neighbourhood: radars with the
+    same neighbourhood start from the same empty state and get the same
+    inputs every epoch. ``ref_prev`` holds each neighbourhood's previous
+    reconstruction and is updated in place. Divergences compare the mixture
+    representations, so a lone radar's federated, local and reference
+    posteriors coincide exactly.
+    """
+    ref_grids = {}
+    kl_fed, kl_local = {}, {}
+    for k in clouds:
+        ids = tuple(sorted({k, *cfg.topology.neighbors(k)}))
+        if ids not in ref_grids:
+            lik_grid, lik_mix = pooled_likelihood([(clouds[i], clusters[i]) for i in ids], cfg.grid, cfg.fit)
+            ref_prior = motion_prior(ref_prev.get(ids), cfg.prior_speed, cfg.dt, cfg.grid)
+            member_pts = [clouds[i].points for i in ids if len(clouds[i])]
+            pool = np.concatenate(member_pts) if member_pts else np.empty((0, 3))
+            pool_cloud = replace(clouds[k], points=pool, truth_outlier=None)
+            ref_mix = refit_posterior_mixture(pool_cloud, lik_mix, ref_prior, cfg.fit)
+            ref_grids[ids] = eval_on_grid(ref_mix, cfg.grid)
+            ref_prev[ids] = ReconstructedScene(
+                _union_points(grid_support(ref_grids[ids], cfg.tau), grid_support(lik_grid, cfg.tau)),
+                cfg.tau,
+                epoch,
+            )
+        kl_fed[k] = kl_divergence(ref_grids[ids], posteriors[k].grid)
+        kl_local[k] = kl_divergence(ref_grids[ids], eval_on_grid(local_mixtures[k], cfg.grid))
+    return kl_fed, kl_local
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     *,
@@ -141,11 +252,13 @@ def run_experiment(
     link_rng = np.random.default_rng(children[1])
     obs_rngs = {k: np.random.default_rng(children[2 + i]) for i, k in enumerate(radar_ids)}
 
+    step = STEPS[cfg.mode]
     scene = initial_scene(cfg.targets, cfg.landmarks, scene_rng)
     stats = LinkStats(update_period=cfg.update_period)
-    history = OutboxHistory()
+    # Deep enough for the most-delayed sender: nothing sent is dropped unseen.
+    history = OutboxHistory(max(cfg.clock.offset_periods(k, cfg.dt) for k in radar_ids))
     prev_scene: dict[int, ReconstructedScene | None] = {k: None for k in radar_ids}
-    ref_prev_scene: dict[int, ReconstructedScene | None] = {k: None for k in radar_ids}
+    ref_prev: dict[tuple[int, ...], ReconstructedScene] = {}
     records: list[EpochRecord] = []
 
     log_fh = open(message_log, "w") if message_log else None
@@ -161,110 +274,18 @@ def run_experiment(
             for k in radar_ids:
                 raw = observe(scene, setups[k].pose, setups[k].model, obs_rngs[k], radar_id=k)
                 clouds[k], clusters[k] = preprocess(raw, setups[k].pose, cfg.dbscan_eps, cfg.dbscan_min_pts)
-
-            likelihoods = {
-                k: likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
-                for k in radar_ids
-            }
             priors = {
                 k: motion_prior(prev_scene[k], cfg.prior_speed, cfg.dt, cfg.grid)
                 for k in radar_ids
             }
 
             tx_bits = {k: 0 for k in radar_ids}
+            exchange = partial(_exchange, cfg, history, stats, link_rng, log_fh, epoch, tx_bits)
+            posteriors, local_mixtures, fresh_support = step(cfg, epoch, clouds, clusters, priors, exchange)
             kl_fed: dict[int, float] = {}
             kl_local: dict[int, float] = {}
-            posteriors: dict[int, Posterior] = {}
-            # Support of the evidence that feeds the next prior alongside the
-            # posterior support; without it one sub-threshold epoch would
-            # remove a target from the recursion permanently.
-            fresh_support: dict[int, np.ndarray] = {}
-
-            if cfg.mode == "isolated":
-                for k in radar_ids:
-                    lik_grid, mixture = likelihoods[k]
-                    posteriors[k] = Posterior(
-                        bayes_product(lik_grid, priors[k]), mixture, epoch, LOCAL_KIND
-                    )
-                    fresh_support[k] = grid_support(lik_grid, cfg.tau)
-
-            elif cfg.mode == "cooperation":
-                outbox = {k: encode_coop(clouds[k]) for k in radar_ids}
-                inboxes = _exchange(cfg, history, epoch, outbox, stats, tx_bits, link_rng, log_fh)
-                pool_cache: dict[tuple, tuple] = {}
-                member_cache: dict[tuple[int, int], tuple] = {}
-                for k in radar_ids:
-                    members = {(k, epoch): (clouds[k], clusters[k])}
-                    for msg in inboxes[k]:
-                        key = (msg.sender, msg.epoch)
-                        if cfg.clock.jitter_std == 0 and key in member_cache:
-                            members[key] = member_cache[key]
-                            continue
-                        cloud = decode_coop(msg)
-                        pair = (cloud, dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts))
-                        members[key] = pair
-                        if cfg.clock.jitter_std == 0:
-                            member_cache[key] = pair
-                    pool_key = tuple(sorted(members))
-                    if pool_key not in pool_cache:
-                        ensemble = [members[key] for key in sorted(members)]
-                        pool_cache[pool_key] = pooled_likelihood(ensemble, cfg.grid, cfg.fit)
-                    lik_grid, mixture = pool_cache[pool_key]
-                    posteriors[k] = Posterior(
-                        bayes_product(lik_grid, priors[k]), mixture, epoch, GLOBAL_KIND
-                    )
-                    fresh_support[k] = grid_support(lik_grid, cfg.tau)
-
-            else:  # federation
-                locals_ = {}
-                for k in radar_ids:
-                    lik_grid, lik_mix = likelihoods[k]
-                    pk = refit_posterior_mixture(clouds[k], lik_mix, priors[k], cfg.fit)
-                    locals_[k] = Posterior(
-                        bayes_product(lik_grid, priors[k]), pk, epoch, LOCAL_KIND
-                    )
-                    fresh_support[k] = grid_support(lik_grid, cfg.tau)
-                outbox = {k: encode_fed(locals_[k].mixture, k, epoch) for k in radar_ids}
-                inboxes = _exchange(cfg, history, epoch, outbox, stats, tx_bits, link_rng, log_fh)
-                for k in radar_ids:
-                    received = [decode_fed(m) for m in inboxes[k]]
-                    counts = [locals_[k].mixture.total_points] + [m.total_points for m in received]
-                    weights = alpha_weights(counts)
-                    posteriors[k] = federated_posterior(
-                        locals_[k].mixture, received, weights, cfg.grid, epoch
-                    )
-
-                if cfg.kl_reference:
-                    # Divergences compare the mixture representations of the
-                    # three posteriors, so a lone radar's federated, local
-                    # and reference posteriors coincide exactly.
-                    lik_cache: dict[tuple, tuple] = {}
-                    ref_cache: dict[tuple, DensityGrid] = {}
-                    for k in radar_ids:
-                        ids = tuple(sorted({k, *cfg.topology.neighbors(k)}))
-                        if ids not in lik_cache:
-                            ensemble = [(clouds[i], clusters[i]) for i in ids]
-                            lik_cache[ids] = pooled_likelihood(ensemble, cfg.grid, cfg.fit)
-                        lik_grid, lik_mix = lik_cache[ids]
-                        prev = ref_prev_scene[k]
-                        key = (ids, None if prev is None else prev.points.tobytes())
-                        if key not in ref_cache:
-                            ref_prior = motion_prior(prev, cfg.prior_speed, cfg.dt, cfg.grid)
-                            member_pts = [clouds[i].points for i in ids if len(clouds[i])]
-                            pool = np.concatenate(member_pts) if member_pts else np.empty((0, 3))
-                            pool_cloud = replace(clouds[k], points=pool, truth_outlier=None)
-                            ref_mix = refit_posterior_mixture(pool_cloud, lik_mix, ref_prior, cfg.fit)
-                            ref_cache[key] = eval_on_grid(ref_mix, cfg.grid)
-                        ref_grid = ref_cache[key]
-                        kl_fed[k] = kl_divergence(ref_grid, posteriors[k].grid)
-                        kl_local[k] = kl_divergence(
-                            ref_grid, eval_on_grid(locals_[k].mixture, cfg.grid)
-                        )
-                        ref_prev_scene[k] = ReconstructedScene(
-                            _union_points(grid_support(ref_grid, cfg.tau), grid_support(lik_grid, cfg.tau)),
-                            cfg.tau,
-                            epoch,
-                        )
+            if cfg.kl_reference and local_mixtures:
+                kl_fed, kl_local = _kl_reference(cfg, epoch, clouds, clusters, posteriors, local_mixtures, ref_prev)
 
             estimates: dict[int, np.ndarray] = {}
             matched: dict[int, dict[int, tuple[float, float] | None]] = {}
@@ -308,8 +329,8 @@ def run_experiment(
     return records, summarize(records, cfg, stats)
 
 
-def _exchange(cfg, history, epoch, outbox, stats, tx_bits, link_rng, log_fh):
-    """Push, account and deliver one epoch's outbox."""
+def _exchange(cfg, history, stats, link_rng, log_fh, epoch, tx_bits, outbox):
+    """Push, charge, log and deliver one epoch's outbox; returns the inboxes."""
     history.push(epoch, outbox)
     for k in sorted(outbox):
         account(stats, outbox[k])
@@ -433,7 +454,9 @@ def _epoch_columns(target_ids: Sequence[int]) -> list[str]:
     return cols
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """One CSV cell: empty for None, 1/0 for bools, shortest round-tripping
+    form for floats."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -470,20 +493,20 @@ def export_csv(
                     k,
                     rec.cloud_points[k],
                     rec.tx_bits[k],
-                    _fmt(rec.resolved[k]),
+                    format_value(rec.resolved[k]),
                     len(rec.estimates[k]),
                 ]
                 for tid in target_ids:
                     true = rec.truth[tid]
                     est = rec.matched[k].get(tid)
                     row += [
-                        _fmt(true[0]),
-                        _fmt(true[1]),
+                        format_value(true[0]),
+                        format_value(true[1]),
                         rec.target_landmark[tid],
-                        _fmt(est[0] if est is not None else None),
-                        _fmt(est[1] if est is not None else None),
+                        format_value(est[0] if est is not None else None),
+                        format_value(est[1] if est is not None else None),
                     ]
-                row += [_fmt(rec.kl_fed.get(k)), _fmt(rec.kl_local.get(k))]
+                row += [format_value(rec.kl_fed.get(k)), format_value(rec.kl_local.get(k))]
                 writer.writerow(row)
 
     summary_path = out / "summary.csv"
@@ -491,7 +514,7 @@ def export_csv(
         writer = csv.writer(fh)
         writer.writerow(["metric", "radar", "label", "value"])
         for row in metrics_to_rows(metrics):
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([format_value(v) for v in row])
     return {"epochs": epochs_path, "summary": summary_path}
 
 

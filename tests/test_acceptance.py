@@ -238,7 +238,7 @@ def test_criterion_7_oracle_equivalence():
             for w in rng.dirichlet(np.ones(m))
         ]
         mix = GaussianMixture(comps, m)
-        post = Posterior(eval_on_grid(mix, spec), mix, 0, "local")
+        post = Posterior(eval_on_grid(mix, spec), mix, 0)
         got = extract_targets(post, 0.45, 0.5)
         expected = exhaustive_extract(post.grid.mass, spec, 0.45, 0.5)
         if not np.array_equal(got.positions, expected):

@@ -8,14 +8,14 @@ from radarfuse.fusion import (
     ReconstructedScene,
     alpha_weights,
     bayes_product,
-    coop_posterior,
     extract_targets,
     federated_posterior,
     grid_support,
     likelihood_from_cloud,
-    local_posterior,
     motion_prior,
+    pooled_likelihood,
     reconstruct_scene,
+    refit_posterior_mixture,
 )
 from radarfuse.mixture import (
     DensityGrid,
@@ -39,10 +39,10 @@ def clustered_cloud(points, eps=0.3, min_pts=5):
     return cloud, dbscan(cloud, eps, min_pts)
 
 
-def gaussian_posterior(mean, s2, weight=1.0, epoch=0, kind="local"):
+def gaussian_posterior(mean, s2, weight=1.0, epoch=0):
     comp = GaussianComponent(weight, np.array([*mean, 1.0]), np.eye(3) * s2, 10)
     mix = GaussianMixture([comp], 10)
-    return Posterior(eval_on_grid(mix, SPEC), mix, epoch, kind)
+    return Posterior(eval_on_grid(mix, SPEC), mix, epoch)
 
 
 # ------------------------------------------------------------- likelihood
@@ -64,7 +64,7 @@ def test_two_cluster_likelihood_is_bimodal():
     cloud, clusters = clustered_cloud(np.concatenate([a, b]))
     grid, mix = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
     assert mix.n_components == 2
-    est = extract_targets(Posterior(grid, mix, 0, "local"), 0.2, 0.5)
+    est = extract_targets(Posterior(grid, mix, 0), 0.2, 0.5)
     assert len(est) == 2
     got = sorted(tuple(p) for p in est.positions)
     assert np.linalg.norm(np.array(got[0]) - [2, 2]) < 0.15
@@ -131,10 +131,12 @@ def test_flat_prior_returns_likelihood():
     rng = np.random.default_rng(3)
     cloud, clusters = clustered_cloud(rng.normal([5, 3, 1], 0.1, (60, 3)))
     lik_grid, lik_mix = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
-    post = local_posterior(cloud, clusters, DensityGrid.uniform(SPEC), SPEC, 1, FIT)
-    assert np.max(np.abs(post.grid.mass - lik_grid.mass)) < 1e-12
+    prior = DensityGrid.uniform(SPEC)
+    grid = bayes_product(lik_grid, prior)
+    assert np.max(np.abs(grid.mass - lik_grid.mass)) < 1e-12
     # with equal weights the posterior refit reproduces the likelihood fit
-    for a, b in zip(post.mixture.components, lik_mix.components):
+    refit = refit_posterior_mixture(cloud, lik_mix, prior, FIT)
+    for a, b in zip(refit.components, lik_mix.components):
         assert np.allclose(a.mean, b.mean) and np.allclose(a.cov, b.cov)
         assert a.weight == pytest.approx(b.weight)
 
@@ -142,9 +144,10 @@ def test_flat_prior_returns_likelihood():
 def test_flat_likelihood_returns_prior():
     cloud, clusters = clustered_cloud(np.empty((0, 3)))
     prior = gaussian_posterior([3, 3], 0.3).grid
-    post = local_posterior(cloud, clusters, prior, SPEC, 1, FIT)
-    assert np.max(np.abs(post.grid.mass - prior.mass)) < 1e-12
-    assert post.mixture.is_empty() and post.mixture.total_points == 0
+    lik_grid, lik_mix = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
+    assert np.max(np.abs(bayes_product(lik_grid, prior).mass - prior.mass)) < 1e-12
+    refit = refit_posterior_mixture(cloud, lik_mix, prior, FIT)
+    assert refit.is_empty() and refit.total_points == 0
 
 
 def test_prior_pulls_posterior_toward_truth():
@@ -171,8 +174,9 @@ def test_coop_posterior_with_flat_prior_is_pooled_likelihood():
         clustered_cloud(rng.normal([2, 2, 1], 0.1, (60, 3))),
         clustered_cloud(rng.normal([6, 6, 1], 0.1, (60, 3))),
     ]
-    post = coop_posterior(ens, DensityGrid.uniform(SPEC), SPEC, 1, FIT)
-    assert post.kind == "global"
+    lik_grid, mixture = pooled_likelihood(ens, SPEC, FIT)
+    post = Posterior(bayes_product(lik_grid, DensityGrid.uniform(SPEC)), mixture, 1)
+    assert np.max(np.abs(post.grid.mass - lik_grid.mass)) < 1e-12
     assert post.mixture.n_components == 2  # one per contributed cluster
     est = extract_targets(post, 0.2, 0.5)
     assert len(est) == 2
@@ -181,8 +185,9 @@ def test_coop_posterior_with_flat_prior_is_pooled_likelihood():
 def test_coop_posterior_empty_ensemble_returns_prior():
     prior = gaussian_posterior([5, 5], 0.2).grid
     ens = [clustered_cloud(np.empty((0, 3)))]
-    post = coop_posterior(ens, prior, SPEC, 1, FIT)
-    assert np.max(np.abs(post.grid.mass - prior.mass)) < 1e-12
+    lik_grid, mixture = pooled_likelihood(ens, SPEC, FIT)
+    assert mixture.is_empty()
+    assert np.max(np.abs(bayes_product(lik_grid, prior).mass - prior.mass)) < 1e-12
 
 
 def test_coop_posterior_merges_disjoint_views():
@@ -191,7 +196,8 @@ def test_coop_posterior_merges_disjoint_views():
     radar1 = clustered_cloud(rng.normal([2, 2, 1], 0.1, (80, 3)))
     radar2 = clustered_cloud(rng.normal([6, 6, 1], 0.1, (80, 3)))
     prior = DensityGrid.uniform(SPEC)
-    post = coop_posterior([radar1, radar2], prior, SPEC, 1, FIT)
+    lik_grid, mixture = pooled_likelihood([radar1, radar2], SPEC, FIT)
+    post = Posterior(bayes_product(lik_grid, prior), mixture, 1)
     est = extract_targets(post, 0.2, 0.5)
     assert len(est) == 2
     # oracle: posterior grid is exactly the cell-wise product with the prior
@@ -264,10 +270,11 @@ def test_reconstruct_tau_near_one_keeps_argmax_only():
     assert np.all(np.linalg.norm(recon.points - [4.05, 4.05], axis=1) < 0.15)
 
 
-def test_reconstruct_uniform_keeps_every_cell():
-    post = Posterior(DensityGrid.uniform(SPEC), GaussianMixture.empty(), 0, "local")
-    recon = reconstruct_scene(post, 0.45)
-    assert len(recon) == SPEC.n_cells
+def test_reconstruct_uniform_keeps_no_cell():
+    # A flat posterior holds no evidence: no cell and no target stands out.
+    post = Posterior(DensityGrid.uniform(SPEC), GaussianMixture.empty(), 0)
+    assert len(reconstruct_scene(post, 0.45)) == 0
+    assert len(extract_targets(post, 0.45, 0.5)) == 0
 
 
 def test_reconstruct_rejects_bad_tau():
@@ -290,7 +297,7 @@ def test_extract_single_gaussian():
 def test_extract_two_separated_gaussians():
     a = GaussianComponent(0.5, np.array([3.0, 4.0, 1.0]), np.eye(3) * 0.04, 5)
     b = GaussianComponent(0.5, np.array([5.0, 4.0, 1.0]), np.eye(3) * 0.04, 5)
-    post = Posterior(eval_on_grid(GaussianMixture([a, b], 10), SPEC), GaussianMixture([a, b], 10), 0, "local")
+    post = Posterior(eval_on_grid(GaussianMixture([a, b], 10), SPEC), GaussianMixture([a, b], 10), 0)
     est = extract_targets(post, 0.45, 0.5)
     assert len(est) == 2
     xs = sorted(p[0] for p in est.positions)
@@ -309,7 +316,7 @@ def test_extract_merged_peak_is_unresolved():
     )
     interior_maxima = np.sum((dens[1:-1] > dens[:-2]) & (dens[1:-1] >= dens[2:]))
     assert interior_maxima == 1
-    post = Posterior(eval_on_grid(mix, SPEC), mix, 0, "local")
+    post = Posterior(eval_on_grid(mix, SPEC), mix, 0)
     est = extract_targets(post, 0.45, 0.5)
     assert len(est) == 1
 
@@ -322,8 +329,8 @@ def test_extract_is_scale_invariant():
     ]
     mix = GaussianMixture(comps, 3)
     grid = eval_on_grid(mix, SPEC)
-    post = Posterior(grid, mix, 0, "local")
-    scaled = Posterior(DensityGrid(SPEC, grid.mass * 4.0), mix, 0, "local")
+    post = Posterior(grid, mix, 0)
+    scaled = Posterior(DensityGrid(SPEC, grid.mass * 4.0), mix, 0)
     a = extract_targets(post, 0.45, 0.5)
     b = extract_targets(scaled, 0.45, 0.5)
     assert np.array_equal(a.positions, b.positions)
@@ -368,12 +375,17 @@ def test_extract_matches_exhaustive_enumeration():
             for w in rng.dirichlet(np.ones(m))
         ]
         mix = GaussianMixture(comps, m)
-        post = Posterior(eval_on_grid(mix, spec), mix, 0, "local")
+        post = Posterior(eval_on_grid(mix, spec), mix, 0)
         got = extract_targets(post, 0.45, 0.5)
         expected = exhaustive_extract(post.grid.mass, spec, 0.45, 0.5)
         assert np.array_equal(got.positions, expected)
 
 
 def test_grid_support_threshold_strictness():
-    grid = DensityGrid.uniform(SPEC)
-    assert len(grid_support(grid, 0.45)) == SPEC.n_cells
+    # Cells exactly at tau * peak are not support; a flat grid has none.
+    mass = np.full((SPEC.ny, SPEC.nx), 0.45)
+    mass[10, 20] = mass[30, 40] = 1.0
+    support = grid_support(DensityGrid(SPEC, mass), 0.45)
+    assert np.allclose(support, [[SPEC.x_centers()[20], SPEC.y_centers()[10]],
+                                 [SPEC.x_centers()[40], SPEC.y_centers()[30]]])
+    assert len(grid_support(DensityGrid.uniform(SPEC), 0.45)) == 0

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from radarfuse.config import ConfigError, config_from_dict, load_config
+from radarfuse import harness
+from radarfuse.config import MODES, ConfigError, config_from_dict, load_config, resolve_scenario
 from radarfuse.harness import (
     EpochRecord,
     aggregate_sweep,
@@ -78,14 +81,13 @@ def synthetic_records():
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path):
-    cfg = small_config(seed=3)
-    for sub in ("a", "b"):
-        records, metrics = run_experiment(cfg)
-        export_csv(records, metrics, tmp_path / sub, cfg)
-    a = (tmp_path / "a" / "epochs.csv").read_bytes()
-    b = (tmp_path / "b" / "epochs.csv").read_bytes()
-    assert a == b
-    assert (tmp_path / "a" / "summary.csv").read_bytes() == (tmp_path / "b" / "summary.csv").read_bytes()
+    for mode in MODES:
+        cfg = small_config(mode=mode, seed=3)
+        for sub in ("a", "b"):
+            records, metrics = run_experiment(cfg)
+            export_csv(records, metrics, tmp_path / mode / sub, cfg)
+        for name in ("epochs.csv", "summary.csv"):
+            assert (tmp_path / mode / "a" / name).read_bytes() == (tmp_path / mode / "b" / name).read_bytes()
 
 
 def test_isolated_mode_sends_nothing():
@@ -141,6 +143,14 @@ def test_single_radar_federation_divergences_vanish():
         assert rec.kl_fed[1] < 1e-12
         assert rec.kl_local[1] < 1e-12
     assert metrics.kl_fed_median < 1e-12
+    # Radar 3 has no in-neighbours: alone in its neighbourhood, its
+    # reference is its own posterior, while radars 1 and 2 fuse three clouds.
+    cfg = small_config(epochs=10, topology=[[1, 2], [2, 1], [3, 1], [3, 2]])
+    records, _ = run_experiment(cfg)
+    for rec in records:
+        assert rec.kl_fed[3] < 1e-12
+        assert rec.kl_local[3] < 1e-12
+    assert max(rec.kl_local[1] for rec in records) > 1e-6
 
 
 def test_clock_offset_uses_previous_epoch_content():
@@ -149,6 +159,67 @@ def test_clock_offset_uses_previous_epoch_content():
     cfg = config_from_dict(data, mode="cooperation", epochs=6)
     records, _ = run_experiment(cfg)  # smoke: delayed content fuses without error
     assert len(records) == 6
+
+
+def test_long_clock_offset_is_delivered(monkeypatch):
+    # 170 ms is 17 update periods: radar 2's first message arrives at epoch 18.
+    data = dict(SMALL)
+    data["clock"] = {"offsets": {"1": 0.0, "2": 0.170, "3": 0.0}, "jitter_std": 0.0}
+    cfg = config_from_dict(data, epochs=20, kl_reference=False)
+    delivered = []
+    account_delivery = harness.account_delivery
+
+    def spy(stats, msg, receiver):
+        delivered.append((msg.sender, msg.epoch, receiver))
+        return account_delivery(stats, msg, receiver)
+
+    monkeypatch.setattr(harness, "account_delivery", spy)
+    run_experiment(cfg)
+    assert sorted((e, k) for h, e, k in delivered if h == 2) == [(e, k) for e in (1, 2, 3) for k in (1, 3)]
+
+
+def test_cooperation_under_jitter_fuses_each_radars_own_cloud(monkeypatch):
+    # Jitter perturbs every delivered copy independently, so each receiver
+    # pools its own clean cloud with its own noisy copies of the others'.
+    cfg = load_config("converging", mode="cooperation", epochs=5, seed=3,
+                      clock={"offsets": {}, "jitter_std": 0.005})
+    own, pooled = [], []
+    preprocess, pooled_likelihood = harness.preprocess, harness.pooled_likelihood
+
+    def spy_preprocess(*args, **kwargs):
+        cloud, clusters = preprocess(*args, **kwargs)
+        own.append(cloud)
+        return cloud, clusters
+
+    def spy_pooled(ensemble, *args):
+        pooled.append([cloud for cloud, _ in ensemble])
+        return pooled_likelihood(ensemble, *args)
+
+    monkeypatch.setattr(harness, "preprocess", spy_preprocess)
+    monkeypatch.setattr(harness, "pooled_likelihood", spy_pooled)
+    run_experiment(cfg)
+    assert len(pooled) == len(own) == 15
+    for cloud in own:
+        assert sum(any(c is cloud for c in members) for members in pooled) == 1
+
+
+def test_cooperation_without_edges_matches_isolated():
+    isolated, _ = run_experiment(small_config(mode="isolated", topology=[]))
+    cooperation, _ = run_experiment(small_config(mode="cooperation", topology=[]))
+    for a, b in zip(isolated, cooperation):
+        assert a.matched == b.matched and a.resolved == b.resolved
+        assert all(np.array_equal(a.estimates[k], b.estimates[k]) for k in a.estimates)
+
+
+def test_radar_with_empty_clouds_reports_no_targets():
+    # Facing away from the room, radar 3 sees nothing: its isolated
+    # posterior stays flat and must not pass for resolved targets.
+    data = json.loads(resolve_scenario("converging").read_text())
+    data["radars"][2]["yaw_deg"] = 0.0
+    cfg = config_from_dict(data, mode="isolated", epochs=4, seed=3)
+    records, metrics = run_experiment(cfg)
+    assert all(rec.cloud_points[3] == 0 and len(rec.estimates[3]) == 0 for rec in records)
+    assert metrics.p_u_by_radar[3] == 1.0
 
 
 # ---------------------------------------------------------------- metrics
@@ -291,6 +362,10 @@ def test_config_validation_errors():
         config_from_dict(bad)
     bad = dict(SMALL)
     bad["tau"] = 1.5
+    with pytest.raises(ConfigError):
+        config_from_dict(bad)
+    bad = dict(SMALL)
+    bad["clock"] = {"offsets": {"2": -0.010}}
     with pytest.raises(ConfigError):
         config_from_dict(bad)
 
