@@ -32,7 +32,6 @@ from .harness import (
 )
 from .mixture import (
     DensityGrid,
-    GaussianComponent,
     GaussianMixture,
     GridSpec,
     choose_components,
@@ -40,7 +39,7 @@ from .mixture import (
     fit_em,
     kl_divergence,
 )
-from .scene import ConfigError, Landmark, Scene, TargetSpec, advance_scene, initial_scene, landmark_path
+from .scene import ConfigError, Landmark, Scene, TargetSpec, advance_scene, initial_scene
 from .sensor import (
     ClusterResult,
     PointCloud,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
@@ -115,8 +115,17 @@ def _target_from(raw: Mapping[str, Any]) -> TargetSpec:
     )
 
 
+_MODEL_KEYS = {f.name for f in fields(RadarModel)} | {"fov_azimuth_deg", "azimuth_resolution_deg"}
+
+
 def _radar_from(raw: Mapping[str, Any]) -> RadarSetup:
+    for key in ("id", "position", "yaw_deg"):
+        if key not in raw:
+            raise ConfigError(f"radar {raw.get('id', '?')}: missing key {key!r}")
     model_raw = dict(raw.get("model", {}))
+    unknown = sorted(set(model_raw) - _MODEL_KEYS)
+    if unknown:
+        raise ConfigError(f"radar {raw['id']}: unknown model key {unknown[0]!r}")
     if "fov_azimuth_deg" in model_raw:
         model_raw["fov_azimuth"] = math.radians(model_raw.pop("fov_azimuth_deg"))
     if "azimuth_resolution_deg" in model_raw:

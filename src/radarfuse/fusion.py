@@ -22,7 +22,6 @@ from scipy.ndimage import gaussian_filter
 
 from .mixture import (
     DensityGrid,
-    GaussianComponent,
     GaussianMixture,
     GridSpec,
     choose_components,
@@ -190,8 +189,8 @@ def refit_posterior_mixture(
     return fit_em(
         cloud.points,
         lik_mixture.n_components,
-        np.array([c.mean for c in lik_mixture.components]),
-        init_covs=np.array([c.cov for c in lik_mixture.components]),
+        lik_mixture.means,
+        init_covs=lik_mixture.covs,
         init_weights=lik_mixture.weights,
         point_weights=weights,
         max_iters=fit.max_iters,
@@ -233,13 +232,12 @@ def federated_posterior(
     mixtures = [own, *received]
     if len(weights) != len(mixtures):
         raise ValueError("one weight per mixture is required")
-    comps: list[GaussianComponent] = []
-    total_points = 0
-    for alpha, mix in zip(weights, mixtures):
-        total_points += mix.total_points
-        for c in mix.components:
-            comps.append(GaussianComponent(float(alpha * c.weight), c.mean, c.cov, c.point_count))
-    federated = GaussianMixture(comps, total_points)
+    federated = GaussianMixture(
+        np.concatenate([alpha * mix.weights for alpha, mix in zip(weights, mixtures)]),
+        np.concatenate([mix.means for mix in mixtures]),
+        np.concatenate([mix.covs for mix in mixtures]),
+        np.concatenate([mix.counts for mix in mixtures]),
+    )
     return Posterior(eval_on_grid(federated, spec), federated, epoch)
 
 

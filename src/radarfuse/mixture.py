@@ -1,8 +1,12 @@
 """Gaussian mixture machinery: EM fitting, grid evaluation, KL divergence.
 
-Mixtures are 3D (full 3x3 covariances, matching the 14-value wire format);
-probability grids are 2D, obtained by marginalizing z. All grids carry
-probability mass (not density) and are normalized to total mass 1.
+A mixture of m components is four arrays: ``weights (m,)``, ``means (m, 3)``,
+``covs (m, 3, 3)`` (full covariances, matching the 14-value wire format) and
+integer ``counts (m,)``, the points each component summarizes. The point
+total is ``counts.sum()``: EM apportions the counts so that they sum exactly
+to the number of fitted points. Probability grids are 2D, obtained by
+marginalizing z. All grids carry probability mass (not density) and are
+normalized to total mass 1.
 """
 
 from __future__ import annotations
@@ -102,35 +106,38 @@ class DensityGrid:
         return np.array([self.spec.x_centers()[ix], self.spec.y_centers()[iy]])
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
-    weight: float
-    mean: np.ndarray  # (3,)
-    cov: np.ndarray  # (3, 3) symmetric positive-definite
-    point_count: int
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Weighted 3D Gaussian components plus the point count they summarize."""
+    """Weighted 3D Gaussian components and the point count of each."""
 
-    components: list[GaussianComponent]
-    total_points: int
+    weights: np.ndarray  # (m,)
+    means: np.ndarray  # (m, 3)
+    covs: np.ndarray  # (m, 3, 3) symmetric positive-definite
+    counts: np.ndarray  # (m,) int
+
+    def __post_init__(self):
+        m = len(self.weights)
+        for name, dtype, shape in (("weights", float, (m,)), ("means", float, (m, 3)),
+                                   ("covs", float, (m, 3, 3)), ("counts", int, (m,))):
+            value = np.asarray(getattr(self, name), dtype=dtype)
+            if value.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def empty(cls) -> "GaussianMixture":
-        return cls([], 0)
+        return cls(np.empty(0), np.empty((0, 3)), np.empty((0, 3, 3)), np.empty(0, dtype=int))
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return len(self.weights)
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
+    def total_points(self) -> int:
+        return int(self.counts.sum())
 
     def is_empty(self) -> bool:
-        return not self.components
+        return self.n_components == 0
 
 
 def choose_components(clusters: ClusterResult, m_max: int) -> int:
@@ -160,27 +167,27 @@ def cluster_moments(
     for c in order:
         member = points[labels == c]
         means.append(member.mean(axis=0))
-        if len(member) > 1:
-            cov = np.cov(member.T, bias=True)
-        else:
-            cov = np.zeros((3, 3))
-        covs.append(_floor_cov(cov, COV_EIG_FLOOR))
+        covs.append(np.cov(member.T, bias=True) if len(member) > 1 else np.zeros((3, 3)))
         kept_counts.append(len(member))
-    return np.array(means), np.array(covs), np.array(kept_counts, dtype=float)
+    covs = _floor_covs(np.array(covs).reshape(-1, 3, 3), COV_EIG_FLOOR, each=True)
+    return np.array(means), covs, np.array(kept_counts, dtype=float)
 
 
-def _floor_cov(cov: np.ndarray, floor: float) -> np.ndarray:
-    return _floor_covs(cov[None], floor)[0]
+def _floor_covs(covs: np.ndarray, floor: float, each: bool = False) -> np.ndarray:
+    """Symmetrize a (m, 3, 3) stack and clip eigenvalues from below.
 
-
-def _floor_covs(covs: np.ndarray, floor: float) -> np.ndarray:
-    """Symmetrize a (m, 3, 3) stack and clip eigenvalues from below."""
+    When any matrix is below the floor the whole stack is rebuilt from its
+    eigendecomposition; with ``each`` only the matrices below it are.
+    """
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     vals, vecs = np.linalg.eigh(covs)
-    if np.all(vals[:, 0] >= floor):
+    low = ~(vals[:, 0] >= floor)
+    if not low.any():
         return covs
-    vals = np.maximum(vals, floor)
-    return np.einsum("mij,mj,mkj->mik", vecs, vals, vecs)
+    if not each:
+        low[:] = True
+    covs[low] = np.einsum("mij,mj,mkj->mik", vecs[low], np.maximum(vals[low], floor), vecs[low])
+    return covs
 
 
 def _inv_logdet(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +260,7 @@ def fit_em(
     else:
         base = np.cov(points.T, bias=True) if n > 1 else np.zeros((3, 3))
         covs = np.tile(base, (m, 1, 1))
-    covs = np.array([_floor_cov(c, cov_floor) for c in covs])
+    covs = _floor_covs(covs, cov_floor, each=True)
     if init_weights is not None:
         beta = np.asarray(init_weights, dtype=float)[:m].copy()
         beta = beta / beta.sum() if beta.sum() > 0 else np.full(m, 1.0 / m)
@@ -314,12 +321,7 @@ def fit_em(
 
     if stale_resp:
         _, resp = e_step(beta, means, covs)
-    counts = _apportion(resp.sum(axis=1), n)
-    comps = [
-        GaussianComponent(float(beta[i]), means[i].copy(), covs[i].copy(), int(counts[i]))
-        for i in range(m)
-    ]
-    mixture = GaussianMixture(comps, n)
+    mixture = GaussianMixture(beta, means, covs, _apportion(resp.sum(axis=1), n))
     return (mixture, trace) if return_trace else mixture
 
 
@@ -334,9 +336,7 @@ def eval_on_grid(mixture: GaussianMixture, spec: GridSpec) -> DensityGrid:
         return DensityGrid.uniform(spec)
     xc, yc = spec.x_centers(), spec.y_centers()
     dens = np.zeros((spec.ny, spec.nx))
-    for comp in mixture.components:
-        mu = comp.mean[:2]
-        cov = comp.cov[:2, :2]
+    for weight, mu, cov in zip(mixture.weights, mixture.means[:, :2], mixture.covs[:, :2, :2]):
         det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
         inv00, inv11, inv01 = cov[1, 1] / det, cov[0, 0] / det, -cov[0, 1] / det
         reach = 6.0 * math.sqrt(max(cov[0, 0], cov[1, 1]))
@@ -351,7 +351,7 @@ def eval_on_grid(mixture: GaussianMixture, spec: GridSpec) -> DensityGrid:
             + 2.0 * inv01 * dy[:, None] * dx[None, :]
             + inv11 * (dy * dy)[:, None]
         )
-        dens[iy0:iy1, ix0:ix1] += comp.weight * np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+        dens[iy0:iy1, ix0:ix1] += weight * np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
     mass = dens * spec.cell_area
     total = mass.sum()
     if total <= 0:

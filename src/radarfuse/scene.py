@@ -8,7 +8,6 @@ scene state (memoryless), so a fixed seed reproduces a run exactly.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -106,34 +105,6 @@ def _point_at(vertices: np.ndarray, cum: np.ndarray, s: float) -> np.ndarray:
     seg_len = cum[i + 1] - cum[i]
     t = (s - cum[i]) / seg_len
     return vertices[i] + t * (vertices[i + 1] - vertices[i])
-
-
-def landmark_path(
-    landmarks: Mapping[str, np.ndarray],
-    waypoints: Sequence[str],
-    speed: float,
-    dt: float,
-) -> np.ndarray:
-    """Centers visited when moving along the waypoints at constant speed.
-
-    Returns an (n, 2) array sampled every ``dt`` seconds; the first center is
-    the first landmark and the last one is exactly the final landmark.
-    """
-    if dt <= 0:
-        raise ConfigError("dt must be > 0")
-    if speed <= 0:
-        raise ConfigError("speed must be > 0")
-    vertices = route_vertices(landmarks, waypoints)
-    if len(vertices) == 1:
-        return vertices.copy()
-    cum = _cumulative_lengths(vertices)
-    total = cum[-1]
-    step = speed * dt
-    n_steps = int(math.floor(total / step + 1e-9))
-    centers = [_point_at(vertices, cum, i * step) for i in range(n_steps + 1)]
-    if total - n_steps * step > 1e-9 * max(1.0, total):
-        centers.append(vertices[-1].copy())
-    return np.array(centers)
 
 
 def _scatter(spec: TargetSpec, center: np.ndarray, rng: np.random.Generator) -> np.ndarray:

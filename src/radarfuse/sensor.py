@@ -184,13 +184,6 @@ def to_global_frame(cloud: PointCloud, pose: RadarPose) -> PointCloud:
     return replace(cloud, frame=GLOBAL, points=points)
 
 
-def to_local_frame(cloud: PointCloud, pose: RadarPose) -> PointCloud:
-    if cloud.frame != GLOBAL:
-        raise ValueError(f"expected a {GLOBAL}-frame cloud, got {cloud.frame!r}")
-    points = (cloud.points - pose.position) @ rot_z(pose.yaw)
-    return replace(cloud, frame=LOCAL, points=points)
-
-
 def dbscan(cloud: PointCloud, eps: float, min_pts: int) -> ClusterResult:
     """Density clustering over the cloud's 3D points.
 

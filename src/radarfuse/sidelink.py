@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .mixture import GaussianComponent, GaussianMixture
+from .mixture import GaussianMixture
 from .sensor import GLOBAL, PointCloud
 
 log = logging.getLogger(__name__)
@@ -75,12 +75,11 @@ class FedMessage:
 
     sender: int
     epoch: int
-    q_total: int
-    components: tuple[GaussianComponent, ...]
+    mixture: GaussianMixture
 
     @property
     def value_count(self) -> int:
-        return 2 + FED_VALUES_PER_COMPONENT * len(self.components)
+        return 2 + FED_VALUES_PER_COMPONENT * self.mixture.n_components
 
     @property
     def payload_bits(self) -> int:
@@ -119,16 +118,15 @@ def decode_coop(msg: CoopMessage) -> PointCloud:
 
 def encode_fed(mixture: GaussianMixture, sender: int, epoch: int) -> FedMessage:
     """Refuses mixtures whose covariances are not positive-definite."""
-    for comp in mixture.components:
-        try:
-            np.linalg.cholesky(comp.cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("mixture has a non positive-definite covariance") from None
-    return FedMessage(sender, epoch, mixture.total_points, tuple(mixture.components))
+    try:
+        np.linalg.cholesky(mixture.covs)
+    except np.linalg.LinAlgError:
+        raise ValueError("mixture has a non positive-definite covariance") from None
+    return FedMessage(sender, epoch, mixture)
 
 
 def decode_fed(msg: FedMessage) -> GaussianMixture:
-    return GaussianMixture(list(msg.components), msg.q_total)
+    return msg.mixture
 
 
 @dataclass
@@ -193,11 +191,9 @@ def _jittered(msg: Message, noise_std: float, rng: np.random.Generator) -> Messa
     if isinstance(msg, CoopMessage):
         points = msg.points + rng.normal(0.0, noise_std, msg.points.shape)
         return CoopMessage(msg.sender, msg.epoch, points)
-    comps = tuple(
-        GaussianComponent(c.weight, c.mean + rng.normal(0.0, noise_std, 3), c.cov, c.point_count)
-        for c in msg.components
-    )
-    return FedMessage(msg.sender, msg.epoch, msg.q_total, comps)
+    mix = msg.mixture
+    means = mix.means + rng.normal(0.0, noise_std, mix.means.shape)
+    return FedMessage(msg.sender, msg.epoch, replace(mix, means=means))
 
 
 def deliver(
@@ -232,30 +228,32 @@ def message_values(msg: Message) -> list[float]:
     """Canonical flat payload: the exact 64-bit values on the wire."""
     if isinstance(msg, CoopMessage):
         return [float(v) for v in msg.points.ravel()]
-    values = [float(msg.q_total), float(len(msg.components))]
-    for c in msg.components:
-        values.append(float(c.weight))
-        values.extend(float(v) for v in c.mean)
-        values.extend(float(v) for v in c.cov.ravel())
-        values.append(float(c.point_count))
-    return values
+    mix = msg.mixture
+    m = mix.n_components
+    table = np.column_stack([mix.weights, mix.means, mix.covs.reshape(m, 9), mix.counts])
+    return [float(mix.total_points), float(m), *table.ravel().tolist()]
 
 
 def message_from_values(sender: int, epoch: int, kind: str, values: Sequence[float]) -> Message:
+    """Message from its flat payload; a malformed payload raises ValueError."""
+    values = np.asarray(values, dtype=np.float64)
     if kind == COOP_KIND:
-        points = np.asarray(values, dtype=np.float64).reshape(-1, 3)
-        return CoopMessage(sender, epoch, points)
+        return CoopMessage(sender, epoch, values.reshape(-1, 3))
     if kind != FED_KIND:
         raise ValueError(f"unknown message kind {kind!r}")
-    q_total, n_comp = int(values[0]), int(values[1])
-    comps = []
-    for i in range(n_comp):
-        base = 2 + i * FED_VALUES_PER_COMPONENT
-        chunk = np.asarray(values[base : base + FED_VALUES_PER_COMPONENT], dtype=np.float64)
-        comps.append(
-            GaussianComponent(float(chunk[0]), chunk[1:4].copy(), chunk[4:13].reshape(3, 3).copy(), int(chunk[13]))
-        )
-    return FedMessage(sender, epoch, q_total, tuple(comps))
+    if len(values) < 2 or not values[1].is_integer() or values[1] < 0:
+        raise ValueError("fed payload must start with the point total and a non-negative component count")
+    m = int(values[1])
+    if len(values) != 2 + FED_VALUES_PER_COMPONENT * m:
+        raise ValueError(f"fed payload of {len(values)} values does not hold {m} components")
+    table = values[2:].reshape(m, FED_VALUES_PER_COMPONENT)
+    counts = table[:, 13]
+    if not all(c.is_integer() and c >= 0 for c in counts):
+        raise ValueError("component point counts must be non-negative integers")
+    if values[0] != counts.sum():
+        raise ValueError(f"point total {values[0]} differs from the sum of the component counts")
+    mixture = GaussianMixture(table[:, 0], table[:, 1:4], table[:, 4:13].reshape(m, 3, 3), counts)
+    return FedMessage(sender, epoch, mixture)
 
 
 def write_replay(messages: Iterable[Message], fh) -> None:
@@ -271,11 +269,15 @@ def write_replay(messages: Iterable[Message], fh) -> None:
 
 
 def read_replay(path) -> list[Message]:
+    """Messages of a replay log; a malformed record raises ValueError naming its line."""
     messages = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             rec = json.loads(line)
-            messages.append(message_from_values(rec["sender"], rec["epoch"], rec["kind"], rec["values"]))
+            try:
+                messages.append(message_from_values(rec["sender"], rec["epoch"], rec["kind"], rec["values"]))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
     return messages

@@ -14,7 +14,6 @@ from radarfuse.config import load_config
 from radarfuse.fusion import Posterior, extract_targets, federated_posterior
 from radarfuse.harness import aggregate_sweep, export_csv, run_experiment, run_sweep
 from radarfuse.mixture import (
-    GaussianComponent,
     GaussianMixture,
     GridSpec,
     eval_on_grid,
@@ -24,7 +23,7 @@ from radarfuse.mixture import (
 from radarfuse.sensor import GLOBAL, PointCloud, dbscan
 from radarfuse.sidelink import decode_coop, decode_fed, encode_coop, encode_fed
 
-from test_fusion import exhaustive_extract
+from test_fusion import exhaustive_extract, random_mixture
 from test_sensor import brute_force_dbscan
 
 UPDATES_PER_SECOND = Fraction(100)  # one localization update every 10 ms
@@ -61,8 +60,7 @@ def test_criterion_1_bandwidth_reproduction():
     rate_625 = coop_625.payload_bits * UPDATES_PER_SECOND
     rate_815 = coop_815.payload_bits * UPDATES_PER_SECOND
 
-    comps = [GaussianComponent(1 / 3, np.zeros(3), np.eye(3), 100) for _ in range(3)]
-    fed = encode_fed(GaussianMixture(comps, 300), 1, 0)
+    fed = encode_fed(GaussianMixture([1 / 3] * 3, np.zeros((3, 3)), [np.eye(3)] * 3, [100] * 3), 1, 0)
     fed_rate = fed.payload_bits * UPDATES_PER_SECOND
 
     ok = (
@@ -81,7 +79,7 @@ def test_criterion_1_bandwidth_reproduction():
 
 def test_criterion_2_overhead_ratio():
     fed_bits = encode_fed(
-        GaussianMixture([GaussianComponent(1 / 3, np.zeros(3), np.eye(3), 1)] * 3, 3), 1, 0
+        GaussianMixture([1 / 3] * 3, np.zeros((3, 3)), [np.eye(3)] * 3, [1] * 3), 1, 0
     ).payload_bits
     ratios = [
         Fraction(n * 3 * 64, fed_bits) for n in (625, 815)
@@ -169,29 +167,21 @@ def test_criterion_6_numerical_invariants():
     # every produced grid sums to one
     sums_ok = True
     for _ in range(50):
-        comps = [
-            GaussianComponent(w, np.array([*rng.uniform(0, 8, 2), 1.0]), np.eye(3) * rng.uniform(0.01, 0.5), 1)
-            for w in rng.dirichlet(np.ones(rng.integers(1, 5)))
-        ]
-        grid = eval_on_grid(GaussianMixture(comps, 1), spec)
+        grid = eval_on_grid(random_mixture(rng, rng.integers(1, 5), (0, 8), (0.01, 0.5)), spec)
         sums_ok &= abs(grid.mass.sum() - 1.0) <= 1e-9
 
     # self-divergence vanishes
-    p = eval_on_grid(
-        GaussianMixture([GaussianComponent(1.0, np.array([4, 4, 1.0]), np.eye(3) * 0.2, 1)], 1), spec
-    )
+    p = eval_on_grid(GaussianMixture([1.0], [[4, 4, 1.0]], [np.eye(3) * 0.2], [1]), spec)
     self_kl = kl_divergence(p, p)
 
     # grid divergence matches the Gaussian closed form at fine resolution
     fine = GridSpec(-8.0, 9.0, -8.0, 9.0, 0.1)  # resolution = sigma / 10
-    g0 = eval_on_grid(GaussianMixture([GaussianComponent(1.0, np.zeros(3), np.eye(3), 1)], 1), fine)
-    g1 = eval_on_grid(
-        GaussianMixture([GaussianComponent(1.0, np.array([1.0, 0, 0]), np.eye(3), 1)], 1), fine
-    )
+    g0 = eval_on_grid(GaussianMixture([1.0], [[0.0, 0, 0]], [np.eye(3)], [1]), fine)
+    g1 = eval_on_grid(GaussianMixture([1.0], [[1.0, 0, 0]], [np.eye(3)], [1]), fine)
     closed_form_err = abs(kl_divergence(g0, g1) - 0.5) / 0.5
 
     # lone-radar federation is an exact identity
-    own = GaussianMixture([GaussianComponent(1.0, np.array([3, 4, 1.0]), np.eye(3) * 0.1, 9)], 9)
+    own = GaussianMixture([1.0], [[3, 4, 1.0]], [np.eye(3) * 0.1], [9])
     fed = federated_posterior(own, [], np.array([1.0]), spec, 0)
     identity_err = float(np.max(np.abs(fed.grid.mass - eval_on_grid(own, spec).mass)))
 
@@ -199,10 +189,10 @@ def test_criterion_6_numerical_invariants():
     pts = rng.normal(0, 50, (200, 3)) * 10.0 ** rng.integers(-8, 8, (200, 1))
     codec_ok = np.array_equal(decode_coop(encode_coop(PointCloud(GLOBAL, pts, 0, 1))).points, pts)
     chol = rng.normal(0, 0.3, (3, 3))
-    mix = GaussianMixture([GaussianComponent(1.0, rng.normal(0, 2, 3), chol @ chol.T + np.eye(3) * 0.01, 7)], 7)
+    mix = GaussianMixture([1.0], [rng.normal(0, 2, 3)], [chol @ chol.T + np.eye(3) * 0.01], [7])
     back = decode_fed(encode_fed(mix, 1, 0))
-    codec_ok &= np.array_equal(back.components[0].cov, mix.components[0].cov)
-    codec_ok &= back.components[0].weight == mix.components[0].weight
+    codec_ok &= np.array_equal(back.covs, mix.covs)
+    codec_ok &= np.array_equal(back.weights, mix.weights)
 
     ok = em_ok and sums_ok and self_kl < 1e-12 and closed_form_err < 0.01 and identity_err < 1e-12 and codec_ok
     report(
@@ -231,13 +221,7 @@ def test_criterion_7_oracle_equivalence():
     extract_mismatches = 0
     for _ in range(100):
         m = int(rng.integers(1, 6))
-        comps = [
-            GaussianComponent(
-                float(w), np.array([*rng.uniform(0.4, 3.6, 2), 1.0]), np.eye(3) * float(rng.uniform(0.01, 0.3)), 1
-            )
-            for w in rng.dirichlet(np.ones(m))
-        ]
-        mix = GaussianMixture(comps, m)
+        mix = random_mixture(rng, m, (0.4, 3.6), (0.01, 0.3))
         post = Posterior(eval_on_grid(mix, spec), mix, 0)
         got = extract_targets(post, 0.45, 0.5)
         expected = exhaustive_extract(post.grid.mass, spec, 0.45, 0.5)

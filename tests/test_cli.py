@@ -4,6 +4,7 @@ import json
 import pytest
 
 from radarfuse.cli import main
+from radarfuse.config import resolve_scenario
 from radarfuse.sidelink import read_replay
 
 from test_harness import SMALL
@@ -37,6 +38,25 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc != 0
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda radar: radar.setdefault("model", {}).update(noise_sigmaa=0.1), "radar 2: unknown model key 'noise_sigmaa'"),
+        (lambda radar: radar.pop("yaw_deg"), "radar 2: missing key 'yaw_deg'"),
+        (lambda radar: radar.pop("position"), "radar 2: missing key 'position'"),
+    ],
+    ids=["unknown-model-key", "missing-yaw", "missing-position"],
+)
+def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
+    data = json.loads(resolve_scenario("converging").read_text())
+    edit(next(r for r in data["radars"] if r["id"] == 2))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rc = main(["run", "--config", str(bad), "--epochs", "2", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 def test_run_rejects_missing_scenario(tmp_path, capsys):

@@ -19,7 +19,6 @@ from radarfuse.fusion import (
 )
 from radarfuse.mixture import (
     DensityGrid,
-    GaussianComponent,
     GaussianMixture,
     GridSpec,
     eval_on_grid,
@@ -39,9 +38,19 @@ def clustered_cloud(points, eps=0.3, min_pts=5):
     return cloud, dbscan(cloud, eps, min_pts)
 
 
+def random_mixture(rng, m, xy_range, var_range):
+    """m isotropic components at z = 1 with one point each: Dirichlet weights,
+    then each component's (x, y) and variance, drawn in that order."""
+    weights = rng.dirichlet(np.ones(m))
+    means, covs = [], []
+    for _ in weights:
+        means.append([*rng.uniform(*xy_range, 2), 1.0])
+        covs.append(np.eye(3) * rng.uniform(*var_range))
+    return GaussianMixture(weights, means, covs, np.ones(m, int))
+
+
 def gaussian_posterior(mean, s2, weight=1.0, epoch=0):
-    comp = GaussianComponent(weight, np.array([*mean, 1.0]), np.eye(3) * s2, 10)
-    mix = GaussianMixture([comp], 10)
+    mix = GaussianMixture([weight], [[*mean, 1.0]], [np.eye(3) * s2], [10])
     return Posterior(eval_on_grid(mix, SPEC), mix, epoch)
 
 
@@ -136,9 +145,8 @@ def test_flat_prior_returns_likelihood():
     assert np.max(np.abs(grid.mass - lik_grid.mass)) < 1e-12
     # with equal weights the posterior refit reproduces the likelihood fit
     refit = refit_posterior_mixture(cloud, lik_mix, prior, FIT)
-    for a, b in zip(refit.components, lik_mix.components):
-        assert np.allclose(a.mean, b.mean) and np.allclose(a.cov, b.cov)
-        assert a.weight == pytest.approx(b.weight)
+    assert np.allclose(refit.means, lik_mix.means) and np.allclose(refit.covs, lik_mix.covs)
+    assert refit.weights == pytest.approx(lik_mix.weights)
 
 
 def test_flat_likelihood_returns_prior():
@@ -240,8 +248,8 @@ def test_federated_weights_rescale():
     a = gaussian_posterior([2, 2], 0.1).mixture
     b = gaussian_posterior([6, 6], 0.1).mixture
     fed = federated_posterior(a, [b], np.array([0.5, 0.5]), SPEC, 1)
-    assert [c.weight for c in fed.mixture.components] == [0.5, 0.5]
-    assert abs(sum(c.weight for c in fed.mixture.components) - 1.0) <= 1e-9
+    assert fed.mixture.weights.tolist() == [0.5, 0.5]
+    assert abs(fed.mixture.weights.sum() - 1.0) <= 1e-9
 
 
 def test_all_empty_mixtures_federate_to_uniform():
@@ -295,9 +303,8 @@ def test_extract_single_gaussian():
 
 
 def test_extract_two_separated_gaussians():
-    a = GaussianComponent(0.5, np.array([3.0, 4.0, 1.0]), np.eye(3) * 0.04, 5)
-    b = GaussianComponent(0.5, np.array([5.0, 4.0, 1.0]), np.eye(3) * 0.04, 5)
-    post = Posterior(eval_on_grid(GaussianMixture([a, b], 10), SPEC), GaussianMixture([a, b], 10), 0)
+    mix = GaussianMixture([0.5, 0.5], [[3.0, 4.0, 1.0], [5.0, 4.0, 1.0]], [np.eye(3) * 0.04] * 2, [5, 5])
+    post = Posterior(eval_on_grid(mix, SPEC), mix, 0)
     est = extract_targets(post, 0.45, 0.5)
     assert len(est) == 2
     xs = sorted(p[0] for p in est.positions)
@@ -306,13 +313,11 @@ def test_extract_two_separated_gaussians():
 
 def test_extract_merged_peak_is_unresolved():
     # Oracle: the summed density of two close wide components has one maximum.
-    a = GaussianComponent(0.5, np.array([4.0, 4.0, 1.0]), np.eye(3) * 0.09, 5)
-    b = GaussianComponent(0.5, np.array([4.2, 4.0, 1.0]), np.eye(3) * 0.09, 5)
-    mix = GaussianMixture([a, b], 10)
+    mix = GaussianMixture([0.5, 0.5], [[4.0, 4.0, 1.0], [4.2, 4.0, 1.0]], [np.eye(3) * 0.09] * 2, [5, 5])
     xs = np.linspace(3.0, 5.2, 441)
     dens = sum(
-        c.weight * multivariate_normal(c.mean[:2], c.cov[:2, :2]).pdf(np.column_stack([xs, np.full_like(xs, 4.0)]))
-        for c in mix.components
+        weight * multivariate_normal(mean[:2], cov[:2, :2]).pdf(np.column_stack([xs, np.full_like(xs, 4.0)]))
+        for weight, mean, cov in zip(mix.weights, mix.means, mix.covs)
     )
     interior_maxima = np.sum((dens[1:-1] > dens[:-2]) & (dens[1:-1] >= dens[2:]))
     assert interior_maxima == 1
@@ -323,11 +328,12 @@ def test_extract_merged_peak_is_unresolved():
 
 def test_extract_is_scale_invariant():
     rng = np.random.default_rng(9)
-    comps = [
-        GaussianComponent(w, np.array([x, y, 1.0]), np.eye(3) * s2, 1)
-        for (w, x, y, s2) in [(0.4, 2, 2, 0.05), (0.35, 5.5, 3.2, 0.08), (0.25, 3.1, 6.0, 0.03)]
-    ]
-    mix = GaussianMixture(comps, 3)
+    mix = GaussianMixture(
+        [0.4, 0.35, 0.25],
+        [[2, 2, 1.0], [5.5, 3.2, 1.0], [3.1, 6.0, 1.0]],
+        [np.eye(3) * s2 for s2 in (0.05, 0.08, 0.03)],
+        [1, 1, 1],
+    )
     grid = eval_on_grid(mix, SPEC)
     post = Posterior(grid, mix, 0)
     scaled = Posterior(DensityGrid(SPEC, grid.mass * 4.0), mix, 0)
@@ -368,13 +374,7 @@ def test_extract_matches_exhaustive_enumeration():
     spec = GridSpec(0.0, 4.0, 0.0, 4.0, 0.1)
     for _ in range(25):
         m = int(rng.integers(1, 5))
-        comps = [
-            GaussianComponent(
-                float(w), np.array([*rng.uniform(0.5, 3.5, 2), 1.0]), np.eye(3) * float(rng.uniform(0.02, 0.2)), 1
-            )
-            for w in rng.dirichlet(np.ones(m))
-        ]
-        mix = GaussianMixture(comps, m)
+        mix = random_mixture(rng, m, (0.5, 3.5), (0.02, 0.2))
         post = Posterior(eval_on_grid(mix, spec), mix, 0)
         got = extract_targets(post, 0.45, 0.5)
         expected = exhaustive_extract(post.grid.mass, spec, 0.45, 0.5)

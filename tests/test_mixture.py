@@ -5,7 +5,6 @@ from scipy.stats import multivariate_normal
 from radarfuse.mixture import (
     COV_EIG_FLOOR,
     DensityGrid,
-    GaussianComponent,
     GaussianMixture,
     GridSpec,
     choose_components,
@@ -19,10 +18,6 @@ from radarfuse.mixture import (
 from radarfuse.sensor import ClusterResult
 
 SPEC = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
-
-
-def component(mean, cov, weight=1.0, count=0):
-    return GaussianComponent(weight, np.asarray(mean, float), np.asarray(cov, float), count)
 
 
 def iso_cov(s2):
@@ -45,13 +40,12 @@ def test_single_component_is_moment_matching():
     rng = np.random.default_rng(0)
     pts = rng.normal([1.0, 2.0, 0.5], [0.3, 0.2, 0.4], (500, 3))
     mix = fit_em(pts, 1, pts.mean(axis=0, keepdims=True))
-    comp = mix.components[0]
-    assert comp.weight == pytest.approx(1.0)
-    assert np.allclose(comp.mean, pts.mean(axis=0), atol=1e-9)
+    assert mix.weights[0] == pytest.approx(1.0)
+    assert np.allclose(mix.means[0], pts.mean(axis=0), atol=1e-9)
     sample_cov = np.cov(pts.T, bias=True)
     floored = sample_cov.copy()  # floor is below the sample variances here
-    assert np.allclose(comp.cov, floored, atol=1e-9)
-    assert comp.point_count == 500
+    assert np.allclose(mix.covs[0], floored, atol=1e-9)
+    assert mix.counts[0] == 500
 
 
 def test_two_blob_fit_matches_membership_oracle():
@@ -62,10 +56,9 @@ def test_two_blob_fit_matches_membership_oracle():
     pts = np.concatenate([a, b])
     init = np.array([a.mean(axis=0), b.mean(axis=0)])
     mix = fit_em(pts, 2, init)
-    means = sorted((c.mean[0], c) for c in mix.components)
-    for (_, comp), blob in zip(means, (a, b)):
-        assert np.linalg.norm(comp.mean - blob.mean(axis=0)) < 0.05
-    weights = sorted(c.weight for c in mix.components)
+    for i, blob in zip(np.argsort(mix.means[:, 0]), (a, b)):
+        assert np.linalg.norm(mix.means[i] - blob.mean(axis=0)) < 0.05
+    weights = sorted(mix.weights)
     assert abs(weights[0] - 0.5) < 0.05 and abs(weights[1] - 0.5) < 0.05
 
 
@@ -76,8 +69,8 @@ def test_weights_sum_to_one_and_counts_close():
         centers = rng.uniform(0, 8, (m, 3))
         pts = np.concatenate([rng.normal(c, 0.2, (rng.integers(20, 80), 3)) for c in centers])
         mix = fit_em(pts, m, centers)
-        assert abs(sum(c.weight for c in mix.components) - 1.0) <= 1e-9
-        assert sum(c.point_count for c in mix.components) == len(pts)
+        assert abs(mix.weights.sum() - 1.0) <= 1e-9
+        assert mix.counts.sum() == mix.total_points == len(pts)
 
 
 def test_log_likelihood_nondecreasing():
@@ -89,6 +82,17 @@ def test_log_likelihood_nondecreasing():
         _, trace = fit_em(pts, m, init, return_trace=True)
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+def test_mixture_arrays_must_agree_in_shape():
+    mix = GaussianMixture([0.25, 0.75], np.zeros((2, 3)), [iso_cov(1.0)] * 2, [3, 4])
+    assert mix.n_components == 2 and mix.total_points == 7 and mix.counts.dtype.kind == "i"
+    with pytest.raises(ValueError, match="means"):
+        GaussianMixture([1.0], np.zeros((2, 3)), [iso_cov(1.0)], [1])
+    with pytest.raises(ValueError, match="covs"):
+        GaussianMixture([1.0], np.zeros((1, 3)), iso_cov(1.0), [1])
+    with pytest.raises(ValueError, match="counts"):
+        GaussianMixture([1.0], np.zeros((1, 3)), [iso_cov(1.0)], [1, 2])
 
 
 def test_component_reduction_and_empty_input():
@@ -105,10 +109,10 @@ def test_covariances_stay_floored_and_pd():
     pts = rng.normal(0, 0.5, (100, 3))
     pts[:, 2] = 0.0
     mix = fit_em(pts, 2, pts[:2])
-    for comp in mix.components:
-        vals = np.linalg.eigvalsh(comp.cov)
+    for cov in mix.covs:
+        vals = np.linalg.eigvalsh(cov)
         assert vals[0] >= COV_EIG_FLOOR - 1e-12
-        assert np.allclose(comp.cov, comp.cov.T)
+        assert np.allclose(cov, cov.T)
 
 
 def test_weighted_fit_with_equal_weights_matches_unweighted():
@@ -117,10 +121,9 @@ def test_weighted_fit_with_equal_weights_matches_unweighted():
     init = pts[:2]
     plain = fit_em(pts, 2, init)
     weighted = fit_em(pts, 2, init, point_weights=np.full(150, 0.37))
-    for a, b in zip(plain.components, weighted.components):
-        assert np.allclose(a.mean, b.mean)
-        assert np.allclose(a.cov, b.cov)
-        assert a.weight == pytest.approx(b.weight)
+    assert np.allclose(plain.means, weighted.means)
+    assert np.allclose(plain.covs, weighted.covs)
+    assert plain.weights == pytest.approx(weighted.weights)
 
 
 def test_cluster_moments_keeps_largest():
@@ -137,7 +140,7 @@ def test_cluster_moments_keeps_largest():
 
 
 def test_unimodal_peak_location():
-    mix = GaussianMixture([component([3.0, 5.0, 1.0], iso_cov(0.04))], 100)
+    mix = GaussianMixture([1.0], [[3.0, 5.0, 1.0]], [iso_cov(0.04)], [100])
     grid = eval_on_grid(mix, SPEC)
     # the mean lies on a cell edge, so either adjacent cell may win
     assert np.all(np.abs(grid.argmax_center() - [3.0, 5.0]) <= SPEC.resolution / 2 + 1e-9)
@@ -151,18 +154,14 @@ def test_empty_mixture_is_uniform():
 
 def test_bimodal_grid_matches_density_oracle():
     # Oracle: direct density evaluation with scipy's multivariate normal.
-    comps = [
-        component([2.0, 2.0, 1.0], iso_cov(0.09), weight=0.5),
-        component([6.0, 6.0, 1.0], iso_cov(0.09), weight=0.5),
-    ]
-    mix = GaussianMixture(comps, 100)
+    mix = GaussianMixture([0.5, 0.5], [[2.0, 2.0, 1.0], [6.0, 6.0, 1.0]], [iso_cov(0.09)] * 2, [50, 50])
     grid = eval_on_grid(mix, SPEC)
 
     gx, gy = np.meshgrid(SPEC.x_centers(), SPEC.y_centers())
     cells = np.column_stack([gx.ravel(), gy.ravel()])
     dens = np.zeros(len(cells))
-    for c in comps:
-        dens += c.weight * multivariate_normal(c.mean[:2], c.cov[:2, :2]).pdf(cells)
+    for weight, mean, cov in zip(mix.weights, mix.means, mix.covs):
+        dens += weight * multivariate_normal(mean[:2], cov[:2, :2]).pdf(cells)
     oracle = (dens / dens.sum()).reshape(SPEC.ny, SPEC.nx)
     assert np.max(np.abs(oracle - grid.mass)) < 1e-6
 
@@ -174,8 +173,8 @@ def test_density_integrates_to_one_on_enlarged_grid():
     big = GridSpec(-4.0, 12.0, -4.0, 12.0, 0.05)
     total = 0.0
     cells = np.column_stack([g.ravel() for g in np.meshgrid(big.x_centers(), big.y_centers())])
-    for c in mix.components:
-        total += c.weight * multivariate_normal(c.mean[:2], c.cov[:2, :2]).pdf(cells).sum() * big.cell_area
+    for weight, mean, cov in zip(mix.weights, mix.means, mix.covs):
+        total += weight * multivariate_normal(mean[:2], cov[:2, :2]).pdf(cells).sum() * big.cell_area
     assert abs(total - 1.0) < 1e-3
 
 
@@ -183,7 +182,7 @@ def test_density_integrates_to_one_on_enlarged_grid():
 
 
 def test_kl_of_identical_grids_is_zero():
-    mix = GaussianMixture([component([4.0, 4.0, 1.0], iso_cov(0.25))], 10)
+    mix = GaussianMixture([1.0], [[4.0, 4.0, 1.0]], [iso_cov(0.25)], [10])
     p = eval_on_grid(mix, SPEC)
     assert kl_divergence(p, p) < 1e-12
 
@@ -192,8 +191,8 @@ def test_kl_matches_gaussian_closed_form():
     # Oracle: KL(N(0,1) || N(1,1)) = 0.5; y marginals identical, fine grid.
     spec = GridSpec(-8.0, 9.0, -8.0, 9.0, 0.1)
     sigma = np.diag([1.0, 1.0, 1.0])
-    p = eval_on_grid(GaussianMixture([component([0.0, 0.0, 0.0], sigma)], 1), spec)
-    q = eval_on_grid(GaussianMixture([component([1.0, 0.0, 0.0], sigma)], 1), spec)
+    p = eval_on_grid(GaussianMixture([1.0], [[0.0, 0.0, 0.0]], [sigma], [1]), spec)
+    q = eval_on_grid(GaussianMixture([1.0], [[1.0, 0.0, 0.0]], [sigma], [1]), spec)
     assert kl_divergence(p, q) == pytest.approx(0.5, rel=0.01)
 
 
@@ -227,7 +226,7 @@ def test_mismatched_grids_raise():
 
 
 def test_grid_csv_round_trip(tmp_path):
-    mix = GaussianMixture([component([2.5, 3.5, 1.0], iso_cov(0.2))], 5)
+    mix = GaussianMixture([1.0], [[2.5, 3.5, 1.0]], [iso_cov(0.2)], [5])
     grid = eval_on_grid(mix, SPEC)
     path = tmp_path / "grid.csv"
     grid_to_csv(grid, path)

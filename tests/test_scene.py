@@ -6,7 +6,6 @@ from radarfuse.scene import (
     TargetSpec,
     advance_scene,
     initial_scene,
-    landmark_path,
 )
 
 LANDMARKS = {
@@ -28,31 +27,46 @@ def make_spec(**kw):
     return TargetSpec(**base)
 
 
+def route_centers(spec, dt, n_steps):
+    """Target centers at epochs 0..n_steps, as the runner advances the scene."""
+    rng = np.random.default_rng(0)
+    scene = initial_scene([spec], LANDMARKS, rng)
+    centers = [scene.centers[spec.id]]
+    for _ in range(n_steps):
+        scene = advance_scene(scene, [spec], LANDMARKS, dt, rng)
+        centers.append(scene.centers[spec.id])
+    return np.array(centers)
+
+
 def test_single_waypoint_path_is_constant():
-    path = landmark_path(LANDMARKS, ["A"], speed=2.0, dt=0.1)
-    assert path.shape == (1, 2)
-    assert np.allclose(path[0], [0.0, 0.0])
+    path = route_centers(make_spec(waypoints=("A",), speed=2.0), 0.1, 5)
+    assert np.allclose(path, [0.0, 0.0])
 
 
 def test_uniform_motion_path():
-    path = landmark_path(LANDMARKS, ["A", "B"], speed=1.0, dt=0.5)
-    assert np.allclose(path, [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+    # Constant-speed progress, then clamping at the final landmark.
+    path = route_centers(make_spec(waypoints=("A", "B"), speed=1.0), 0.5, 4)
+    assert np.allclose(path, [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
 
 
 def test_arc_length_parameterization():
     # Oracle: walk the polyline accumulating segment lengths independently.
-    path = landmark_path(LANDMARKS, ["A", "C"], speed=1.0, dt=1.0)
-    assert len(path) == 6
+    path = route_centers(make_spec(waypoints=("A", "C"), speed=1.0), 1.0, 7)
     steps = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    assert np.all(np.abs(steps - 1.0) <= 1e-9)
-    assert np.allclose(path[-1], [3.0, 4.0])
+    assert np.all(np.abs(steps[:5] - 1.0) <= 1e-9)
+    assert np.all(steps[5:] == 0.0)
+    assert np.array_equal(path[-1], [3.0, 4.0])
     total = np.hypot(3.0, 4.0)
     assert abs(steps.sum() - total) <= 1e-9
 
 
 def test_unknown_label_raises():
+    spec = make_spec(waypoints=("A", "Z"))
     with pytest.raises(ConfigError):
-        landmark_path(LANDMARKS, ["A", "Z"], speed=1.0, dt=0.1)
+        initial_scene([spec], LANDMARKS, np.random.default_rng(0))
+    scene = initial_scene([make_spec()], LANDMARKS, np.random.default_rng(0))
+    with pytest.raises(ConfigError):
+        advance_scene(scene, [spec], LANDMARKS, 0.1, np.random.default_rng(0))
 
 
 def test_empty_scene_advances():

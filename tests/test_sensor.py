@@ -15,7 +15,6 @@ from radarfuse.sensor import (
     observe,
     preprocess,
     to_global_frame,
-    to_local_frame,
 )
 
 
@@ -141,9 +140,14 @@ def test_rotation_translation_by_hand():
 
 
 def test_round_trip_is_identity():
+    # Noiseless observation followed by the global transform recovers the scene.
     pose = RadarPose(np.array([0.7, -1.3, 0.9]), 2.1)
-    pts = np.random.default_rng(6).normal(0, 3, (50, 3))
-    back = to_global_frame(to_local_frame(cloud_of(pts, frame=GLOBAL), pose), pose)
+    rng = np.random.default_rng(6)
+    rho, az = rng.uniform(0.5, 10.0, 50), rng.uniform(-1.0, 1.0, 50) + pose.yaw
+    pts = np.column_stack([rho * np.cos(az), rho * np.sin(az), rng.normal(0, 1, 50)]) + pose.position
+    cloud = observe(make_scene(pts), pose, quiet_model(), np.random.default_rng(7))
+    assert cloud.frame == LOCAL and len(cloud) == len(pts)
+    back = to_global_frame(cloud, pose)
     assert np.max(np.abs(back.points - pts)) < 1e-12
 
 
@@ -151,8 +155,6 @@ def test_frame_mismatch_raises():
     pose = RadarPose(np.zeros(3), 0.0)
     with pytest.raises(ValueError):
         to_global_frame(cloud_of([[0, 0, 0]], frame=GLOBAL), pose)
-    with pytest.raises(ValueError):
-        to_local_frame(cloud_of([[0, 0, 0]], frame=LOCAL), pose)
 
 
 # ---------------------------------------------------------------- dbscan

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from radarfuse.mixture import GaussianComponent, GaussianMixture
+from radarfuse.mixture import GaussianMixture
 from radarfuse.sensor import GLOBAL, LOCAL, PointCloud
 from radarfuse.sidelink import (
     ClockModel,
@@ -30,14 +32,17 @@ def cloud_of(points, radar_id=1, epoch=0):
 
 
 def mixture_of(n_components, total=100, seed=0):
+    """Random mixture whose component counts split ``total`` as evenly as possible."""
     rng = np.random.default_rng(seed)
-    comps = []
-    weights = rng.dirichlet(np.ones(n_components)) if n_components else []
-    for w in weights:
+    weights = rng.dirichlet(np.ones(n_components))
+    means, covs = [], []
+    for _ in weights:
         chol = rng.normal(0, 0.2, (3, 3))
-        cov = chol @ chol.T + np.eye(3) * 0.01
-        comps.append(GaussianComponent(float(w), rng.uniform(0, 8, 3), cov, int(total / max(n_components, 1))))
-    return GaussianMixture(comps, total)
+        covs.append(chol @ chol.T + np.eye(3) * 0.01)
+        means.append(rng.uniform(0, 8, 3))
+    counts = np.full(n_components, total // n_components)
+    counts[: total % n_components] += 1
+    return GaussianMixture(weights, means, covs, counts)
 
 
 # ---------------------------------------------------------------- topology
@@ -94,17 +99,12 @@ def test_fed_round_trip_is_bit_exact():
     mix = mixture_of(4, total=321, seed=5)
     back = decode_fed(encode_fed(mix, 3, 11))
     assert back.total_points == 321
-    for a, b in zip(mix.components, back.components):
-        assert a.weight == b.weight
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.cov, b.cov)
-        assert a.point_count == b.point_count
+    for field in ("weights", "means", "covs", "counts"):
+        assert np.array_equal(getattr(back, field), getattr(mix, field))
 
 
 def test_fed_rejects_non_positive_definite_covariance():
-    bad = GaussianMixture(
-        [GaussianComponent(1.0, np.zeros(3), -np.eye(3), 5)], 5
-    )
+    bad = GaussianMixture([1.0], [np.zeros(3)], [-np.eye(3)], [5])
     with pytest.raises(ValueError):
         encode_fed(bad, 1, 0)
 
@@ -233,3 +233,102 @@ def test_message_values_round_trip():
     assert message_values(back) == values
     coop = encode_coop(cloud_of([[1.5, -2.5, 3.25]]))
     assert message_from_values(1, 0, "coop", message_values(coop)).points[0][2] == 3.25
+
+
+@pytest.mark.parametrize(
+    "values, reason",
+    [
+        ([5.0, 1.0] + [0.0] * 16, "does not hold 1 components"),  # 18 values: two too many
+        ([5.0, 1.0] + [0.0] * 13, "does not hold 1 components"),
+        ([5.0], "component count"),
+        ([5.0, 0.5] + [0.0] * 14, "component count"),
+        ([5.0, -1.0], "component count"),
+        ([5.0, float("nan")], "component count"),
+        ([5.5, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 5.5], "non-negative integers"),
+        ([-5.0, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, -5.0], "non-negative integers"),
+        ([6.0, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 5.0], "point total"),
+    ],
+)
+def test_malformed_fed_records_are_rejected(values, reason):
+    with pytest.raises(ValueError, match=reason):
+        message_from_values(1, 0, "fed", values)
+
+
+def test_replay_reader_names_the_malformed_line(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    buf = io.StringIO()
+    write_replay([encode_fed(mixture_of(1, total=5), 1, 0)], buf)
+    good = buf.getvalue()
+    bad = good.replace('"values": [5.0, 1.0, ', '"values": [5.0, 1.0, 0.25, 0.5, ')
+    path.write_text(good + bad)
+    with pytest.raises(ValueError, match=r"replay\.jsonl:2: fed payload of 18 values"):
+        read_replay(path)
+
+
+def test_jitter_moves_only_the_means():
+    topo = Topology((1, 2), ((2, 1),))
+    mix = mixture_of(3, total=90, seed=4)
+    history = OutboxHistory()
+    history.push(1, {2: encode_fed(mix, 2, 1)})
+    (msg,) = deliver(topo, history, 1, ClockModel({}, jitter_std=0.01), 0.010, np.random.default_rng(8), 2.0)[1]
+    got = decode_fed(msg)
+    # one (m, 3) block draws the same stream as m draws of three
+    rng = np.random.default_rng(8)
+    noise = np.array([rng.normal(0.0, 0.02, 3) for _ in range(3)])
+    assert np.array_equal(got.means, mix.means + noise)
+    for field in ("weights", "covs", "counts"):
+        assert np.array_equal(getattr(got, field), getattr(mix, field))
+    assert msg.payload_bits == encode_fed(mix, 2, 1).payload_bits
+
+
+# ------------------------------------------------------ codec properties
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mixtures(draw):
+    """Arbitrary finite weights and means, SPD covariances and counts, m = 0..8."""
+    m = draw(st.integers(0, 8))
+    weights = draw(hnp.arrays(np.float64, m, elements=finite))
+    means = draw(hnp.arrays(np.float64, (m, 3), elements=finite))
+    lower = draw(hnp.arrays(np.float64, (m, 3, 3), elements=st.floats(-5.0, 5.0)))
+    diag = draw(hnp.arrays(np.float64, (m, 3), elements=st.floats(0.5, 10.0)))
+    chol = np.tril(lower, -1) + diag[:, :, None] * np.eye(3)
+    counts = draw(hnp.arrays(np.int64, m, elements=st.integers(0, 2**40)))
+    return GaussianMixture(weights, means, chol @ chol.transpose(0, 2, 1), counts)
+
+
+def assert_same_mixture(a, b):
+    for field in ("weights", "means", "covs", "counts"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
+
+
+def replay_round_trip(msgs, path):
+    with open(path, "w") as fh:
+        write_replay(msgs, fh)
+    return read_replay(path)
+
+
+@settings(deadline=None)
+@given(mix=mixtures(), sender=st.integers(1, 9), epoch=st.integers(0, 10**6))
+def test_fed_codec_is_bit_exact(mix, sender, epoch, tmp_path_factory):
+    msg = encode_fed(mix, sender, epoch)
+    values = message_values(msg)
+    assert len(values) == msg.value_count == 2 + 14 * mix.n_components
+    back = message_from_values(sender, epoch, "fed", values)
+    assert_same_mixture(decode_fed(back), mix)
+    (replayed,) = replay_round_trip([msg], tmp_path_factory.getbasetemp() / "fed.jsonl")
+    assert (replayed.sender, replayed.epoch) == (sender, epoch)
+    assert_same_mixture(decode_fed(replayed), mix)
+
+
+@settings(deadline=None)
+@given(points=hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)), elements=finite))
+def test_coop_codec_is_bit_exact(points, tmp_path_factory):
+    msg = encode_coop(cloud_of(points, radar_id=2, epoch=3))
+    back = message_from_values(2, 3, "coop", message_values(msg))
+    (replayed,) = replay_round_trip([msg], tmp_path_factory.getbasetemp() / "coop.jsonl")
+    for got in (back, replayed):
+        assert got.points.shape == points.shape and got.points.tobytes() == points.tobytes()
