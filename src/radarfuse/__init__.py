@@ -10,9 +10,6 @@ posterior).
 from .config import ExperimentConfig, load_config
 from .fusion import (
     FitOptions,
-    Posterior,
-    ReconstructedScene,
-    TargetEstimates,
     alpha_weights,
     extract_targets,
     federated_posterior,

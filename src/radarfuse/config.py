@@ -85,6 +85,9 @@ class ExperimentConfig:
             raise ConfigError(f"ego radar {self.ego_radar} is not deployed")
         if set(self.topology.ids) != set(ids):
             raise ConfigError("topology ids must match deployed radars")
+        undeployed = sorted(set(self.clock.offsets) - set(ids))
+        if undeployed:
+            raise ConfigError(f"clock.offsets: radar {undeployed[0]} is not deployed")
         for k in ids:
             if self.clock.offset_periods(k, self.dt) < 0:
                 raise ConfigError(
@@ -104,7 +107,14 @@ def _landmarks_from(raw: Mapping[str, Any]) -> dict[str, np.ndarray]:
     return table
 
 
+def _require(raw: Mapping[str, Any], keys: tuple[str, ...], where: str) -> None:
+    for key in keys:
+        if key not in raw:
+            raise ConfigError(f"{where}: missing key {key!r}")
+
+
 def _target_from(raw: Mapping[str, Any]) -> TargetSpec:
+    _require(raw, ("id", "waypoints", "speed", "body_extent", "points_per_frame"), f"target {raw.get('id', '?')}")
     return TargetSpec(
         id=int(raw["id"]),
         waypoints=tuple(raw["waypoints"]),
@@ -119,9 +129,7 @@ _MODEL_KEYS = {f.name for f in fields(RadarModel)} | {"fov_azimuth_deg", "azimut
 
 
 def _radar_from(raw: Mapping[str, Any]) -> RadarSetup:
-    for key in ("id", "position", "yaw_deg"):
-        if key not in raw:
-            raise ConfigError(f"radar {raw.get('id', '?')}: missing key {key!r}")
+    _require(raw, ("id", "position", "yaw_deg"), f"radar {raw.get('id', '?')}")
     model_raw = dict(raw.get("model", {}))
     unknown = sorted(set(model_raw) - _MODEL_KEYS)
     if unknown:
@@ -149,12 +157,15 @@ def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentCon
         if value is not None:
             data[key] = value
 
+    _require(data, ("area", "grid_resolution", "landmarks", "targets", "radars"), "scenario")
     area = data["area"]
     grid = GridSpec(float(area[0]), float(area[1]), float(area[2]), float(area[3]),
                     float(data["grid_resolution"]))
     db = data.get("dbscan", {})
     mix = data.get("mixture", {})
     radars = tuple(_radar_from(r) for r in data["radars"])
+    if not radars:
+        raise ConfigError("at least one radar is required")
     ids = tuple(r.id for r in radars)
     clock_raw = data.get("clock", {})
     clock = ClockModel(

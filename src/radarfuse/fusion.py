@@ -1,14 +1,13 @@
 """Bayesian fusion core.
 
-Per-radar recursion: a motion prior built from the previously reconstructed
-scene is combined cell-wise with a likelihood grid fitted to the current
-point cloud. Three posteriors are supported:
-
-* local    - own cloud only; its mixture is the transmissible parameter set
-* global   - pooled clouds from the radar and its neighbors (cooperation)
-* federated - convex combination of local-posterior mixtures (federation)
-
-Target positions are the local maxima of the thresholded posterior grid.
+Per-radar recursion: a motion prior diffused from the previous support is
+combined cell-wise with a likelihood grid fitted to the current point cloud.
+Posteriors are plain ``DensityGrid``s and supports are ``(s, 2)`` arrays of
+cell centers. Cooperation fits one likelihood to the pooled clouds of a
+radar and its neighbors; federation combines the exchanged local-posterior
+mixtures convexly (``federated_posterior``). ``reconstruct_scene`` builds the
+next prior's support and ``extract_targets`` the local maxima of the
+thresholded posterior.
 """
 
 from __future__ import annotations
@@ -45,34 +44,6 @@ class FitOptions:
     m_max: int = 8
     max_iters: int = 60
     tol: float = 1e-5
-
-
-@dataclass
-class Posterior:
-    grid: DensityGrid
-    mixture: GaussianMixture
-    epoch: int
-
-
-@dataclass
-class ReconstructedScene:
-    """Grid cells whose peak-normalized posterior exceeds the threshold."""
-
-    points: np.ndarray  # (s, 2) cell centers
-    tau: float
-    epoch: int
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass
-class TargetEstimates:
-    positions: np.ndarray  # (m, 2)
-    epoch: int
-
-    def __len__(self) -> int:
-        return len(self.positions)
 
 
 def _require_global(cloud: PointCloud) -> None:
@@ -142,29 +113,29 @@ def bayes_product(likelihood: DensityGrid, prior: DensityGrid) -> DensityGrid:
 
 
 def motion_prior(
-    prev_scene: ReconstructedScene | None,
+    support: np.ndarray,
     speed: float,
     dt: float,
     spec: GridSpec,
     sigma_floor: float = SIGMA_FLOOR,
 ) -> DensityGrid:
-    """Prior from the previous reconstruction, diffused by a random-walk step.
+    """Prior from the previous support, diffused by a random-walk step.
 
-    Each reconstructed point spreads as an isotropic Gaussian with
+    Each ``(s, 2)`` support point spreads as an isotropic Gaussian with
     sigma = speed * dt + sigma_floor. The points are grid cell centers, so
     the superposition is computed exactly as a separable Gaussian blur of
-    the occupancy counts (truncated at 6 sigma). No previous scene means an
+    the occupancy counts (truncated at 6 sigma). An empty support means an
     uninformative uniform prior.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if speed < 0:
         raise ValueError("speed must be >= 0")
-    if prev_scene is None or len(prev_scene) == 0:
+    if len(support) == 0:
         return DensityGrid.uniform(spec)
     sigma = speed * dt + sigma_floor
     counts = np.zeros((spec.ny, spec.nx))
-    iy, ix = spec.cell_index(prev_scene.points)
+    iy, ix = spec.cell_index(support)
     np.add.at(counts, (iy, ix), 1.0)
     mass = gaussian_filter(counts, sigma / spec.resolution, mode="constant", truncate=6.0)
     return DensityGrid(spec, mass).normalized()
@@ -221,9 +192,8 @@ def federated_posterior(
     received: Sequence[GaussianMixture],
     weights: np.ndarray,
     spec: GridSpec,
-    epoch: int,
-) -> Posterior:
-    """Posterior as the weighted union of local-posterior mixtures.
+) -> DensityGrid:
+    """Posterior grid of the weighted union of local-posterior mixtures.
 
     Component weights are rescaled by the combination weights, so the union
     is itself a valid mixture. This grid seeds the local prior of the next
@@ -238,35 +208,49 @@ def federated_posterior(
         np.concatenate([mix.covs for mix in mixtures]),
         np.concatenate([mix.counts for mix in mixtures]),
     )
-    return Posterior(eval_on_grid(federated, spec), federated, epoch)
+    return eval_on_grid(federated, spec)
 
 
-def grid_support(grid: DensityGrid, tau: float) -> np.ndarray:
-    """Centers of the cells whose peak-normalized mass exceeds ``tau``.
+def _support_mask(grid: DensityGrid, tau: float) -> np.ndarray:
+    """Cells whose peak-normalized mass exceeds ``tau``.
 
-    A flat grid (a radar with an empty cloud and a flat prior) prefers no
-    cell over another, so it holds no evidence and has no support.
+    Thresholding the peak-normalized grid keeps ``tau`` independent of the
+    grid resolution. A flat grid (a radar with an empty cloud and a flat
+    prior) prefers no cell over another, so it holds no evidence and has no
+    support.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must be in (0, 1)")
     peak = grid.mass.max()
     if peak <= 0 or peak == grid.mass.min():
-        return np.empty((0, 2))
-    iy, ix = np.nonzero(grid.mass > tau * peak)
+        return np.zeros(grid.mass.shape, dtype=bool)
+    return grid.mass > tau * peak
+
+
+def grid_support(grid: DensityGrid, tau: float) -> np.ndarray:
+    """Centers of the cells whose peak-normalized mass exceeds ``tau``."""
+    iy, ix = np.nonzero(_support_mask(grid, tau))
     return np.column_stack([grid.spec.x_centers()[ix], grid.spec.y_centers()[iy]])
 
 
-def reconstruct_scene(posterior: Posterior, tau: float) -> ReconstructedScene:
-    """Cells whose posterior exceeds ``tau`` after peak normalization.
+def reconstruct_scene(posterior: DensityGrid, fresh: np.ndarray, tau: float) -> np.ndarray:
+    """Support of the next prior: the posterior's cells above ``tau`` united
+    with the fresh likelihood support, as unique ``(s, 2)`` cell centers.
 
-    Thresholding the peak-normalized grid keeps ``tau`` independent of the
-    grid resolution.
+    Without the fresh support one sub-threshold epoch would remove a target
+    from the recursion permanently.
     """
-    return ReconstructedScene(grid_support(posterior.grid, tau), tau, posterior.epoch)
+    support = grid_support(posterior, tau)
+    if len(support) == 0:
+        return fresh
+    if len(fresh) == 0:
+        return support
+    return np.unique(np.concatenate([support, fresh]), axis=0)
 
 
-def extract_targets(posterior: Posterior, tau: float, min_separation: float) -> TargetEstimates:
-    """MAP target positions: 8-neighborhood maxima of the thresholded grid.
+def extract_targets(grid: DensityGrid, tau: float, min_separation: float) -> np.ndarray:
+    """MAP target positions ``(m, 2)``: 8-neighborhood maxima of the
+    thresholded grid.
 
     Candidates are accepted greedily in descending posterior order subject
     to a pairwise separation of at least ``min_separation``. Ties break by
@@ -274,12 +258,8 @@ def extract_targets(posterior: Posterior, tau: float, min_separation: float) -> 
     invariant under positive rescaling of the grid). A flat grid holds no
     evidence and yields no targets.
     """
-    mass = posterior.grid.mass
-    spec = posterior.grid.spec
-    peak = mass.max()
-    if peak <= 0 or peak == mass.min():
-        return TargetEstimates(np.empty((0, 2)), posterior.epoch)
-    support = mass > tau * peak
+    mass, spec = grid.mass, grid.spec
+    support = _support_mask(grid, tau)
 
     padded = np.full((spec.ny + 2, spec.nx + 2), -np.inf)
     padded[1:-1, 1:-1] = mass
@@ -300,5 +280,4 @@ def extract_targets(posterior: Posterior, tau: float, min_separation: float) -> 
         cand = np.array([xc[ix[k]], yc[iy[k]]])
         if all(np.linalg.norm(cand - a) >= min_separation for a in accepted):
             accepted.append(cand)
-    positions = np.array(accepted) if accepted else np.empty((0, 2))
-    return TargetEstimates(positions, posterior.epoch)
+    return np.array(accepted) if accepted else np.empty((0, 2))

@@ -1,9 +1,10 @@
 """Experiment runner and metrics.
 
 One experiment advances the scene epoch by epoch. At every epoch each radar
-observes and preprocesses its cloud and diffuses its previous reconstruction
-into a motion prior. The step of the configured mode (``STEPS[cfg.mode]``)
-then turns the clouds and priors into one posterior per radar:
+observes and preprocesses its cloud and diffuses its previous support (an
+``(s, 2)`` array of cell centers) into a motion prior. The step of the
+configured mode (``STEPS[cfg.mode]``) then turns the clouds and priors into
+one posterior grid per radar:
 
 * isolated    - own cloud likelihood times prior; nothing is sent;
 * cooperation - broadcasts the clouds and fuses the pooled likelihood;
@@ -13,8 +14,9 @@ then turns the clouds and priors into one posterior per radar:
 A step sends through ``exchange(outbox) -> inboxes``, which charges, logs
 and delivers one epoch's messages over the simulated sidelink. The runner
 keeps the epoch loop, the link and the records: it extracts target
-estimates from the posteriors and feeds the next prior. In federation mode
-an observer can additionally run a pooled-cloud reference posterior per
+estimates from the posterior grids, and ``reconstruct_scene`` builds each
+radar's next support from its posterior and fresh likelihood. In federation
+mode an observer can additionally run a pooled-cloud reference posterior per
 neighbourhood to sample divergences against; it never touches the sidelink
 accounting.
 """
@@ -33,8 +35,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .config import ExperimentConfig, with_mode
 from .fusion import (
-    Posterior,
-    ReconstructedScene,
     alpha_weights,
     bayes_product,
     extract_targets,
@@ -105,14 +105,6 @@ class MetricsRecord:
     kl_fed_deciles: tuple[float, ...] | None
 
 
-def _union_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) == 0:
-        return b
-    if len(b) == 0:
-        return a
-    return np.unique(np.concatenate([a, b]), axis=0)
-
-
 def _associate(
     truth: dict[int, np.ndarray], positions: np.ndarray
 ) -> dict[int, tuple[float, float] | None]:
@@ -137,19 +129,18 @@ def _nearest_waypoint(cfg: ExperimentConfig, spec, center: np.ndarray) -> str:
 # --------------------------------------------------------------- mode steps
 #
 # Every step takes (cfg, epoch, clouds, clusters, priors, exchange), all
-# per-radar dicts in deployment order, and returns (posteriors, local
+# per-radar dicts in deployment order, and returns (posterior grids, local
 # mixtures, fresh support). The local mixtures are what the KL reference is
 # compared against; only federation has them. The fresh support is the
-# thresholded likelihood, which feeds the next prior alongside the posterior
-# support: without it one sub-threshold epoch would remove a target from the
-# recursion permanently.
+# thresholded likelihood, which ``reconstruct_scene`` unites with the
+# posterior support to seed the next prior.
 
 
 def _isolated_step(cfg, epoch, clouds, clusters, priors, exchange):
     posteriors, fresh = {}, {}
     for k in clouds:
-        lik_grid, mixture = likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
-        posteriors[k] = Posterior(bayes_product(lik_grid, priors[k]), mixture, epoch)
+        lik_grid, _ = likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
+        posteriors[k] = bayes_product(lik_grid, priors[k])
         fresh[k] = grid_support(lik_grid, cfg.tau)
     return posteriors, {}, fresh
 
@@ -170,10 +161,9 @@ def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange):
             for msg in inboxes[k]:
                 cloud = decode_coop(msg)
                 members[msg.sender, msg.epoch] = (cloud, dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts))
-            pooled[key] = pooled_likelihood([members[m] for m in sorted(members)], cfg.grid, cfg.fit)
-        lik_grid, mixture = pooled[key]
-        posteriors[k] = Posterior(bayes_product(lik_grid, priors[k]), mixture, epoch)
-        fresh[k] = grid_support(lik_grid, cfg.tau)
+            pooled[key], _ = pooled_likelihood([members[m] for m in sorted(members)], cfg.grid, cfg.fit)
+        posteriors[k] = bayes_product(pooled[key], priors[k])
+        fresh[k] = grid_support(pooled[key], cfg.tau)
     return posteriors, {}, fresh
 
 
@@ -188,9 +178,7 @@ def _federation_step(cfg, epoch, clouds, clusters, priors, exchange):
     for k in clouds:
         received = [decode_fed(msg) for msg in inboxes[k]]
         counts = [local_mixtures[k].total_points] + [m.total_points for m in received]
-        posteriors[k] = federated_posterior(
-            local_mixtures[k], received, alpha_weights(counts), cfg.grid, epoch
-        )
+        posteriors[k] = federated_posterior(local_mixtures[k], received, alpha_weights(counts), cfg.grid)
     return posteriors, local_mixtures, fresh
 
 
@@ -201,7 +189,7 @@ STEPS = {
 }
 
 
-def _kl_reference(cfg, epoch, clouds, clusters, posteriors, local_mixtures, ref_prev):
+def _kl_reference(cfg, clouds, clusters, posteriors, local_mixtures, ref_prev):
     """Divergences of the federated and local posteriors from the pooled-cloud
     reference posterior of each radar's neighbourhood (the radar and its
     in-neighbours).
@@ -209,7 +197,7 @@ def _kl_reference(cfg, epoch, clouds, clusters, posteriors, local_mixtures, ref_
     The reference recursion runs once per neighbourhood: radars with the
     same neighbourhood start from the same empty state and get the same
     inputs every epoch. ``ref_prev`` holds each neighbourhood's previous
-    reconstruction and is updated in place. Divergences compare the mixture
+    support and is updated in place. Divergences compare the mixture
     representations, so a lone radar's federated, local and reference
     posteriors coincide exactly.
     """
@@ -219,18 +207,14 @@ def _kl_reference(cfg, epoch, clouds, clusters, posteriors, local_mixtures, ref_
         ids = tuple(sorted({k, *cfg.topology.neighbors(k)}))
         if ids not in ref_grids:
             lik_grid, lik_mix = pooled_likelihood([(clouds[i], clusters[i]) for i in ids], cfg.grid, cfg.fit)
-            ref_prior = motion_prior(ref_prev.get(ids), cfg.prior_speed, cfg.dt, cfg.grid)
+            ref_prior = motion_prior(ref_prev.get(ids, np.empty((0, 2))), cfg.prior_speed, cfg.dt, cfg.grid)
             member_pts = [clouds[i].points for i in ids if len(clouds[i])]
             pool = np.concatenate(member_pts) if member_pts else np.empty((0, 3))
             pool_cloud = replace(clouds[k], points=pool, truth_outlier=None)
             ref_mix = refit_posterior_mixture(pool_cloud, lik_mix, ref_prior, cfg.fit)
             ref_grids[ids] = eval_on_grid(ref_mix, cfg.grid)
-            ref_prev[ids] = ReconstructedScene(
-                _union_points(grid_support(ref_grids[ids], cfg.tau), grid_support(lik_grid, cfg.tau)),
-                cfg.tau,
-                epoch,
-            )
-        kl_fed[k] = kl_divergence(ref_grids[ids], posteriors[k].grid)
+            ref_prev[ids] = reconstruct_scene(ref_grids[ids], grid_support(lik_grid, cfg.tau), cfg.tau)
+        kl_fed[k] = kl_divergence(ref_grids[ids], posteriors[k])
         kl_local[k] = kl_divergence(ref_grids[ids], eval_on_grid(local_mixtures[k], cfg.grid))
     return kl_fed, kl_local
 
@@ -257,8 +241,8 @@ def run_experiment(
     stats = LinkStats(update_period=cfg.update_period)
     # Deep enough for the most-delayed sender: nothing sent is dropped unseen.
     history = OutboxHistory(max(cfg.clock.offset_periods(k, cfg.dt) for k in radar_ids))
-    prev_scene: dict[int, ReconstructedScene | None] = {k: None for k in radar_ids}
-    ref_prev: dict[tuple[int, ...], ReconstructedScene] = {}
+    prev_support = {k: np.empty((0, 2)) for k in radar_ids}
+    ref_prev: dict[tuple[int, ...], np.ndarray] = {}
     records: list[EpochRecord] = []
 
     log_fh = open(message_log, "w") if message_log else None
@@ -275,7 +259,7 @@ def run_experiment(
                 raw = observe(scene, setups[k].pose, setups[k].model, obs_rngs[k], radar_id=k)
                 clouds[k], clusters[k] = preprocess(raw, setups[k].pose, cfg.dbscan_eps, cfg.dbscan_min_pts)
             priors = {
-                k: motion_prior(prev_scene[k], cfg.prior_speed, cfg.dt, cfg.grid)
+                k: motion_prior(prev_support[k], cfg.prior_speed, cfg.dt, cfg.grid)
                 for k in radar_ids
             }
 
@@ -285,24 +269,20 @@ def run_experiment(
             kl_fed: dict[int, float] = {}
             kl_local: dict[int, float] = {}
             if cfg.kl_reference and local_mixtures:
-                kl_fed, kl_local = _kl_reference(cfg, epoch, clouds, clusters, posteriors, local_mixtures, ref_prev)
+                kl_fed, kl_local = _kl_reference(cfg, clouds, clusters, posteriors, local_mixtures, ref_prev)
 
             estimates: dict[int, np.ndarray] = {}
             matched: dict[int, dict[int, tuple[float, float] | None]] = {}
             resolved: dict[int, bool] = {}
             for k in radar_ids:
-                recon = reconstruct_scene(posteriors[k], cfg.tau)
-                prev_scene[k] = ReconstructedScene(
-                    _union_points(recon.points, fresh_support[k]), cfg.tau, epoch
-                )
-                est = extract_targets(posteriors[k], cfg.tau, cfg.min_separation)
-                estimates[k] = est.positions
-                matched[k] = _associate(scene.centers, est.positions)
-                resolved[k] = len(est.positions) >= len(scene.centers)
+                prev_support[k] = reconstruct_scene(posteriors[k], fresh_support[k], cfg.tau)
+                estimates[k] = extract_targets(posteriors[k], cfg.tau, cfg.min_separation)
+                matched[k] = _associate(scene.centers, estimates[k])
+                resolved[k] = len(estimates[k]) >= len(scene.centers)
 
             if dump_dir and grid_dump_every > 0 and epoch % grid_dump_every == 0:
                 for k in radar_ids:
-                    grid_to_csv(posteriors[k].grid, dump_dir / f"epoch{epoch:05d}_radar{k}.csv")
+                    grid_to_csv(posteriors[k], dump_dir / f"epoch{epoch:05d}_radar{k}.csv")
 
             records.append(
                 EpochRecord(
@@ -549,53 +529,6 @@ def metrics_to_rows(m: MetricsRecord) -> list[tuple]:
         for q, v in zip(DECILES, m.kl_fed_deciles):
             rows.append(("kl_fed_decile", "", f"d{int(q * 100)}", v))
     return rows
-
-
-def metrics_from_csv(path: Path | str) -> MetricsRecord:
-    """Rebuild a MetricsRecord from a summary file (exact float round-trip)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    get = lambda metric: [r for r in rows if r[0] == metric]
-
-    def _one(metric, label=""):
-        found = [r for r in get(metric) if r[1] == "" and r[2] == label]
-        return found[0][3] if found else None
-
-    mae_labels = sorted({r[2] for r in get("mae_x") if r[2] != "overall"})
-    mae_by_landmark = {}
-    for label in mae_labels:
-        mx = float(_one("mae_x", label))
-        my = float(_one("mae_y", label))
-        n = int(_one("mae_n", label))
-        mae_by_landmark[label] = (mx, my, n)
-
-    def _per_radar(metric, cast=float):
-        return {int(r[1]): cast(r[3]) for r in get(metric) if r[1] != ""}
-
-    deciles = [r for r in get("kl_fed_decile")]
-    deciles_val = tuple(float(r[3]) for r in sorted(deciles, key=lambda r: int(r[2][1:]))) or None
-
-    mae_x = _one("mae_x", "overall")
-    p_u = _one("p_u")
-    kl_fed_median = _one("kl_fed_median", "pooled")
-    return MetricsRecord(
-        mode=_one("mode"),
-        n_epochs=int(_one("epochs")),
-        ego_radar=int(_one("ego_radar")),
-        mae_x=float(mae_x) if mae_x is not None else None,
-        mae_y=float(_one("mae_y", "overall")) if mae_x is not None else None,
-        mae_n=int(_one("mae_n", "overall")),
-        mae_by_landmark=mae_by_landmark,
-        p_u=float(p_u) if p_u is not None else None,
-        p_u_by_radar=_per_radar("p_u"),
-        tx_bits=_per_radar("tx_bits", int),
-        tx_rate_bits_per_s=_per_radar("tx_rate_bits_per_s"),
-        cloud_mean=_per_radar("cloud_mean"),
-        kl_fed_median=float(kl_fed_median) if kl_fed_median is not None else None,
-        kl_fed_median_by_radar=_per_radar("kl_fed_median"),
-        kl_local_median_by_radar=_per_radar("kl_local_median"),
-        kl_fed_deciles=deciles_val,
-    )
 
 
 def _sweep_one(cfg: ExperimentConfig) -> dict:

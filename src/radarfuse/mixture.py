@@ -15,7 +15,6 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 import numpy as np
 
 from .sensor import RANGE_RESOLUTION, ClusterResult
@@ -72,11 +71,6 @@ class GridSpec:
         ix = np.clip(((xy[:, 0] - self.x_min) / self.resolution).astype(int), 0, self.nx - 1)
         iy = np.clip(((xy[:, 1] - self.y_min) / self.resolution).astype(int), 0, self.ny - 1)
         return iy, ix
-
-
-@lru_cache(maxsize=16)
-def _mesh(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    return np.meshgrid(spec.x_centers(), spec.y_centers())
 
 
 @dataclass

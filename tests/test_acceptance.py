@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from radarfuse.config import load_config
-from radarfuse.fusion import Posterior, extract_targets, federated_posterior
+from radarfuse.fusion import extract_targets, federated_posterior
 from radarfuse.harness import aggregate_sweep, export_csv, run_experiment, run_sweep
 from radarfuse.mixture import (
     GaussianMixture,
@@ -182,8 +182,8 @@ def test_criterion_6_numerical_invariants():
 
     # lone-radar federation is an exact identity
     own = GaussianMixture([1.0], [[3, 4, 1.0]], [np.eye(3) * 0.1], [9])
-    fed = federated_posterior(own, [], np.array([1.0]), spec, 0)
-    identity_err = float(np.max(np.abs(fed.grid.mass - eval_on_grid(own, spec).mass)))
+    fed = federated_posterior(own, [], np.array([1.0]), spec)
+    identity_err = float(np.max(np.abs(fed.mass - eval_on_grid(own, spec).mass)))
 
     # codecs round-trip bit-exactly
     pts = rng.normal(0, 50, (200, 3)) * 10.0 ** rng.integers(-8, 8, (200, 1))
@@ -222,10 +222,10 @@ def test_criterion_7_oracle_equivalence():
     for _ in range(100):
         m = int(rng.integers(1, 6))
         mix = random_mixture(rng, m, (0.4, 3.6), (0.01, 0.3))
-        post = Posterior(eval_on_grid(mix, spec), mix, 0)
+        post = eval_on_grid(mix, spec)
         got = extract_targets(post, 0.45, 0.5)
-        expected = exhaustive_extract(post.grid.mass, spec, 0.45, 0.5)
-        if not np.array_equal(got.positions, expected):
+        expected = exhaustive_extract(post.mass, spec, 0.45, 0.5)
+        if not np.array_equal(got, expected):
             extract_mismatches += 1
 
     ok = mismatches == 0 and extract_mismatches == 0

@@ -40,6 +40,15 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def run_edited_converging(tmp_path, edit):
+    """``radarfuse run`` on a copy of the converging scenario changed by ``edit``."""
+    data = json.loads(resolve_scenario("converging").read_text())
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    return main(["run", "--config", str(bad), "--epochs", "2", "--out", str(tmp_path / "o")])
+
+
 @pytest.mark.parametrize(
     "edit, reason",
     [
@@ -50,12 +59,23 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     ids=["unknown-model-key", "missing-yaw", "missing-position"],
 )
 def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
-    data = json.loads(resolve_scenario("converging").read_text())
-    edit(next(r for r in data["radars"] if r["id"] == 2))
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    rc = main(["run", "--config", str(bad), "--epochs", "2", "--out", str(tmp_path / "o")])
+    rc = run_edited_converging(tmp_path, lambda data: edit(next(r for r in data["radars"] if r["id"] == 2)))
     assert rc == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda data: data.update(radars=[]), "at least one radar is required"),
+        (lambda data: data["targets"][0].pop("speed"), "target 1: missing key 'speed'"),
+        (lambda data: data.pop("area"), "scenario: missing key 'area'"),
+        (lambda data: data["clock"]["offsets"].update({"9": 0.01}), "clock.offsets: radar 9 is not deployed"),
+    ],
+    ids=["no-radars", "target-without-speed", "no-area", "offset-of-undeployed-radar"],
+)
+def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reason):
+    assert run_edited_converging(tmp_path, edit) == 1
     assert capsys.readouterr().err == f"error: {reason}\n"
 
 

@@ -4,8 +4,6 @@ from scipy.stats import multivariate_normal
 
 from radarfuse.fusion import (
     FitOptions,
-    Posterior,
-    ReconstructedScene,
     alpha_weights,
     bayes_product,
     extract_targets,
@@ -27,6 +25,7 @@ from radarfuse.sensor import GLOBAL, PointCloud, dbscan
 
 SPEC = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
 FIT = FitOptions()
+NO_SUPPORT = np.empty((0, 2))
 
 
 def cloud_of(points):
@@ -49,9 +48,12 @@ def random_mixture(rng, m, xy_range, var_range):
     return GaussianMixture(weights, means, covs, np.ones(m, int))
 
 
-def gaussian_posterior(mean, s2, weight=1.0, epoch=0):
-    mix = GaussianMixture([weight], [[*mean, 1.0]], [np.eye(3) * s2], [10])
-    return Posterior(eval_on_grid(mix, SPEC), mix, epoch)
+def gaussian_mixture(mean, s2):
+    return GaussianMixture([1.0], [[*mean, 1.0]], [np.eye(3) * s2], [10])
+
+
+def gaussian_posterior(mean, s2):
+    return eval_on_grid(gaussian_mixture(mean, s2), SPEC)
 
 
 # ------------------------------------------------------------- likelihood
@@ -73,9 +75,9 @@ def test_two_cluster_likelihood_is_bimodal():
     cloud, clusters = clustered_cloud(np.concatenate([a, b]))
     grid, mix = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
     assert mix.n_components == 2
-    est = extract_targets(Posterior(grid, mix, 0), 0.2, 0.5)
+    est = extract_targets(grid, 0.2, 0.5)
     assert len(est) == 2
-    got = sorted(tuple(p) for p in est.positions)
+    got = sorted(tuple(p) for p in est)
     assert np.linalg.norm(np.array(got[0]) - [2, 2]) < 0.15
     assert np.linalg.norm(np.array(got[1]) - [6, 6]) < 0.15
 
@@ -91,16 +93,14 @@ def test_empty_cloud_gives_uniform_likelihood():
 
 
 def test_single_point_prior_is_a_bump():
-    prev = ReconstructedScene(np.array([[4.05, 4.05]]), 0.45, 0)
-    prior = motion_prior(prev, 1.0, 0.01, SPEC)
+    prior = motion_prior(np.array([[4.05, 4.05]]), 1.0, 0.01, SPEC)
     assert prior.mass.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(prior.argmax_center(), [4.05, 4.05])
 
 
 def test_step_size_rule():
     # sigma(v) = v * dt + floor; with floor 0 the blur is exactly v * dt.
-    prev = ReconstructedScene(np.array([[4.05, 4.05]]), 0.45, 0)
-    prior = motion_prior(prev, 1.0, 0.01, SPEC, sigma_floor=0.0)
+    prior = motion_prior(np.array([[4.05, 4.05]]), 1.0, 0.01, SPEC, sigma_floor=0.0)
     # oracle: direct superposition with sigma = 0.01
     gx, gy = np.meshgrid(SPEC.x_centers(), SPEC.y_centers())
     d2 = (gx - 4.05) ** 2 + (gy - 4.05) ** 2
@@ -110,10 +110,8 @@ def test_step_size_rule():
 
 
 def test_empty_previous_scene_gives_uniform_prior():
-    prior = motion_prior(None, 1.0, 0.01, SPEC)
+    prior = motion_prior(np.empty((0, 2)), 1.0, 0.01, SPEC)
     assert np.allclose(prior.mass, 1.0 / SPEC.n_cells)
-    empty = ReconstructedScene(np.empty((0, 2)), 0.45, 3)
-    assert np.allclose(motion_prior(empty, 1.0, 0.01, SPEC).mass, 1.0 / SPEC.n_cells)
 
 
 def test_prior_matches_superposition_oracle():
@@ -121,9 +119,8 @@ def test_prior_matches_superposition_oracle():
     iy = rng.integers(10, 70, 12)
     ix = rng.integers(10, 70, 12)
     points = np.column_stack([SPEC.x_centers()[ix], SPEC.y_centers()[iy]])
-    prev = ReconstructedScene(points, 0.45, 0)
     sigma = 1.5 * 0.05 + 0.042
-    prior = motion_prior(prev, 1.5, 0.05, SPEC)
+    prior = motion_prior(points, 1.5, 0.05, SPEC)
 
     gx, gy = np.meshgrid(SPEC.x_centers(), SPEC.y_centers())
     oracle = np.zeros_like(gx)
@@ -151,7 +148,7 @@ def test_flat_prior_returns_likelihood():
 
 def test_flat_likelihood_returns_prior():
     cloud, clusters = clustered_cloud(np.empty((0, 3)))
-    prior = gaussian_posterior([3, 3], 0.3).grid
+    prior = gaussian_posterior([3, 3], 0.3)
     lik_grid, lik_mix = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
     assert np.max(np.abs(bayes_product(lik_grid, prior).mass - prior.mass)) < 1e-12
     refit = refit_posterior_mixture(cloud, lik_mix, prior, FIT)
@@ -161,7 +158,7 @@ def test_flat_likelihood_returns_prior():
 def test_prior_pulls_posterior_toward_truth():
     # Monte Carlo: peaked prior at the true position vs noisy likelihood.
     truth = np.array([4.0, 4.0])
-    prior = gaussian_posterior(truth, 0.09).grid
+    prior = gaussian_posterior(truth, 0.09)
     rng = np.random.default_rng(4)
     post_err, lik_err = [], []
     for _ in range(100):
@@ -183,15 +180,15 @@ def test_coop_posterior_with_flat_prior_is_pooled_likelihood():
         clustered_cloud(rng.normal([6, 6, 1], 0.1, (60, 3))),
     ]
     lik_grid, mixture = pooled_likelihood(ens, SPEC, FIT)
-    post = Posterior(bayes_product(lik_grid, DensityGrid.uniform(SPEC)), mixture, 1)
-    assert np.max(np.abs(post.grid.mass - lik_grid.mass)) < 1e-12
-    assert post.mixture.n_components == 2  # one per contributed cluster
+    post = bayes_product(lik_grid, DensityGrid.uniform(SPEC))
+    assert np.max(np.abs(post.mass - lik_grid.mass)) < 1e-12
+    assert mixture.n_components == 2  # one per contributed cluster
     est = extract_targets(post, 0.2, 0.5)
     assert len(est) == 2
 
 
 def test_coop_posterior_empty_ensemble_returns_prior():
-    prior = gaussian_posterior([5, 5], 0.2).grid
+    prior = gaussian_posterior([5, 5], 0.2)
     ens = [clustered_cloud(np.empty((0, 3)))]
     lik_grid, mixture = pooled_likelihood(ens, SPEC, FIT)
     assert mixture.is_empty()
@@ -205,12 +202,12 @@ def test_coop_posterior_merges_disjoint_views():
     radar2 = clustered_cloud(rng.normal([6, 6, 1], 0.1, (80, 3)))
     prior = DensityGrid.uniform(SPEC)
     lik_grid, mixture = pooled_likelihood([radar1, radar2], SPEC, FIT)
-    post = Posterior(bayes_product(lik_grid, prior), mixture, 1)
+    post = bayes_product(lik_grid, prior)
     est = extract_targets(post, 0.2, 0.5)
     assert len(est) == 2
     # oracle: posterior grid is exactly the cell-wise product with the prior
-    lik = eval_on_grid(post.mixture, SPEC)
-    assert np.max(np.abs(post.grid.mass - lik.mass)) < 1e-12
+    lik = eval_on_grid(mixture, SPEC)
+    assert np.max(np.abs(post.mass - lik.mass)) < 1e-12
 
 
 # ------------------------------------------------------------ federation
@@ -231,32 +228,34 @@ def test_alpha_weights_all_zero_falls_back_to_uniform():
 
 
 def test_single_radar_federation_is_identity():
-    own = gaussian_posterior([3, 4], 0.1).mixture
-    fed = federated_posterior(own, [], np.array([1.0]), SPEC, 1)
+    own = gaussian_mixture([3, 4], 0.1)
+    fed = federated_posterior(own, [], np.array([1.0]), SPEC)
     direct = eval_on_grid(own, SPEC)
-    assert np.max(np.abs(fed.grid.mass - direct.mass)) < 1e-12
-    assert fed.mixture.n_components == 1
+    assert np.max(np.abs(fed.mass - direct.mass)) < 1e-12
 
 
 def test_identical_locals_federate_to_the_same_posterior():
-    mix = gaussian_posterior([4, 4], 0.2).mixture
-    fed = federated_posterior(mix, [mix, mix], np.full(3, 1 / 3), SPEC, 1)
-    assert np.max(np.abs(fed.grid.mass - eval_on_grid(mix, SPEC).mass)) < 1e-9
+    mix = gaussian_mixture([4, 4], 0.2)
+    fed = federated_posterior(mix, [mix, mix], np.full(3, 1 / 3), SPEC)
+    assert np.max(np.abs(fed.mass - eval_on_grid(mix, SPEC).mass)) < 1e-9
 
 
 def test_federated_weights_rescale():
-    a = gaussian_posterior([2, 2], 0.1).mixture
-    b = gaussian_posterior([6, 6], 0.1).mixture
-    fed = federated_posterior(a, [b], np.array([0.5, 0.5]), SPEC, 1)
-    assert fed.mixture.weights.tolist() == [0.5, 0.5]
-    assert abs(fed.mixture.weights.sum() - 1.0) <= 1e-9
+    a = gaussian_mixture([2, 2], 0.1)
+    b = gaussian_mixture([6, 6], 0.1)
+    fed = federated_posterior(a, [b], np.array([0.25, 0.75]), SPEC)
+    # Component weights are scaled by alpha, so the grid is the
+    # alpha-weighted average of the local grids.
+    expected = 0.25 * eval_on_grid(a, SPEC).mass + 0.75 * eval_on_grid(b, SPEC).mass
+    assert np.max(np.abs(fed.mass - expected)) < 1e-9
+    assert abs(fed.mass.sum() - 1.0) <= 1e-9
 
 
 def test_all_empty_mixtures_federate_to_uniform():
     fed = federated_posterior(
-        GaussianMixture.empty(), [GaussianMixture.empty()], np.array([0.5, 0.5]), SPEC, 1
+        GaussianMixture.empty(), [GaussianMixture.empty()], np.array([0.5, 0.5]), SPEC
     )
-    assert np.allclose(fed.grid.mass, 1.0 / SPEC.n_cells)
+    assert np.allclose(fed.mass, 1.0 / SPEC.n_cells)
 
 
 # --------------------------------------------------------- reconstruction
@@ -264,32 +263,45 @@ def test_all_empty_mixtures_federate_to_uniform():
 
 def test_reconstruct_unimodal_blob():
     post = gaussian_posterior([4.05, 4.05], 0.04)
-    recon = reconstruct_scene(post, 0.45)
+    recon = reconstruct_scene(post, NO_SUPPORT, 0.45)
     assert len(recon) > 0
-    dists = np.linalg.norm(recon.points - [4.05, 4.05], axis=1)
+    dists = np.linalg.norm(recon - [4.05, 4.05], axis=1)
     assert dists.max() < 0.5  # contiguous region around the peak
     assert np.any(dists < 0.08)
 
 
 def test_reconstruct_tau_near_one_keeps_argmax_only():
     post = gaussian_posterior([4.05, 4.05], 0.04)
-    recon = reconstruct_scene(post, 0.999)
+    recon = reconstruct_scene(post, NO_SUPPORT, 0.999)
     assert 1 <= len(recon) <= 4
-    assert np.all(np.linalg.norm(recon.points - [4.05, 4.05], axis=1) < 0.15)
+    assert np.all(np.linalg.norm(recon - [4.05, 4.05], axis=1) < 0.15)
 
 
 def test_reconstruct_uniform_keeps_no_cell():
     # A flat posterior holds no evidence: no cell and no target stands out.
-    post = Posterior(DensityGrid.uniform(SPEC), GaussianMixture.empty(), 0)
-    assert len(reconstruct_scene(post, 0.45)) == 0
+    post = DensityGrid.uniform(SPEC)
+    assert len(reconstruct_scene(post, NO_SUPPORT, 0.45)) == 0
     assert len(extract_targets(post, 0.45, 0.5)) == 0
+
+
+def test_reconstruct_unites_posterior_and_fresh_support():
+    post = gaussian_posterior([4.05, 4.05], 0.04)
+    own = grid_support(post, 0.45)
+    fresh = np.array([[1.05, 1.05], own[0]])
+    recon = reconstruct_scene(post, fresh, 0.45)
+    assert np.array_equal(recon, np.unique(np.concatenate([own, fresh[:1]]), axis=0))
+    # A flat posterior keeps only the fresh support, and vice versa.
+    assert np.array_equal(reconstruct_scene(DensityGrid.uniform(SPEC), fresh, 0.45), fresh)
+    assert np.array_equal(reconstruct_scene(post, NO_SUPPORT, 0.45), own)
 
 
 def test_reconstruct_rejects_bad_tau():
     post = gaussian_posterior([4, 4], 0.04)
     for tau in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            reconstruct_scene(post, tau)
+            reconstruct_scene(post, NO_SUPPORT, tau)
+        with pytest.raises(ValueError):
+            extract_targets(post, tau, 0.5)
 
 
 # ------------------------------------------------------------- extraction
@@ -299,15 +311,14 @@ def test_extract_single_gaussian():
     post = gaussian_posterior([3.0, 6.0], 0.09)
     est = extract_targets(post, 0.45, 0.5)
     assert len(est) == 1
-    assert np.linalg.norm(est.positions[0] - [3.0, 6.0]) <= 0.11
+    assert np.linalg.norm(est[0] - [3.0, 6.0]) <= 0.11
 
 
 def test_extract_two_separated_gaussians():
     mix = GaussianMixture([0.5, 0.5], [[3.0, 4.0, 1.0], [5.0, 4.0, 1.0]], [np.eye(3) * 0.04] * 2, [5, 5])
-    post = Posterior(eval_on_grid(mix, SPEC), mix, 0)
-    est = extract_targets(post, 0.45, 0.5)
+    est = extract_targets(eval_on_grid(mix, SPEC), 0.45, 0.5)
     assert len(est) == 2
-    xs = sorted(p[0] for p in est.positions)
+    xs = sorted(p[0] for p in est)
     assert abs(xs[0] - 3.0) < 0.11 and abs(xs[1] - 5.0) < 0.11
 
 
@@ -321,8 +332,7 @@ def test_extract_merged_peak_is_unresolved():
     )
     interior_maxima = np.sum((dens[1:-1] > dens[:-2]) & (dens[1:-1] >= dens[2:]))
     assert interior_maxima == 1
-    post = Posterior(eval_on_grid(mix, SPEC), mix, 0)
-    est = extract_targets(post, 0.45, 0.5)
+    est = extract_targets(eval_on_grid(mix, SPEC), 0.45, 0.5)
     assert len(est) == 1
 
 
@@ -335,11 +345,9 @@ def test_extract_is_scale_invariant():
         [1, 1, 1],
     )
     grid = eval_on_grid(mix, SPEC)
-    post = Posterior(grid, mix, 0)
-    scaled = Posterior(DensityGrid(SPEC, grid.mass * 4.0), mix, 0)
-    a = extract_targets(post, 0.45, 0.5)
-    b = extract_targets(scaled, 0.45, 0.5)
-    assert np.array_equal(a.positions, b.positions)
+    a = extract_targets(grid, 0.45, 0.5)
+    b = extract_targets(DensityGrid(SPEC, grid.mass * 4.0), 0.45, 0.5)
+    assert np.array_equal(a, b)
 
 
 def exhaustive_extract(mass, spec, tau, min_sep):
@@ -375,10 +383,10 @@ def test_extract_matches_exhaustive_enumeration():
     for _ in range(25):
         m = int(rng.integers(1, 5))
         mix = random_mixture(rng, m, (0.5, 3.5), (0.02, 0.2))
-        post = Posterior(eval_on_grid(mix, spec), mix, 0)
+        post = eval_on_grid(mix, spec)
         got = extract_targets(post, 0.45, 0.5)
-        expected = exhaustive_extract(post.grid.mass, spec, 0.45, 0.5)
-        assert np.array_equal(got.positions, expected)
+        expected = exhaustive_extract(post.mass, spec, 0.45, 0.5)
+        assert np.array_equal(got, expected)
 
 
 def test_grid_support_threshold_strictness():

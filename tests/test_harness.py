@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -10,8 +11,9 @@ from radarfuse.harness import (
     aggregate_sweep,
     compute_mae,
     export_csv,
+    format_value,
     kl_study,
-    metrics_from_csv,
+    metrics_to_rows,
     run_experiment,
     run_sweep,
     unresolved_probability,
@@ -302,8 +304,14 @@ def test_summary_round_trip_is_exact(tmp_path):
     cfg = small_config(epochs=10)
     records, metrics = run_experiment(cfg)
     paths = export_csv(records, metrics, tmp_path, cfg)
-    back = metrics_from_csv(paths["summary"])
-    assert back == metrics
+    with open(paths["summary"], newline="") as fh:
+        header, *rows = csv.reader(fh)
+    expected = metrics_to_rows(metrics)
+    assert header == ["metric", "radar", "label", "value"]
+    assert rows == [[format_value(v) for v in row] for row in expected]
+    floats = [(cell, v) for row, exp in zip(rows, expected) for cell, v in zip(row, exp) if isinstance(v, float)]
+    assert floats  # mae, p_u, rates, cloud means and divergences
+    assert all(float(cell) == v for cell, v in floats)
 
 
 def test_message_log_replays(tmp_path):
