@@ -107,14 +107,43 @@ def _landmarks_from(raw: Mapping[str, Any]) -> dict[str, np.ndarray]:
     return table
 
 
-def _require(raw: Mapping[str, Any], keys: tuple[str, ...], where: str) -> None:
-    for key in keys:
+def _object(raw: Any, where: str) -> Mapping[str, Any]:
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{where} must be an object, got {type(raw).__name__}")
+    return raw
+
+
+def _objects(raw: Any, where: str) -> list[Mapping[str, Any]]:
+    if not isinstance(raw, list) or not all(isinstance(item, Mapping) for item in raw):
+        raise ConfigError(f"{where} must be a list of objects")
+    return raw
+
+
+def _check_keys(raw: Mapping[str, Any], where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """Every required key is present and no key is outside required + optional."""
+    for key in required:
         if key not in raw:
             raise ConfigError(f"{where}: missing key {key!r}")
+    unknown = sorted(set(raw) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+
+
+def _section(data: Mapping[str, Any], key: str, optional: tuple[str, ...]) -> Mapping[str, Any]:
+    """An optional sub-object of the scenario, holding only the given keys."""
+    raw = _object(data.get(key, {}), key)
+    _check_keys(raw, key, (), optional)
+    return raw
+
+
+_REQUIRED_KEYS = ("area", "grid_resolution", "landmarks", "targets", "radars")
+_OPTIONAL_KEYS = ("name", "mode", "seed", "epochs", "update_period_s", "tau", "min_separation", "dbscan",
+                  "mixture", "prior_speed", "ego_radar", "topology", "clock", "kl_reference")
 
 
 def _target_from(raw: Mapping[str, Any]) -> TargetSpec:
-    _require(raw, ("id", "waypoints", "speed", "body_extent", "points_per_frame"), f"target {raw.get('id', '?')}")
+    _check_keys(raw, f"target {raw.get('id', '?')}", ("id", "waypoints", "speed", "body_extent", "points_per_frame"),
+                ("center_height",))
     return TargetSpec(
         id=int(raw["id"]),
         waypoints=tuple(raw["waypoints"]),
@@ -129,8 +158,8 @@ _MODEL_KEYS = {f.name for f in fields(RadarModel)} | {"fov_azimuth_deg", "azimut
 
 
 def _radar_from(raw: Mapping[str, Any]) -> RadarSetup:
-    _require(raw, ("id", "position", "yaw_deg"), f"radar {raw.get('id', '?')}")
-    model_raw = dict(raw.get("model", {}))
+    _check_keys(raw, f"radar {raw.get('id', '?')}", ("id", "position", "yaw_deg"), ("model",))
+    model_raw = dict(_object(raw.get("model", {}), f"radar {raw['id']}: model"))
     unknown = sorted(set(model_raw) - _MODEL_KEYS)
     if unknown:
         raise ConfigError(f"radar {raw['id']}: unknown model key {unknown[0]!r}")
@@ -157,19 +186,21 @@ def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentCon
         if value is not None:
             data[key] = value
 
-    _require(data, ("area", "grid_resolution", "landmarks", "targets", "radars"), "scenario")
+    _check_keys(data, "scenario", _REQUIRED_KEYS, _OPTIONAL_KEYS)
     area = data["area"]
+    if not isinstance(area, list) or len(area) != 4:
+        raise ConfigError("area must be [x_min, x_max, y_min, y_max]")
     grid = GridSpec(float(area[0]), float(area[1]), float(area[2]), float(area[3]),
                     float(data["grid_resolution"]))
-    db = data.get("dbscan", {})
-    mix = data.get("mixture", {})
-    radars = tuple(_radar_from(r) for r in data["radars"])
+    db = _section(data, "dbscan", ("eps", "min_pts"))
+    mix = _section(data, "mixture", ("m_max", "em_max_iters", "em_tol"))
+    radars = tuple(_radar_from(r) for r in _objects(data["radars"], "radars"))
     if not radars:
         raise ConfigError("at least one radar is required")
     ids = tuple(r.id for r in radars)
-    clock_raw = data.get("clock", {})
+    clock_raw = _section(data, "clock", ("offsets", "jitter_std"))
     clock = ClockModel(
-        offsets={int(k): float(v) for k, v in clock_raw.get("offsets", {}).items()},
+        offsets={int(k): float(v) for k, v in _object(clock_raw.get("offsets", {}), "clock.offsets").items()},
         jitter_std=float(clock_raw.get("jitter_std", 0.0)),
     )
 
@@ -190,8 +221,8 @@ def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentCon
             tol=float(mix.get("em_tol", 1e-5)),
         ),
         prior_speed=float(data.get("prior_speed", 1.0)),
-        landmarks=_landmarks_from(data["landmarks"]),
-        targets=tuple(_target_from(t) for t in data["targets"]),
+        landmarks=_landmarks_from(_object(data["landmarks"], "landmarks")),
+        targets=tuple(_target_from(t) for t in _objects(data["targets"], "targets")),
         radars=radars,
         topology=_topology_from(data.get("topology"), ids),
         clock=clock,

@@ -150,17 +150,28 @@ def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange):
     # Receivers whose own cloud and inbox hold the same (sender, epoch)
     # members share one pooled likelihood. Under clock jitter every receiver
     # holds its own noisy copies, so nothing is shared.
+    #
+    # An exact copy of a sender's cloud of this epoch keeps the sender's
+    # clustering: DBSCAN is idempotent on ``preprocess``'s output, because a
+    # noise point lies within eps of no core point, so dropping it changes no
+    # core degree or border anchor, and the filter keeps the input order.
+    # Older (offset) or jittered copies are clustered again.
+    exact = cfg.clock.jitter_std == 0
     pooled = {}
     posteriors, fresh = {}, {}
     for k in clouds:
         key = k
-        if cfg.clock.jitter_std == 0:
+        if exact:
             key = tuple(sorted([(k, epoch), *((msg.sender, msg.epoch) for msg in inboxes[k])]))
         if key not in pooled:
             members = {(k, epoch): (clouds[k], clusters[k])}
             for msg in inboxes[k]:
                 cloud = decode_coop(msg)
-                members[msg.sender, msg.epoch] = (cloud, dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts))
+                if exact and msg.epoch == epoch:
+                    clustering = clusters[msg.sender]
+                else:
+                    clustering = dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts)
+                members[msg.sender, msg.epoch] = (cloud, clustering)
             pooled[key], _ = pooled_likelihood([members[m] for m in sorted(members)], cfg.grid, cfg.fit)
         posteriors[k] = bayes_product(pooled[key], priors[k])
         fresh[k] = grid_support(pooled[key], cfg.tau)

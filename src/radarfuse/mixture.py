@@ -7,6 +7,14 @@ total is ``counts.sum()``: EM apportions the counts so that they sum exactly
 to the number of fitted points. Probability grids are 2D, obtained by
 marginalizing z. All grids carry probability mass (not density) and are
 normalized to total mass 1.
+
+EM works on quadratic point features. A fit centres the points on their
+mean and builds the (10, n) features ``[1, x, y, z, x², y², z², xy, xz, yz]``
+once. Every component's log-density ``log β − ½(x−μ)'P(x−μ) − ½ log|2πΣ|``
+is linear in those features, with one (10,) coefficient row per component, so
+an E-step is one (m, 10) @ (10, n) product, and the M-step's weighted counts,
+first and second moments are one (m, n) @ (n, 10) product. Centring keeps the
+expanded quadratic forms free of cancellation between large terms.
 """
 
 from __future__ import annotations
@@ -25,6 +33,14 @@ log = logging.getLogger(__name__)
 COV_EIG_FLOOR = RANGE_RESOLUTION**2
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# EM point features are [1, x, y, z, x^2, y^2, z^2, xy, xz, yz]. A precision
+# matrix P enters log N through -x'Px/2: entries (0,0), (1,1), (2,2), (0,1),
+# (0,2), (1,2) of the flattened P, scaled by -1/2 on the diagonal and -1 off it.
+_QUAD_ENTRIES = np.array([0, 4, 8, 1, 2, 5])
+_QUAD_SCALE = np.array([-0.5, -0.5, -0.5, -1.0, -1.0, -1.0])
+# Feature moment of each entry of E[xx'].
+_SECOND_MOMENTS = np.array([[4, 7, 8], [7, 5, 9], [8, 9, 6]])
 
 
 @dataclass(frozen=True)
@@ -236,6 +252,13 @@ def fit_em(
     (possible when the covariance floor engages) reverts to the previous
     parameters and stops. Component point counts are apportioned from the
     responsibilities so they sum exactly to the number of points.
+
+    Each iteration is two small matrix products over the centred quadratic
+    features (see the module docstring): the E-step evaluates every
+    component's log-density as ``coef @ feats`` and normalizes with one
+    ``exp``; the M-step takes counts, means and ``E[xx']`` from
+    ``(resp * w) @ feats.T`` and sets ``cov = E[xx'] − μμ'``. Means are
+    kept centred during the fit and shifted back on return.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
@@ -267,14 +290,27 @@ def fit_em(
         w = np.asarray(point_weights, dtype=float)
         w = w * (n / w.sum()) if w.sum() > 0 else np.ones(n)
 
+    # Work in coordinates centred on the points' mean, so the expanded
+    # quadratic forms below cancel no large terms.
+    centre = points.mean(axis=0)
+    means = means - centre
+    x, y, z = (points - centre).T
+    feats = np.stack([np.ones(n), x, y, z, x * x, y * y, z * z, x * y, x * z, y * z])  # (10, n)
+
     def e_step(beta, means, covs):
         inv, logdet = _inv_logdet(covs)
-        diff = points[None, :, :] - means[:, None, :]  # (m, n, 3)
-        maha = ((diff @ inv) * diff).sum(axis=2)
-        logp = np.log(np.maximum(beta, 1e-300))[:, None] - 0.5 * (maha + (logdet + 3 * _LOG_2PI)[:, None])
+        p_mu = np.einsum("mij,mj->mi", inv, means)
+        coef = np.empty((len(means), 10))
+        coef[:, 0] = np.log(np.maximum(beta, 1e-300)) - 0.5 * (
+            np.einsum("mi,mi->m", p_mu, means) + logdet + 3 * _LOG_2PI
+        )
+        coef[:, 1:4] = p_mu
+        coef[:, 4:] = inv.reshape(-1, 9)[:, _QUAD_ENTRIES] * _QUAD_SCALE
+        logp = coef @ feats  # (m, n) log(beta_j N(x_i; mu_j, cov_j))
         top = logp.max(axis=0)
-        norm = top + np.log(np.exp(logp - top).sum(axis=0))
-        return float(np.dot(w, norm)), np.exp(logp - norm)
+        e = np.exp(logp - top)
+        s = e.sum(axis=0)
+        return float(np.dot(w, top + np.log(s))), e / s
 
     trace: list[float] = []
     prev_ll = -np.inf
@@ -292,13 +328,12 @@ def fit_em(
         prev_ll = ll
         prev = (beta.copy(), means.copy(), covs.copy())
 
-        wr = resp * w  # (m, n)
-        nm = wr.sum(axis=1)
+        moments = (resp * w) @ feats.T  # (m, 10) weighted sums of the features
+        nm = moments[:, 0]
         alive = nm > 1e-12
-        nm_safe = np.where(alive, nm, 1.0)
-        new_means = (wr @ points) / nm_safe[:, None]
-        diff = points[None, :, :] - new_means[:, None, :]
-        new_covs = diff.transpose(0, 2, 1) @ (diff * wr[:, :, None]) / nm_safe[:, None, None]
+        moments = moments / np.where(alive, nm, 1.0)[:, None]
+        new_means = moments[:, 1:4]
+        new_covs = moments[:, _SECOND_MOMENTS] - new_means[:, :, None] * new_means[:, None, :]
         new_covs = _floor_covs(new_covs, cov_floor)
         dead = ~alive
         if dead.any():
@@ -315,7 +350,7 @@ def fit_em(
 
     if stale_resp:
         _, resp = e_step(beta, means, covs)
-    mixture = GaussianMixture(beta, means, covs, _apportion(resp.sum(axis=1), n))
+    mixture = GaussianMixture(beta, means + centre, covs, _apportion(resp.sum(axis=1), n))
     return (mixture, trace) if return_trace else mixture
 
 

@@ -71,8 +71,20 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data["targets"][0].pop("speed"), "target 1: missing key 'speed'"),
         (lambda data: data.pop("area"), "scenario: missing key 'area'"),
         (lambda data: data["clock"]["offsets"].update({"9": 0.01}), "clock.offsets: radar 9 is not deployed"),
+        (lambda data: data.update(epoch=5), "scenario: unknown key 'epoch'"),
+        (lambda data: data["targets"][0].update(spead=1.0), "target 1: unknown key 'spead'"),
+        (lambda data: data["dbscan"].update(epsilon=0.3), "dbscan: unknown key 'epsilon'"),
+        (lambda data: data["mixture"].update(em_max_iter=5), "mixture: unknown key 'em_max_iter'"),
+        (lambda data: data["clock"].update(jitter=0.001), "clock: unknown key 'jitter'"),
+        (lambda data: data.update(area=[0, 8]), "area must be [x_min, x_max, y_min, y_max]"),
+        (lambda data: data.update(landmarks=list(data["landmarks"].values())), "landmarks must be an object, got list"),
+        (lambda data: data["targets"].__setitem__(0, "L"), "targets must be a list of objects"),
     ],
-    ids=["no-radars", "target-without-speed", "no-area", "offset-of-undeployed-radar"],
+    ids=[
+        "no-radars", "target-without-speed", "no-area", "offset-of-undeployed-radar",
+        "unknown-top-level-key", "unknown-target-key", "unknown-dbscan-key", "unknown-mixture-key",
+        "unknown-clock-key", "two-value-area", "landmark-list", "target-not-an-object",
+    ],
 )
 def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reason):
     assert run_edited_converging(tmp_path, edit) == 1

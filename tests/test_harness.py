@@ -205,6 +205,25 @@ def test_cooperation_under_jitter_fuses_each_radars_own_cloud(monkeypatch):
         assert sum(any(c is cloud for c in members) for members in pooled) == 1
 
 
+@pytest.mark.parametrize("offsets, clustered", [({}, []), ({"2": 0.010}, [(2, e - 1) for e in range(2, 6)])],
+                         ids=["synchronized", "radar-2-one-period-late"])
+def test_cooperation_clusters_only_received_clouds_of_other_epochs(monkeypatch, offsets, clustered):
+    # A same-epoch copy keeps its sender's clustering; radar 2's late cloud,
+    # pooled by radars 1 and 3, is clustered once per epoch from epoch 2 on.
+    cfg = load_config("converging", mode="cooperation", epochs=5, seed=3,
+                      clock={"offsets": offsets, "jitter_std": 0.0})
+    calls = []
+    dbscan = harness.dbscan
+
+    def spy_dbscan(cloud, *args):
+        calls.append((cloud.radar_id, cloud.epoch))
+        return dbscan(cloud, *args)
+
+    monkeypatch.setattr(harness, "dbscan", spy_dbscan)
+    run_experiment(cfg)
+    assert calls == clustered
+
+
 def test_cooperation_without_edges_matches_isolated():
     isolated, _ = run_experiment(small_config(mode="isolated", topology=[]))
     cooperation, _ = run_experiment(small_config(mode="cooperation", topology=[]))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from radarfuse.mixture import (
@@ -82,6 +85,50 @@ def test_log_likelihood_nondecreasing():
         _, trace = fit_em(pts, m, init, return_trace=True)
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+@st.composite
+def em_problems(draw):
+    """A cloud of n points whose centre lies up to 10 m from the origin on each
+    axis, m = 1..5 starting components with anisotropic SPD covariances above
+    the floor, starting weights and per-point weights."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(m, 120))
+    centre = draw(hnp.arrays(np.float64, 3, elements=st.floats(-10.0, 10.0)))
+    points = centre + draw(hnp.arrays(np.float64, (n, 3), elements=st.floats(-2.0, 2.0)))
+    means = centre + draw(hnp.arrays(np.float64, (m, 3), elements=st.floats(-2.0, 2.0)))
+    lower = draw(hnp.arrays(np.float64, (m, 3, 3), elements=st.floats(-1.0, 1.0)))
+    diag = draw(hnp.arrays(np.float64, (m, 3), elements=st.floats(0.05, 1.5)))
+    chol = np.tril(lower, -1) + diag[:, :, None] * np.eye(3)
+    covs = chol @ chol.transpose(0, 2, 1) + 2 * COV_EIG_FLOOR * np.eye(3)
+    weights = draw(hnp.arrays(np.float64, m, elements=st.floats(0.05, 1.0)))
+    point_weights = draw(hnp.arrays(np.float64, n, elements=st.floats(0.01, 5.0)))
+    return points, means, covs, weights, point_weights
+
+
+@settings(deadline=None)
+@given(problem=em_problems())
+def test_initial_log_likelihood_matches_direct_evaluation(problem):
+    points, means, covs, weights, point_weights = problem
+    n = len(points)
+    logpdf = np.array([np.atleast_1d(multivariate_normal.logpdf(points, mu, cov)) for mu, cov in zip(means, covs)])
+    per_point = logsumexp(logpdf, axis=0, b=(weights / weights.sum())[:, None])
+    for w in (None, point_weights):
+        _, trace = fit_em(points, len(means), means, init_covs=covs, init_weights=weights,
+                          point_weights=w, max_iters=1, return_trace=True)
+        expected = float(np.dot(np.ones(n) if w is None else w * (n / w.sum()), per_point))
+        assert abs(trace[0] - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+@settings(deadline=None)
+@given(problem=em_problems())
+def test_log_likelihood_trace_never_steps_down(problem):
+    points, means, covs, weights, point_weights = problem
+    for w in (None, point_weights):
+        _, trace = fit_em(points, len(means), means, init_covs=covs, init_weights=weights,
+                          point_weights=w, max_iters=40, tol=1e-10, return_trace=True)
+        steps = np.diff(trace)
+        assert np.all(steps >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
 def test_mixture_arrays_must_agree_in_shape():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from radarfuse.scene import Scene
 from radarfuse.sensor import (
@@ -293,3 +295,20 @@ def test_preprocess_removes_injected_outliers():
         # target points survive; far-flung spurious points are removed
         assert np.sum(~filtered.truth_outlier) == 200
         assert np.sum(filtered.truth_outlier) <= np.sum(raw.truth_outlier)
+
+
+@settings(deadline=None)
+@given(
+    points=hnp.arrays(np.float64, st.tuples(st.integers(0, 60), st.just(3)), elements=st.floats(-1.5, 1.5)),
+    yaw=st.floats(-math.pi, math.pi),
+    eps=st.floats(0.05, 0.8),
+    min_pts=st.integers(1, 6),
+)
+def test_dbscan_of_preprocessed_cloud_keeps_its_labels(points, yaw, eps, min_pts):
+    # Cooperation reuses a sender's clustering for an exact copy of its
+    # preprocessed cloud, which holds only if DBSCAN is idempotent there.
+    pose = RadarPose(np.array([1.0, -2.0, 1.2]), yaw)
+    filtered, clusters = preprocess(cloud_of(points), pose, eps, min_pts)
+    again = dbscan(filtered, eps, min_pts)
+    assert again.n_clusters == clusters.n_clusters
+    assert np.array_equal(again.labels, clusters.labels)
