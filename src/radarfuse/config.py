@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -129,11 +130,51 @@ def _check_keys(raw: Mapping[str, Any], where: str, required: tuple[str, ...], o
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
 
 
-def _section(data: Mapping[str, Any], key: str, optional: tuple[str, ...]) -> Mapping[str, Any]:
-    """An optional sub-object of the scenario, holding only the given keys."""
+# Every scalar the loader reads: section -> key -> (type, default). Section ""
+# is the scenario's top level; "target" and "radar" apply to each list entry.
+# A default of None means the key is required (its presence is checked with
+# the section's other keys) or, for ``ego_radar``, defaults to the first radar.
+_SCALARS: dict[str, dict[str, tuple[type, Any]]] = {
+    "": {"name": (str, "unnamed"), "mode": (str, "federation"), "seed": (int, 0), "epochs": (int, 100),
+         "grid_resolution": (float, None), "tau": (float, 0.45), "min_separation": (float, 0.5),
+         "prior_speed": (float, 1.0), "ego_radar": (int, None), "kl_reference": (bool, True)},
+    "dbscan": {"eps": (float, 0.3), "min_pts": (int, 5)},
+    "mixture": {"m_max": (int, 8), "em_max_iters": (int, 60), "em_tol": (float, 1e-5)},
+    "clock": {"jitter_std": (float, 0.0)},
+    "target": {"id": (int, None), "speed": (float, None), "points_per_frame": (int, None),
+               "center_height": (float, 1.0)},
+    "radar": {"id": (int, None), "yaw_deg": (float, None)},
+}
+
+
+# Scalar type -> (accepted values, name in messages). An integer is also a
+# number; a boolean is neither, so "kl_reference": 1 and "seed": true fail.
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          bool: (bool, "true or false"), str: (str, "a string")}
+
+
+def _typed(value: Any, kind: type, where: str) -> Any:
+    accepted, name = _KINDS[kind]
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where} must be {name}, got {json.dumps(value, default=repr)}")
+    return kind(value)
+
+
+def _scalars(raw: Mapping[str, Any], section: str, where: str) -> dict[str, Any]:
+    """The section's scalars of ``raw``, type-checked, defaults filled in."""
+    prefix = f"{where}: " if where else ""
+    return {
+        key: _typed(raw[key], kind, f"{prefix}{key}") if key in raw else default
+        for key, (kind, default) in _SCALARS[section].items()
+    }
+
+
+def _section(data: Mapping[str, Any], key: str, extra: tuple[str, ...] = ()) -> dict[str, Any]:
+    """An optional sub-object of the scenario: its scalars, type-checked with
+    defaults filled in, and the ``extra`` keys as given. No other key is allowed."""
     raw = _object(data.get(key, {}), key)
-    _check_keys(raw, key, (), optional)
-    return raw
+    _check_keys(raw, key, (), (*_SCALARS[key], *extra))
+    return {**{k: raw[k] for k in extra if k in raw}, **_scalars(raw, key, key)}
 
 
 _REQUIRED_KEYS = ("area", "grid_resolution", "landmarks", "targets", "radars")
@@ -142,15 +183,19 @@ _OPTIONAL_KEYS = ("name", "mode", "seed", "epochs", "update_period_s", "tau", "m
 
 
 def _target_from(raw: Mapping[str, Any]) -> TargetSpec:
-    _check_keys(raw, f"target {raw.get('id', '?')}", ("id", "waypoints", "speed", "body_extent", "points_per_frame"),
-                ("center_height",))
+    where = f"target {raw.get('id', '?')}"
+    _check_keys(raw, where, ("id", "waypoints", "speed", "body_extent", "points_per_frame"), ("center_height",))
+    scalars = _scalars(raw, "target", where)
+    waypoints = raw["waypoints"]
+    if not isinstance(waypoints, list) or not all(isinstance(w, str) for w in waypoints):
+        raise ConfigError(f"{where}: waypoints must be a list of landmark names")
     return TargetSpec(
-        id=int(raw["id"]),
-        waypoints=tuple(raw["waypoints"]),
-        speed=float(raw["speed"]),
+        id=scalars["id"],
+        waypoints=tuple(waypoints),
+        speed=scalars["speed"],
         body_extent=np.asarray(raw["body_extent"], dtype=float),
-        points_per_frame=int(raw["points_per_frame"]),
-        center_height=float(raw.get("center_height", 1.0)),
+        points_per_frame=scalars["points_per_frame"],
+        center_height=scalars["center_height"],
     )
 
 
@@ -158,23 +203,28 @@ _MODEL_KEYS = {f.name for f in fields(RadarModel)} | {"fov_azimuth_deg", "azimut
 
 
 def _radar_from(raw: Mapping[str, Any]) -> RadarSetup:
-    _check_keys(raw, f"radar {raw.get('id', '?')}", ("id", "position", "yaw_deg"), ("model",))
-    model_raw = dict(_object(raw.get("model", {}), f"radar {raw['id']}: model"))
+    where = f"radar {raw.get('id', '?')}"
+    _check_keys(raw, where, ("id", "position", "yaw_deg"), ("model",))
+    scalars = _scalars(raw, "radar", where)
+    model_raw = _object(raw.get("model", {}), f"{where}: model")
     unknown = sorted(set(model_raw) - _MODEL_KEYS)
     if unknown:
-        raise ConfigError(f"radar {raw['id']}: unknown model key {unknown[0]!r}")
+        raise ConfigError(f"{where}: unknown model key {unknown[0]!r}")
+    model_raw = {key: _typed(value, float, f"{where}: model.{key}") for key, value in model_raw.items()}
     if "fov_azimuth_deg" in model_raw:
         model_raw["fov_azimuth"] = math.radians(model_raw.pop("fov_azimuth_deg"))
     if "azimuth_resolution_deg" in model_raw:
         model_raw["azimuth_resolution"] = math.radians(model_raw.pop("azimuth_resolution_deg"))
-    pose = RadarPose(np.asarray(raw["position"], dtype=float), math.radians(float(raw["yaw_deg"])))
-    return RadarSetup(int(raw["id"]), pose, RadarModel(**model_raw))
+    pose = RadarPose(np.asarray(raw["position"], dtype=float), math.radians(scalars["yaw_deg"]))
+    return RadarSetup(scalars["id"], pose, RadarModel(**model_raw))
 
 
 def _topology_from(raw: Any, ids: tuple[int, ...]) -> Topology:
     if raw == "full" or raw is None:
         return Topology.fully_connected(ids)
-    edges = tuple((int(h), int(k)) for h, k in raw)
+    if not isinstance(raw, list) or not all(isinstance(edge, list) and len(edge) == 2 for edge in raw):
+        raise ConfigError('topology must be "full" or a list of [from, to] edges')
+    edges = tuple((_typed(h, int, "topology edge"), _typed(k, int, "topology edge")) for h, k in raw)
     return Topology(ids, edges)
 
 
@@ -187,47 +237,44 @@ def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentCon
             data[key] = value
 
     _check_keys(data, "scenario", _REQUIRED_KEYS, _OPTIONAL_KEYS)
+    top = _scalars(data, "", "")
     area = data["area"]
     if not isinstance(area, list) or len(area) != 4:
         raise ConfigError("area must be [x_min, x_max, y_min, y_max]")
-    grid = GridSpec(float(area[0]), float(area[1]), float(area[2]), float(area[3]),
-                    float(data["grid_resolution"]))
-    db = _section(data, "dbscan", ("eps", "min_pts"))
-    mix = _section(data, "mixture", ("m_max", "em_max_iters", "em_tol"))
+    grid = GridSpec(*(_typed(v, float, "area") for v in area), top["grid_resolution"])
+    db = _section(data, "dbscan")
+    mix = _section(data, "mixture")
     radars = tuple(_radar_from(r) for r in _objects(data["radars"], "radars"))
     if not radars:
         raise ConfigError("at least one radar is required")
     ids = tuple(r.id for r in radars)
-    clock_raw = _section(data, "clock", ("offsets", "jitter_std"))
+    clock_raw = _section(data, "clock", ("offsets",))
+    offsets = _object(clock_raw.get("offsets", {}), "clock.offsets")
     clock = ClockModel(
-        offsets={int(k): float(v) for k, v in _object(clock_raw.get("offsets", {}), "clock.offsets").items()},
-        jitter_std=float(clock_raw.get("jitter_std", 0.0)),
+        offsets={int(k): _typed(v, float, f"clock.offsets: {k}") for k, v in offsets.items()},
+        jitter_std=clock_raw["jitter_std"],
     )
 
     cfg = ExperimentConfig(
-        name=str(data.get("name", "unnamed")),
-        mode=str(data.get("mode", "federation")),
-        seed=int(data.get("seed", 0)),
-        n_epochs=int(data.get("epochs", 100)),
+        name=top["name"],
+        mode=top["mode"],
+        seed=top["seed"],
+        n_epochs=top["epochs"],
         update_period=Fraction(str(data.get("update_period_s", "0.010"))),
         grid=grid,
-        tau=float(data.get("tau", 0.45)),
-        min_separation=float(data.get("min_separation", 0.5)),
-        dbscan_eps=float(db.get("eps", 0.3)),
-        dbscan_min_pts=int(db.get("min_pts", 5)),
-        fit=FitOptions(
-            m_max=int(mix.get("m_max", 8)),
-            max_iters=int(mix.get("em_max_iters", 60)),
-            tol=float(mix.get("em_tol", 1e-5)),
-        ),
-        prior_speed=float(data.get("prior_speed", 1.0)),
+        tau=top["tau"],
+        min_separation=top["min_separation"],
+        dbscan_eps=db["eps"],
+        dbscan_min_pts=db["min_pts"],
+        fit=FitOptions(m_max=mix["m_max"], max_iters=mix["em_max_iters"], tol=mix["em_tol"]),
+        prior_speed=top["prior_speed"],
         landmarks=_landmarks_from(_object(data["landmarks"], "landmarks")),
         targets=tuple(_target_from(t) for t in _objects(data["targets"], "targets")),
         radars=radars,
         topology=_topology_from(data.get("topology"), ids),
         clock=clock,
-        ego_radar=int(data.get("ego_radar", ids[0])),
-        kl_reference=bool(data.get("kl_reference", True)),
+        ego_radar=ids[0] if top["ego_radar"] is None else top["ego_radar"],
+        kl_reference=top["kl_reference"],
     )
     cfg.validate()
     return cfg

@@ -2,12 +2,16 @@
 
 Per-radar recursion: a motion prior diffused from the previous support is
 combined cell-wise with a likelihood grid fitted to the current point cloud.
-Posteriors are plain ``DensityGrid``s and supports are ``(s, 2)`` arrays of
-cell centers. Cooperation fits one likelihood to the pooled clouds of a
-radar and its neighbors; federation combines the exchanged local-posterior
+Posteriors are plain ``DensityGrid``s and supports are boolean ``(ny, nx)``
+cell masks. Cooperation fits one likelihood to the pooled clouds of a radar
+and its neighbors; federation combines the exchanged local-posterior
 mixtures convexly (``federated_posterior``). ``reconstruct_scene`` builds the
 next prior's support and ``extract_targets`` the local maxima of the
 thresholded posterior.
+
+A support covers a few small windows of the grid, so ``motion_prior`` and
+``extract_targets`` work only in its bounding box (padded by the blur
+radius for the prior). Their results are bit-identical to the full grid's.
 """
 
 from __future__ import annotations
@@ -119,25 +123,34 @@ def motion_prior(
     spec: GridSpec,
     sigma_floor: float = SIGMA_FLOOR,
 ) -> DensityGrid:
-    """Prior from the previous support, diffused by a random-walk step.
+    """Prior from the previous support mask, diffused by a random-walk step.
 
-    Each ``(s, 2)`` support point spreads as an isotropic Gaussian with
-    sigma = speed * dt + sigma_floor. The points are grid cell centers, so
-    the superposition is computed exactly as a separable Gaussian blur of
-    the occupancy counts (truncated at 6 sigma). An empty support means an
-    uninformative uniform prior.
+    Each cell of the boolean ``(ny, nx)`` support spreads as an isotropic
+    Gaussian with sigma = speed * dt + sigma_floor, computed as a separable
+    Gaussian blur of the mask (truncated at 6 sigma). The blur runs on the
+    support's bounding box padded by the kernel radius: every cell outside
+    it is a sum of zeros, and where the box is clipped its edge is the
+    grid's, so the result equals the full-grid blur bit for bit. An empty
+    support means an uninformative uniform prior.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if speed < 0:
         raise ValueError("speed must be >= 0")
-    if len(support) == 0:
+    if support.shape != (spec.ny, spec.nx):
+        raise ValueError(f"support mask must have shape {(spec.ny, spec.nx)}, got {support.shape}")
+    rows = np.flatnonzero(support.any(axis=1))
+    if len(rows) == 0:
         return DensityGrid.uniform(spec)
-    sigma = speed * dt + sigma_floor
-    counts = np.zeros((spec.ny, spec.nx))
-    iy, ix = spec.cell_index(support)
-    np.add.at(counts, (iy, ix), 1.0)
-    mass = gaussian_filter(counts, sigma / spec.resolution, mode="constant", truncate=6.0)
+    cols = np.flatnonzero(support.any(axis=0))
+    sigma_px = (speed * dt + sigma_floor) / spec.resolution
+    radius = int(6.0 * sigma_px + 0.5)  # gaussian_filter's kernel radius at truncate=6
+    win = (
+        slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
+        slice(max(cols[0] - radius, 0), cols[-1] + radius + 1),
+    )
+    mass = np.zeros((spec.ny, spec.nx))
+    mass[win] = gaussian_filter(support[win].astype(float), sigma_px, mode="constant", truncate=6.0)
     return DensityGrid(spec, mass).normalized()
 
 
@@ -172,8 +185,9 @@ def refit_posterior_mixture(
 def alpha_weights(q_counts: Sequence[int]) -> np.ndarray:
     """Convex combination weights proportional to per-radar point counts.
 
-    The last weight closes the sum to exactly 1. All-zero counts carry no
-    information and fall back to uniform weights.
+    The last weight closes the sum to 1, clamped at 0 so that a last count
+    of zero cannot get a negative weight from rounding. All-zero counts
+    carry no information and fall back to uniform weights.
     """
     q = np.asarray(q_counts, dtype=float)
     if len(q) == 0:
@@ -183,7 +197,7 @@ def alpha_weights(q_counts: Sequence[int]) -> np.ndarray:
         log.warning("all point counts are zero; using uniform combination weights")
         return np.full(len(q), 1.0 / len(q))
     w = q / total
-    w[-1] = 1.0 - w[:-1].sum()
+    w[-1] = max(1.0 - w[:-1].sum(), 0.0)
     return w
 
 
@@ -211,8 +225,9 @@ def federated_posterior(
     return eval_on_grid(federated, spec)
 
 
-def _support_mask(grid: DensityGrid, tau: float) -> np.ndarray:
-    """Cells whose peak-normalized mass exceeds ``tau``.
+def grid_support(grid: DensityGrid, tau: float) -> np.ndarray:
+    """Support mask ``(ny, nx)``: the cells whose peak-normalized mass
+    exceeds ``tau``.
 
     Thresholding the peak-normalized grid keeps ``tau`` independent of the
     grid resolution. A flat grid (a radar with an empty cloud and a flat
@@ -227,25 +242,14 @@ def _support_mask(grid: DensityGrid, tau: float) -> np.ndarray:
     return grid.mass > tau * peak
 
 
-def grid_support(grid: DensityGrid, tau: float) -> np.ndarray:
-    """Centers of the cells whose peak-normalized mass exceeds ``tau``."""
-    iy, ix = np.nonzero(_support_mask(grid, tau))
-    return np.column_stack([grid.spec.x_centers()[ix], grid.spec.y_centers()[iy]])
-
-
 def reconstruct_scene(posterior: DensityGrid, fresh: np.ndarray, tau: float) -> np.ndarray:
-    """Support of the next prior: the posterior's cells above ``tau`` united
-    with the fresh likelihood support, as unique ``(s, 2)`` cell centers.
+    """Support mask of the next prior: the posterior's cells above ``tau``
+    united with the fresh likelihood support mask.
 
     Without the fresh support one sub-threshold epoch would remove a target
     from the recursion permanently.
     """
-    support = grid_support(posterior, tau)
-    if len(support) == 0:
-        return fresh
-    if len(fresh) == 0:
-        return support
-    return np.unique(np.concatenate([support, fresh]), axis=0)
+    return grid_support(posterior, tau) | fresh
 
 
 def extract_targets(grid: DensityGrid, tau: float, min_separation: float) -> np.ndarray:
@@ -257,22 +261,35 @@ def extract_targets(grid: DensityGrid, tau: float, min_separation: float) -> np.
     grid index, so the result only depends on posterior shape (it is
     invariant under positive rescaling of the grid). A flat grid holds no
     evidence and yields no targets.
+
+    Only support cells can be maxima, and a cell outside the support has
+    mass at most ``tau * peak``, below every support cell, so it never beats
+    one. The neighbor maximum therefore runs on the support's bounding box
+    alone, and its result is that of the full grid.
     """
     mass, spec = grid.mass, grid.spec
-    support = _support_mask(grid, tau)
+    support = grid_support(grid, tau)
+    rows = np.flatnonzero(support.any(axis=1))
+    if len(rows) == 0:
+        return np.empty((0, 2))
+    cols = np.flatnonzero(support.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    window = mass[box]
+    ny, nx = window.shape
 
-    padded = np.full((spec.ny + 2, spec.nx + 2), -np.inf)
-    padded[1:-1, 1:-1] = mass
-    neighbor_max = np.full_like(mass, -np.inf)
+    padded = np.full((ny + 2, nx + 2), -np.inf)
+    padded[1:-1, 1:-1] = window
+    neighbor_max = np.full_like(window, -np.inf)
     for dy in (-1, 0, 1):
         for dx in (-1, 0, 1):
             if dy == 0 and dx == 0:
                 continue
-            shifted = padded[1 + dy : 1 + dy + spec.ny, 1 + dx : 1 + dx + spec.nx]
+            shifted = padded[1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
             neighbor_max = np.maximum(neighbor_max, shifted)
-    is_max = support & (mass >= neighbor_max)
+    is_max = support[box] & (window >= neighbor_max)
 
     iy, ix = np.nonzero(is_max)
+    iy, ix = iy + rows[0], ix + cols[0]
     order = np.lexsort((ix, iy, -mass[iy, ix]))
     xc, yc = spec.x_centers(), spec.y_centers()
     accepted: list[np.ndarray] = []

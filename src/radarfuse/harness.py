@@ -1,8 +1,8 @@
 """Experiment runner and metrics.
 
 One experiment advances the scene epoch by epoch. At every epoch each radar
-observes and preprocesses its cloud and diffuses its previous support (an
-``(s, 2)`` array of cell centers) into a motion prior. The step of the
+observes and preprocesses its cloud and diffuses its previous support (a
+boolean ``(ny, nx)`` cell mask) into a motion prior. The step of the
 configured mode (``STEPS[cfg.mode]``) then turns the clouds and priors into
 one posterior grid per radar:
 
@@ -132,8 +132,8 @@ def _nearest_waypoint(cfg: ExperimentConfig, spec, center: np.ndarray) -> str:
 # per-radar dicts in deployment order, and returns (posterior grids, local
 # mixtures, fresh support). The local mixtures are what the KL reference is
 # compared against; only federation has them. The fresh support is the
-# thresholded likelihood, which ``reconstruct_scene`` unites with the
-# posterior support to seed the next prior.
+# thresholded likelihood's cell mask, which ``reconstruct_scene`` unites
+# with the posterior's to seed the next prior.
 
 
 def _isolated_step(cfg, epoch, clouds, clusters, priors, exchange):
@@ -208,7 +208,7 @@ def _kl_reference(cfg, clouds, clusters, posteriors, local_mixtures, ref_prev):
     The reference recursion runs once per neighbourhood: radars with the
     same neighbourhood start from the same empty state and get the same
     inputs every epoch. ``ref_prev`` holds each neighbourhood's previous
-    support and is updated in place. Divergences compare the mixture
+    support mask and is updated in place. Divergences compare the mixture
     representations, so a lone radar's federated, local and reference
     posteriors coincide exactly.
     """
@@ -218,7 +218,8 @@ def _kl_reference(cfg, clouds, clusters, posteriors, local_mixtures, ref_prev):
         ids = tuple(sorted({k, *cfg.topology.neighbors(k)}))
         if ids not in ref_grids:
             lik_grid, lik_mix = pooled_likelihood([(clouds[i], clusters[i]) for i in ids], cfg.grid, cfg.fit)
-            ref_prior = motion_prior(ref_prev.get(ids, np.empty((0, 2))), cfg.prior_speed, cfg.dt, cfg.grid)
+            no_support = np.zeros((cfg.grid.ny, cfg.grid.nx), dtype=bool)
+            ref_prior = motion_prior(ref_prev.get(ids, no_support), cfg.prior_speed, cfg.dt, cfg.grid)
             member_pts = [clouds[i].points for i in ids if len(clouds[i])]
             pool = np.concatenate(member_pts) if member_pts else np.empty((0, 3))
             pool_cloud = replace(clouds[k], points=pool, truth_outlier=None)
@@ -252,7 +253,7 @@ def run_experiment(
     stats = LinkStats(update_period=cfg.update_period)
     # Deep enough for the most-delayed sender: nothing sent is dropped unseen.
     history = OutboxHistory(max(cfg.clock.offset_periods(k, cfg.dt) for k in radar_ids))
-    prev_support = {k: np.empty((0, 2)) for k in radar_ids}
+    prev_support = {k: np.zeros((cfg.grid.ny, cfg.grid.nx), dtype=bool) for k in radar_ids}
     ref_prev: dict[tuple[int, ...], np.ndarray] = {}
     records: list[EpochRecord] = []
 

@@ -41,12 +41,13 @@ def test_run_rejects_bad_config(tmp_path, capsys):
 
 
 def run_edited_converging(tmp_path, edit):
-    """``radarfuse run`` on a copy of the converging scenario changed by ``edit``."""
+    """``radarfuse run`` on a 2-epoch copy of the converging scenario changed by ``edit``."""
     data = json.loads(resolve_scenario("converging").read_text())
+    data["epochs"] = 2
     edit(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    return main(["run", "--config", str(bad), "--epochs", "2", "--out", str(tmp_path / "o")])
+    return main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
 
 
 @pytest.mark.parametrize(
@@ -55,8 +56,10 @@ def run_edited_converging(tmp_path, edit):
         (lambda radar: radar.setdefault("model", {}).update(noise_sigmaa=0.1), "radar 2: unknown model key 'noise_sigmaa'"),
         (lambda radar: radar.pop("yaw_deg"), "radar 2: missing key 'yaw_deg'"),
         (lambda radar: radar.pop("position"), "radar 2: missing key 'position'"),
+        (lambda radar: radar.setdefault("model", {}).update(noise_sigma=None), "radar 2: model.noise_sigma must be a number, got null"),
+        (lambda radar: radar.update(yaw_deg="east"), 'radar 2: yaw_deg must be a number, got "east"'),
     ],
-    ids=["unknown-model-key", "missing-yaw", "missing-position"],
+    ids=["unknown-model-key", "missing-yaw", "missing-position", "null-model-field", "string-yaw"],
 )
 def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
     rc = run_edited_converging(tmp_path, lambda data: edit(next(r for r in data["radars"] if r["id"] == 2)))
@@ -79,11 +82,26 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data.update(area=[0, 8]), "area must be [x_min, x_max, y_min, y_max]"),
         (lambda data: data.update(landmarks=list(data["landmarks"].values())), "landmarks must be an object, got list"),
         (lambda data: data["targets"].__setitem__(0, "L"), "targets must be a list of objects"),
+        (lambda data: data.update(tau=None), "tau must be a number, got null"),
+        (lambda data: data.update(seed=[1]), "seed must be an integer, got [1]"),
+        (lambda data: data.update(kl_reference="false"), 'kl_reference must be true or false, got "false"'),
+        (lambda data: data.update(seed=1.7), "seed must be an integer, got 1.7"),
+        (lambda data: data.update(epochs=12.9), "epochs must be an integer, got 12.9"),
+        (lambda data: data["mixture"].update(m_max=2.5), "mixture: m_max must be an integer, got 2.5"),
+        (lambda data: data["dbscan"].update(min_pts=True), "dbscan: min_pts must be an integer, got true"),
+        (lambda data: data["targets"][0].update(speed="fast"), 'target 1: speed must be a number, got "fast"'),
+        (lambda data: data["clock"]["offsets"].update({"2": None}), "clock.offsets: 2 must be a number, got null"),
+        (lambda data: data.update(area=[0, 8, None, 8]), "area must be a number, got null"),
+        (lambda data: data["targets"][0].update(waypoints="DE"), "target 1: waypoints must be a list of landmark names"),
+        (lambda data: data.update(topology=5), 'topology must be "full" or a list of [from, to] edges'),
     ],
     ids=[
         "no-radars", "target-without-speed", "no-area", "offset-of-undeployed-radar",
         "unknown-top-level-key", "unknown-target-key", "unknown-dbscan-key", "unknown-mixture-key",
         "unknown-clock-key", "two-value-area", "landmark-list", "target-not-an-object",
+        "null-tau", "list-seed", "string-kl-reference", "fractional-seed", "fractional-epochs",
+        "fractional-m-max", "boolean-min-pts", "string-target-speed", "null-clock-offset", "null-area-bound",
+        "string-waypoints", "number-topology",
     ],
 )
 def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reason):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.ndimage import gaussian_filter
 from scipy.stats import multivariate_normal
 
 from radarfuse.fusion import (
@@ -25,7 +27,20 @@ from radarfuse.sensor import GLOBAL, PointCloud, dbscan
 
 SPEC = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
 FIT = FitOptions()
-NO_SUPPORT = np.empty((0, 2))
+NO_SUPPORT = np.zeros((SPEC.ny, SPEC.nx), dtype=bool)
+
+
+def mask_at(xy, spec=SPEC):
+    """Support mask holding the cells that contain the (s, 2) positions."""
+    mask = np.zeros((spec.ny, spec.nx), dtype=bool)
+    mask[spec.cell_index(np.asarray(xy, dtype=float))] = True
+    return mask
+
+
+def centers_of(mask, spec=SPEC):
+    """(s, 2) centers of a support mask's cells."""
+    iy, ix = np.nonzero(mask)
+    return np.column_stack([spec.x_centers()[ix], spec.y_centers()[iy]])
 
 
 def cloud_of(points):
@@ -93,14 +108,14 @@ def test_empty_cloud_gives_uniform_likelihood():
 
 
 def test_single_point_prior_is_a_bump():
-    prior = motion_prior(np.array([[4.05, 4.05]]), 1.0, 0.01, SPEC)
+    prior = motion_prior(mask_at([[4.05, 4.05]]), 1.0, 0.01, SPEC)
     assert prior.mass.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(prior.argmax_center(), [4.05, 4.05])
 
 
 def test_step_size_rule():
     # sigma(v) = v * dt + floor; with floor 0 the blur is exactly v * dt.
-    prior = motion_prior(np.array([[4.05, 4.05]]), 1.0, 0.01, SPEC, sigma_floor=0.0)
+    prior = motion_prior(mask_at([[4.05, 4.05]]), 1.0, 0.01, SPEC, sigma_floor=0.0)
     # oracle: direct superposition with sigma = 0.01
     gx, gy = np.meshgrid(SPEC.x_centers(), SPEC.y_centers())
     d2 = (gx - 4.05) ** 2 + (gy - 4.05) ** 2
@@ -110,7 +125,7 @@ def test_step_size_rule():
 
 
 def test_empty_previous_scene_gives_uniform_prior():
-    prior = motion_prior(np.empty((0, 2)), 1.0, 0.01, SPEC)
+    prior = motion_prior(NO_SUPPORT, 1.0, 0.01, SPEC)
     assert np.allclose(prior.mass, 1.0 / SPEC.n_cells)
 
 
@@ -118,16 +133,63 @@ def test_prior_matches_superposition_oracle():
     rng = np.random.default_rng(2)
     iy = rng.integers(10, 70, 12)
     ix = rng.integers(10, 70, 12)
-    points = np.column_stack([SPEC.x_centers()[ix], SPEC.y_centers()[iy]])
-    sigma = 1.5 * 0.05 + 0.042
-    prior = motion_prior(points, 1.5, 0.05, SPEC)
+    last_y, last_x = SPEC.ny - 1, SPEC.nx - 1
+    edges_and_corners = ([0, 0, last_y, last_y, 0, 37, last_y, 52], [0, last_x, 0, last_x, 44, 0, 21, last_x])
+    # The same cells alone, then with cells on every edge and in every corner.
+    for extra_y, extra_x in [([], []), edges_and_corners]:
+        cy, cx = np.concatenate([iy, extra_y]).astype(int), np.concatenate([ix, extra_x]).astype(int)
+        points = np.column_stack([SPEC.x_centers()[cx], SPEC.y_centers()[cy]])
+        sigma = 1.5 * 0.05 + 0.042
+        prior = motion_prior(mask_at(points), 1.5, 0.05, SPEC)
 
-    gx, gy = np.meshgrid(SPEC.x_centers(), SPEC.y_centers())
-    oracle = np.zeros_like(gx)
-    for p in points:
-        oracle += np.exp(-0.5 * ((gx - p[0]) ** 2 + (gy - p[1]) ** 2) / sigma**2)
-    oracle /= oracle.sum()
-    assert np.max(np.abs(prior.mass - oracle)) < 1e-6 * oracle.max()
+        gx, gy = np.meshgrid(SPEC.x_centers(), SPEC.y_centers())
+        oracle = np.zeros_like(gx)
+        for p in points:
+            oracle += np.exp(-0.5 * ((gx - p[0]) ** 2 + (gy - p[1]) ** 2) / sigma**2)
+        oracle /= oracle.sum()
+        assert np.max(np.abs(prior.mass - oracle)) < 1e-6 * oracle.max()
+
+
+WIDE = GridSpec(0.0, 6.0, 0.0, 4.0, 0.1)  # 40 rows x 60 columns: catches swapped axes
+
+
+@st.composite
+def support_masks(draw):
+    """A grid and a sparse support mask on it: single cells that favour the
+    first and last rows and columns, plus up to three rectangular blobs."""
+    spec = draw(st.sampled_from([SPEC, WIDE]))
+    mask = np.zeros((spec.ny, spec.nx), dtype=bool)
+
+    def index(n):
+        return st.one_of(st.sampled_from([0, 1, n - 2, n - 1]), st.integers(0, n - 1))
+
+    for iy, ix in draw(st.lists(st.tuples(index(spec.ny), index(spec.nx)), max_size=12)):
+        mask[iy, ix] = True
+    for iy, ix, h, w in draw(st.lists(st.tuples(index(spec.ny), index(spec.nx), st.integers(1, 6),
+                                                st.integers(1, 6)), max_size=3)):
+        mask[iy : iy + h, ix : ix + w] = True
+    return spec, mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(support_masks(), st.floats(0.0, 3.0), st.sampled_from([0.01, 0.05, 0.1]))
+def test_windowed_prior_equals_full_grid_blur(spec_mask, speed, dt):
+    # The full-grid blur is the oracle: the window must not move a single bit,
+    # for masks on the grid's edges and corners and for the empty mask.
+    spec, mask = spec_mask
+    sigma = speed * dt + 0.042
+    oracle = DensityGrid(
+        spec, gaussian_filter(mask.astype(float), sigma / spec.resolution, mode="constant", truncate=6.0)
+    ).normalized()
+    prior = motion_prior(mask, speed, dt, spec, sigma_floor=0.042)
+    assert np.array_equal(prior.mass, oracle.mass)
+
+
+def test_prior_rejects_mask_of_wrong_shape():
+    for support in (np.zeros((WIDE.nx, WIDE.ny), dtype=bool), np.zeros((WIDE.ny, WIDE.nx + 1), dtype=bool),
+                    centers_of(mask_at([[1.05, 1.05]]), WIDE)):
+        with pytest.raises(ValueError):
+            motion_prior(support, 1.0, 0.01, WIDE)
 
 
 # ------------------------------------------------------- posterior updates
@@ -221,6 +283,17 @@ def test_alpha_weights_examples():
     assert w.sum() == 1.0
 
 
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.just(0), st.integers(0, 10**6)), min_size=1, max_size=10))
+@example([291, 440, 33, 0])  # closing the sum on a zero count once gave it -2.2e-16
+def test_alpha_weights_are_a_convex_combination(counts):
+    w = alpha_weights(counts)
+    assert np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) <= 1e-12
+    if sum(counts) == 0:
+        assert np.array_equal(w, np.full(len(counts), 1.0 / len(counts)))
+
+
 def test_alpha_weights_all_zero_falls_back_to_uniform():
     assert np.allclose(alpha_weights([0, 0, 0]), [1 / 3, 1 / 3, 1 / 3])
     with pytest.raises(ValueError):
@@ -263,7 +336,7 @@ def test_all_empty_mixtures_federate_to_uniform():
 
 def test_reconstruct_unimodal_blob():
     post = gaussian_posterior([4.05, 4.05], 0.04)
-    recon = reconstruct_scene(post, NO_SUPPORT, 0.45)
+    recon = centers_of(reconstruct_scene(post, NO_SUPPORT, 0.45))
     assert len(recon) > 0
     dists = np.linalg.norm(recon - [4.05, 4.05], axis=1)
     assert dists.max() < 0.5  # contiguous region around the peak
@@ -272,7 +345,7 @@ def test_reconstruct_unimodal_blob():
 
 def test_reconstruct_tau_near_one_keeps_argmax_only():
     post = gaussian_posterior([4.05, 4.05], 0.04)
-    recon = reconstruct_scene(post, NO_SUPPORT, 0.999)
+    recon = centers_of(reconstruct_scene(post, NO_SUPPORT, 0.999))
     assert 1 <= len(recon) <= 4
     assert np.all(np.linalg.norm(recon - [4.05, 4.05], axis=1) < 0.15)
 
@@ -280,16 +353,18 @@ def test_reconstruct_tau_near_one_keeps_argmax_only():
 def test_reconstruct_uniform_keeps_no_cell():
     # A flat posterior holds no evidence: no cell and no target stands out.
     post = DensityGrid.uniform(SPEC)
-    assert len(reconstruct_scene(post, NO_SUPPORT, 0.45)) == 0
+    assert not reconstruct_scene(post, NO_SUPPORT, 0.45).any()
     assert len(extract_targets(post, 0.45, 0.5)) == 0
 
 
 def test_reconstruct_unites_posterior_and_fresh_support():
     post = gaussian_posterior([4.05, 4.05], 0.04)
     own = grid_support(post, 0.45)
-    fresh = np.array([[1.05, 1.05], own[0]])
+    fresh = mask_at([[1.05, 1.05], centers_of(own)[0]])
     recon = reconstruct_scene(post, fresh, 0.45)
-    assert np.array_equal(recon, np.unique(np.concatenate([own, fresh[:1]]), axis=0))
+    expected = own.copy()
+    expected[10, 10] = True  # the cell holding (1.05, 1.05)
+    assert np.array_equal(recon, expected)
     # A flat posterior keeps only the fresh support, and vice versa.
     assert np.array_equal(reconstruct_scene(DensityGrid.uniform(SPEC), fresh, 0.45), fresh)
     assert np.array_equal(reconstruct_scene(post, NO_SUPPORT, 0.45), own)
@@ -377,12 +452,39 @@ def exhaustive_extract(mass, spec, tau, min_sep):
     return np.array(accepted) if accepted else np.empty((0, 2))
 
 
+def edge_mixture(rng, m, spec, var_range):
+    """Like ``random_mixture``, but every mean lies within 0.1 m of an edge
+    of ``spec`` on at least one axis, and of a corner when both are drawn."""
+    weights = rng.dirichlet(np.ones(m))
+    means, covs = [], []
+    for _ in weights:
+        near = rng.permutation([True, bool(rng.integers(2))])
+        xy = []
+        for on_edge, lo, hi in zip(near, (spec.x_min, spec.y_min), (spec.x_max, spec.y_max)):
+            if not on_edge:
+                xy.append(rng.uniform(lo + 0.5, hi - 0.5))
+            elif rng.integers(2):
+                xy.append(rng.uniform(lo, lo + 0.1))
+            else:
+                xy.append(rng.uniform(hi - 0.1, hi))
+        means.append([*xy, 1.0])
+        covs.append(np.eye(3) * rng.uniform(*var_range))
+    return GaussianMixture(weights, means, covs, np.ones(m, int))
+
+
 def test_extract_matches_exhaustive_enumeration():
     rng = np.random.default_rng(10)
     spec = GridSpec(0.0, 4.0, 0.0, 4.0, 0.1)
     for _ in range(25):
         m = int(rng.integers(1, 5))
         mix = random_mixture(rng, m, (0.5, 3.5), (0.02, 0.2))
+        post = eval_on_grid(mix, spec)
+        got = extract_targets(post, 0.45, 0.5)
+        expected = exhaustive_extract(post.mass, spec, 0.45, 0.5)
+        assert np.array_equal(got, expected)
+    # Mass on the edges and in the corners, where the support meets the grid's edge.
+    for _ in range(40):
+        mix = edge_mixture(rng, int(rng.integers(1, 5)), spec, (0.002, 0.2))
         post = eval_on_grid(mix, spec)
         got = extract_targets(post, 0.45, 0.5)
         expected = exhaustive_extract(post.mass, spec, 0.45, 0.5)
@@ -394,6 +496,6 @@ def test_grid_support_threshold_strictness():
     mass = np.full((SPEC.ny, SPEC.nx), 0.45)
     mass[10, 20] = mass[30, 40] = 1.0
     support = grid_support(DensityGrid(SPEC, mass), 0.45)
-    assert np.allclose(support, [[SPEC.x_centers()[20], SPEC.y_centers()[10]],
-                                 [SPEC.x_centers()[40], SPEC.y_centers()[30]]])
-    assert len(grid_support(DensityGrid.uniform(SPEC), 0.45)) == 0
+    assert support.shape == (SPEC.ny, SPEC.nx)
+    assert np.array_equal(np.argwhere(support), [[10, 20], [30, 40]])
+    assert not grid_support(DensityGrid.uniform(SPEC), 0.45).any()

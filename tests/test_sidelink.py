@@ -149,6 +149,50 @@ def test_offsets_before_start_are_skipped():
 # -------------------------------------------------------------- accounting
 
 
+@st.composite
+def networks(draw):
+    """A random directed topology over one to five radars, with clock
+    offsets of zero to six update periods plus less than half a period."""
+    ids = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=5, unique=True)))
+    pairs = [(h, k) for h in ids for k in ids if h != k]
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else ()
+    offsets = {k: draw(st.integers(0, 6)) * 0.010 + draw(st.floats(0.0, 0.004)) for k in ids}
+    return Topology(ids, edges), ClockModel(offsets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.integers(1, 12), st.data())
+def test_link_accounting_conserves_bits(network, n_epochs, data):
+    # The runner's exchange: push, charge the sender, deliver, charge each link.
+    topo, clock = network
+    stats = LinkStats(update_period=Fraction(1, 100))
+    history = OutboxHistory(max(clock.offset_periods(k, 0.010) for k in topo.ids))
+    sent, delivered = {}, []
+    for epoch in range(1, n_epochs + 1):
+        outbox = {k: encode_coop(cloud_of(np.zeros((data.draw(st.integers(1, 6)), 3)), radar_id=k, epoch=epoch))
+                  for k in topo.ids}
+        history.push(epoch, outbox)
+        for k, msg in outbox.items():
+            account(stats, msg)
+            sent[k, epoch] = msg
+        for k, msgs in deliver(topo, history, epoch, clock, 0.010).items():
+            for msg in msgs:
+                account_delivery(stats, msg, k)
+                delivered.append((msg.sender, msg.epoch, k))
+
+    assert sum(stats.rx_bits.values()) == sum(stats.link_bits.values())
+    assert set(stats.link_bits) <= set(topo.edges)
+    for h, k in topo.edges:
+        # Each message a sender charged reaches each out-neighbour exactly once,
+        # once the sender's clock offset has passed, and is charged to that link.
+        epochs = [e for s, e, r in delivered if (s, r) == (h, k)]
+        assert epochs == list(range(1, n_epochs + 1 - clock.offset_periods(h, 0.010)))
+        assert stats.link_msgs.get((h, k), 0) == len(epochs)
+        assert stats.link_bits.get((h, k), 0) == sum(sent[h, e].payload_bits for e in epochs)
+    for k in topo.ids:
+        assert stats.tx_bits[k] == sum(sent[k, e].payload_bits for e in range(1, n_epochs + 1))
+
+
 def test_rate_examples_are_exact():
     stats = LinkStats(update_period=Fraction(1, 100))
     for epoch in range(100):

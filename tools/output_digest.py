@@ -1,0 +1,91 @@
+"""Run a fixed matrix of radarfuse CLI commands and print a digest of every output file.
+
+The matrix covers every output the CLI writes:
+
+* ``run --dump-grids 10 --messages-out`` for the ``default`` and
+  ``converging`` scenarios x isolated / cooperation / federation x seeds 3
+  and 5, 40 epochs each (epochs.csv, summary.csv, replay log, grid dumps);
+* ``kl`` on both scenarios, seed 3, 40 epochs (kl_summary.csv);
+* ``sweep`` of 3 ``converging`` seeds in all three modes and ``report`` on
+  it (sweep.csv, report.csv).
+
+Each output line is ``sha256  relative/path``, sorted by path. Two source
+trees produce the same outputs exactly when their digests are equal, so a
+refactor that must not move a byte is checked with
+
+    git archive <parent> | tar -x -C /tmp/parent
+    python3 tools/output_digest.py --src /tmp/parent /tmp/out-parent > parent.txt
+    python3 tools/output_digest.py /tmp/out-change > change.txt
+    diff parent.txt change.txt
+
+The output directory must be new or empty. Runs are sequential, one
+process at a time; the whole matrix takes about a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCENARIOS = ("default", "converging")
+MODES = ("isolated", "cooperation", "federation")
+SEEDS = (3, 5)
+EPOCHS = 40
+
+
+def commands() -> list[list[str]]:
+    """CLI argument lists of the matrix, relative to the output directory."""
+    cmds = []
+    for scenario in SCENARIOS:
+        for mode in MODES:
+            for seed in SEEDS:
+                out = f"run/{scenario}-{mode}-s{seed}"
+                cmds.append(["run", "--config", scenario, "--mode", mode, "--seed", str(seed),
+                             "--epochs", str(EPOCHS), "--out", out, "--dump-grids", "10",
+                             "--messages-out", f"{out}/messages.jsonl"])
+        cmds.append(["kl", "--config", scenario, "--seed", "3", "--epochs", str(EPOCHS),
+                     "--out", f"kl/{scenario}"])
+    cmds.append(["sweep", "--config", "converging", "--seeds", "3", "--out", "sweep"])
+    cmds.append(["report", "--out", "sweep"])
+    return cmds
+
+
+def digest(out: Path) -> list[str]:
+    lines = []
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="root of the source tree to run (default: this checkout)")
+    parser.add_argument("out", type=Path, help="output directory, new or empty")
+    args = parser.parse_args(argv)
+
+    package = args.src.resolve() / "src"
+    if not (package / "radarfuse").is_dir():
+        print(f"error: no radarfuse package under {package}", file=sys.stderr)
+        return 2
+    args.out.mkdir(parents=True, exist_ok=True)
+    if any(args.out.iterdir()):
+        print(f"error: output directory {args.out} is not empty", file=sys.stderr)
+        return 2
+    env = {**os.environ, "PYTHONPATH": str(package)}
+    for cmd in commands():
+        result = subprocess.run([sys.executable, "-m", "radarfuse.cli", *cmd], cwd=args.out, env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        if result.returncode != 0:
+            print(f"error: radarfuse {' '.join(cmd)} exited {result.returncode}:\n{result.stderr}", file=sys.stderr)
+            return 1
+    print("\n".join(digest(args.out)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
