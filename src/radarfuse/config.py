@@ -102,10 +102,7 @@ class ExperimentConfig:
 
 
 def _landmarks_from(raw: Mapping[str, Any]) -> dict[str, np.ndarray]:
-    table: dict[str, np.ndarray] = {}
-    for label, pos in raw.items():
-        table[label] = Landmark(label, np.asarray(pos, dtype=float)).position
-    return table
+    return {label: Landmark(label, _vector(pos, 2, f"landmarks: {label}")).position for label, pos in raw.items()}
 
 
 def _object(raw: Any, where: str) -> Mapping[str, Any]:
@@ -160,6 +157,35 @@ def _typed(value: Any, kind: type, where: str) -> Any:
     return kind(value)
 
 
+def _vector(raw: Any, size: int, where: str) -> np.ndarray:
+    """A JSON list of ``size`` finite numbers, as a float array."""
+    if not isinstance(raw, list) or len(raw) != size:
+        raise ConfigError(f"{where} must be a list of {size} numbers, got {json.dumps(raw, default=repr)}")
+    vec = np.array([_typed(v, float, where) for v in raw])
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"{where} must be finite, got {json.dumps(raw, default=repr)}")
+    return vec
+
+
+def _period(raw: Any) -> Fraction:
+    """``update_period_s``, exact: a decimal string or a number (not a boolean)."""
+    message = f"update_period_s must be a decimal string or a number, got {json.dumps(raw, default=repr)}"
+    if isinstance(raw, bool) or not isinstance(raw, (str, numbers.Real)):
+        raise ConfigError(message)
+    try:
+        return Fraction(str(raw))
+    except ValueError:
+        raise ConfigError(message) from None
+
+
+def _offset_key(key: str) -> int:
+    """The radar id that a ``clock.offsets`` key names."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ConfigError(f"clock.offsets: key {json.dumps(key)} must be a radar id") from None
+
+
 def _scalars(raw: Mapping[str, Any], section: str, where: str) -> dict[str, Any]:
     """The section's scalars of ``raw``, type-checked, defaults filled in."""
     prefix = f"{where}: " if where else ""
@@ -193,7 +219,7 @@ def _target_from(raw: Mapping[str, Any]) -> TargetSpec:
         id=scalars["id"],
         waypoints=tuple(waypoints),
         speed=scalars["speed"],
-        body_extent=np.asarray(raw["body_extent"], dtype=float),
+        body_extent=_vector(raw["body_extent"], 3, f"{where}: body_extent"),
         points_per_frame=scalars["points_per_frame"],
         center_height=scalars["center_height"],
     )
@@ -215,7 +241,7 @@ def _radar_from(raw: Mapping[str, Any]) -> RadarSetup:
         model_raw["fov_azimuth"] = math.radians(model_raw.pop("fov_azimuth_deg"))
     if "azimuth_resolution_deg" in model_raw:
         model_raw["azimuth_resolution"] = math.radians(model_raw.pop("azimuth_resolution_deg"))
-    pose = RadarPose(np.asarray(raw["position"], dtype=float), math.radians(scalars["yaw_deg"]))
+    pose = RadarPose(_vector(raw["position"], 3, f"{where}: position"), math.radians(scalars["yaw_deg"]))
     return RadarSetup(scalars["id"], pose, RadarModel(**model_raw))
 
 
@@ -251,7 +277,7 @@ def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentCon
     clock_raw = _section(data, "clock", ("offsets",))
     offsets = _object(clock_raw.get("offsets", {}), "clock.offsets")
     clock = ClockModel(
-        offsets={int(k): _typed(v, float, f"clock.offsets: {k}") for k, v in offsets.items()},
+        offsets={_offset_key(k): _typed(v, float, f"clock.offsets: {k}") for k, v in offsets.items()},
         jitter_std=clock_raw["jitter_std"],
     )
 
@@ -260,7 +286,7 @@ def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentCon
         mode=top["mode"],
         seed=top["seed"],
         n_epochs=top["epochs"],
-        update_period=Fraction(str(data.get("update_period_s", "0.010"))),
+        update_period=_period(data.get("update_period_s", "0.010")),
         grid=grid,
         tau=top["tau"],
         min_separation=top["min_separation"],

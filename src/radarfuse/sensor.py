@@ -3,7 +3,10 @@
 Observation: true scene points are censored by field of view, range and a
 distance/occlusion detection model, then perturbed by sensor noise; spurious
 outlier points are appended. Preprocessing transforms the local cloud to the
-global frame and removes outliers via density clustering.
+global frame and removes outliers via density clustering (DBSCAN). DBSCAN
+finds its neighbour pairs with a k-d tree and labels the connected core
+points by min-label propagation over those pairs, in plain numpy; it needs
+no sparse-graph library.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .scene import Scene
@@ -192,6 +193,14 @@ def dbscan(cloud: PointCloud, eps: float, min_pts: int) -> ClusterResult:
     border point reachable from several clusters joins the cluster of its
     first core neighbor in input order, which makes the result deterministic
     for a given point order.
+
+    Core components are labelled by min-label propagation over the core-core
+    pairs: each round lowers every root to the smallest root across its
+    edges (``np.minimum.at``) and then flattens the forest by pointer
+    jumping, until a round changes nothing. A component's root is then its
+    smallest index, which is its first appearance in input order, so ranking
+    the roots gives cluster ids in input order. Real clouds settle in about
+    three rounds; no ``scipy.sparse`` graph is built.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -210,23 +219,29 @@ def dbscan(cloud: PointCloud, eps: float, min_pts: int) -> ClusterResult:
     if core_idx.size == 0:
         return ClusterResult(labels, 0)
 
-    compact = np.full(n, -1)
-    compact[core_idx] = np.arange(core_idx.size)
-    cc = pairs[core[pairs[:, 0]] & core[pairs[:, 1]]]
-    graph = csr_matrix(
-        (np.ones(len(cc)), (compact[cc[:, 0]], compact[cc[:, 1]])),
-        shape=(core_idx.size, core_idx.size),
-    )
-    _, comp = connected_components(graph, directed=False)
-    # Relabel components by first appearance so cluster ids follow input order.
-    _, first_pos, relabel = np.unique(comp, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first_pos))
-    labels[core_idx] = order[relabel]
-    n_clusters = len(first_pos)
+    cp = core[pairs]  # (e, 2) core flags of each pair's ends
+    a, b = pairs[cp[:, 0] & cp[:, 1]].T  # core-core edges
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        lo = np.minimum(ra, rb)
+        new = root.copy()
+        np.minimum.at(new, ra, lo)
+        np.minimum.at(new, rb, lo)
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, root):
+            break
+        root = new
+    roots, labels[core_idx] = np.unique(root[core_idx], return_inverse=True)
+    n_clusters = len(roots)
 
-    half = core[pairs[:, 0]] ^ core[pairs[:, 1]]  # border-to-core edges
-    border = np.where(core[pairs[half, 0]], pairs[half, 1], pairs[half, 0])
-    anchor = np.where(core[pairs[half, 0]], pairs[half, 0], pairs[half, 1])
+    half = cp[:, 0] ^ cp[:, 1]  # border-to-core edges
+    border = np.where(cp[half, 0], pairs[half, 1], pairs[half, 0])
+    anchor = np.where(cp[half, 0], pairs[half, 0], pairs[half, 1])
     if border.size:
         by_border = np.lexsort((anchor, border))
         uniq, first = np.unique(border[by_border], return_index=True)

@@ -94,6 +94,15 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data.update(area=[0, 8, None, 8]), "area must be a number, got null"),
         (lambda data: data["targets"][0].update(waypoints="DE"), "target 1: waypoints must be a list of landmark names"),
         (lambda data: data.update(topology=5), 'topology must be "full" or a list of [from, to] edges'),
+        (lambda data: data.update(update_period_s=None), "update_period_s must be a decimal string or a number, got null"),
+        (lambda data: data.update(update_period_s=True), "update_period_s must be a decimal string or a number, got true"),
+        (lambda data: data.update(update_period_s="abc"), 'update_period_s must be a decimal string or a number, got "abc"'),
+        (lambda data: data["clock"]["offsets"].update({"x": 0.0}), 'clock.offsets: key "x" must be a radar id'),
+        (lambda data: data["clock"]["offsets"].update({"1.5": 0.0}), 'clock.offsets: key "1.5" must be a radar id'),
+        (lambda data: data["radars"][1].update(position=["a", 0, 0]), 'radar 2: position must be a number, got "a"'),
+        (lambda data: data["targets"][0].update(body_extent="x"), 'target 1: body_extent must be a list of 3 numbers, got "x"'),
+        (lambda data: data["landmarks"].update(C=["a", 1]), 'landmarks: C must be a number, got "a"'),
+        (lambda data: data["radars"][1].update(position=[0, 0]), "radar 2: position must be a list of 3 numbers, got [0, 0]"),
     ],
     ids=[
         "no-radars", "target-without-speed", "no-area", "offset-of-undeployed-radar",
@@ -101,7 +110,9 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         "unknown-clock-key", "two-value-area", "landmark-list", "target-not-an-object",
         "null-tau", "list-seed", "string-kl-reference", "fractional-seed", "fractional-epochs",
         "fractional-m-max", "boolean-min-pts", "string-target-speed", "null-clock-offset", "null-area-bound",
-        "string-waypoints", "number-topology",
+        "string-waypoints", "number-topology", "null-update-period", "boolean-update-period",
+        "string-update-period", "letter-offset-key", "fractional-offset-key", "string-radar-coordinate",
+        "string-body-extent", "string-landmark-coordinate", "two-coordinate-radar-position",
     ],
 )
 def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reason):

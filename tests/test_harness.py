@@ -1,5 +1,6 @@
 import csv
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -395,6 +396,11 @@ def test_config_validation_errors():
     bad["clock"] = {"offsets": {"2": -0.010}}
     with pytest.raises(ConfigError):
         config_from_dict(bad)
+
+
+def test_update_period_is_a_decimal_string_or_a_number():
+    for period in ("0.010", 0.01):
+        assert config_from_dict({**SMALL, "update_period_s": period}).update_period == Fraction(1, 100)
 
 
 def test_builtin_scenarios_load():

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
@@ -129,6 +131,91 @@ def test_log_likelihood_trace_never_steps_down(problem):
                           point_weights=w, max_iters=40, tol=1e-10, return_trace=True)
         steps = np.diff(trace)
         assert np.all(steps >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+LOG_TINY = np.log(np.finfo(float).tiny)
+
+
+@st.composite
+def separated_em_problems(draw):
+    """Two or three components whose neighbouring means lie 30–300 scale
+    lengths apart along x (300 at most end to end), six points per component
+    spread by the component's Cholesky factor, and points between
+    neighbouring start means where the log-ratio of the two components'
+    weighted densities takes a drawn value: down to far below log(tiny), and
+    often near −20, where an E-step cutoff set above log(tiny) would drop
+    responsibilities that the M-step's covariances feel."""
+    m = draw(st.integers(2, 3))
+    scale = draw(st.floats(0.2, 1.0))
+    gaps = draw(hnp.arrays(np.float64, m - 1, elements=st.floats(30.0, 300.0 / (m - 1))))
+    means = np.zeros((m, 3))
+    means[1:, 0] = np.cumsum(gaps) * scale
+    means += draw(hnp.arrays(np.float64, (m, 3), elements=st.floats(-2.0, 2.0)))
+    lower = draw(hnp.arrays(np.float64, (m, 3, 3), elements=st.floats(-0.5, 0.5)))
+    diag = draw(hnp.arrays(np.float64, (m, 3), elements=st.floats(0.5, 1.5)))
+    chol = scale * (np.tril(lower, -1) + diag[:, :, None] * np.eye(3))
+    covs = chol @ chol.transpose(0, 2, 1) + 2 * COV_EIG_FLOOR * np.eye(3)  # unfloored by the fit
+    axes = math.sqrt(3.0) * np.concatenate([np.eye(3), -np.eye(3)])  # mean 0, covariance I
+    points = [mu + axes @ c.T for mu, c in zip(means, chol)]
+    init_means = means + draw(hnp.arrays(np.float64, (m, 3), elements=st.floats(-1.0, 1.0))) * scale
+    weights = draw(hnp.arrays(np.float64, m, elements=st.floats(0.05, 1.0)))
+
+    seg = draw(hnp.arrays(np.int64, draw(st.integers(0, 30)), elements=st.integers(0, m - 2)))
+    ratio = draw(hnp.arrays(np.float64, len(seg), elements=st.one_of(st.floats(15.0, 30.0), st.floats(0.0, 800.0))))
+    ratio *= np.where(draw(hnp.arrays(bool, len(seg))), 1.0, -1.0)
+    delta = init_means[seg + 1] - init_means[seg]
+    prec = np.linalg.inv(covs)
+    a = np.einsum("ki,kij,kj->k", delta, prec[seg], delta)
+    b = np.einsum("ki,kij,kj->k", delta, prec[seg + 1], delta)
+    logdet = np.linalg.slogdet(covs)[1]
+    c = np.log(weights[seg + 1] / weights[seg]) - 0.5 * (logdet[seg + 1] - logdet[seg])
+    lo, hi = np.zeros(len(seg)), np.ones(len(seg))
+    for _ in range(60):  # bisect the log-ratio, which increases along the segment
+        mid = 0.5 * (lo + hi)
+        below = c + 0.5 * a * mid**2 - 0.5 * b * (1.0 - mid) ** 2 < ratio
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    points.append(init_means[seg] + lo[:, None] * delta)
+
+    points = np.concatenate(points)
+    point_weights = draw(hnp.arrays(np.float64, len(points), elements=st.floats(0.01, 5.0)))
+    return points, init_means, covs, weights, point_weights
+
+
+def reference_em_step(points, logp, w):
+    """One EM step from the weighted log-densities ``logp`` (m, n): the
+    log-likelihood of the start and the weights, means and floored
+    covariances after the M-step."""
+    per_point = logsumexp(logp, axis=0)
+    resp = np.exp(logp - per_point) * w
+    nm = resp.sum(axis=1)
+    new_means = resp @ points / nm[:, None]
+    diff = points[None, :, :] - new_means[:, None, :]
+    new_covs = np.einsum("mn,mni,mnj->mij", resp, diff, diff) / nm[:, None, None]
+    vals, vecs = np.linalg.eigh(new_covs)
+    new_covs = np.einsum("mij,mj,mkj->mik", vecs, np.maximum(vals, COV_EIG_FLOOR), vecs)
+    return float(np.dot(w, per_point)), nm / nm.sum(), new_means, new_covs
+
+
+@settings(deadline=None)
+@given(problem=separated_em_problems())
+def test_em_step_with_underflowing_responsibilities(problem):
+    # Responsibilities below the smallest normal double are set to 0 in the
+    # E-step; the log-likelihood and the M-step must not notice.
+    points, means, covs, weights, point_weights = problem
+    logp = np.log(weights / weights.sum())[:, None] + np.array(
+        [multivariate_normal.logpdf(points, mu, cov) for mu, cov in zip(means, covs)]
+    )
+    assume(np.any(logp - logp.max(axis=0) < LOG_TINY))
+    n = len(points)
+    for w in (None, point_weights):
+        ll, ref_weights, ref_means, ref_covs = reference_em_step(points, logp, np.ones(n) if w is None else w * (n / w.sum()))
+        mix, trace = fit_em(points, len(means), means, init_covs=covs, init_weights=weights,
+                            point_weights=w, max_iters=1, return_trace=True)
+        assert abs(trace[0] - ll) <= 1e-9 * max(1.0, abs(ll))
+        assert np.all(np.abs(mix.weights - ref_weights) <= 1e-9 * ref_weights)
+        for mu, ref_mu, cov, ref_cov in zip(mix.means, ref_means, mix.covs, ref_covs):
+            assert np.linalg.norm(mu - ref_mu) <= 1e-9 * max(1.0, np.linalg.norm(ref_mu))
+            assert np.linalg.norm(cov - ref_cov) <= 1e-9 * np.linalg.norm(ref_cov)
 
 
 def test_mixture_arrays_must_agree_in_shape():

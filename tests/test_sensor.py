@@ -239,6 +239,44 @@ def test_matches_brute_force_on_random_instances():
         assert list(res.labels) == expected
 
 
+@st.composite
+def dbscan_clouds(draw):
+    """(points, eps, min_pts) in random input order: a random cloud with
+    duplicated points, a lattice with holes whose neighbours lie exactly eps
+    apart (eps is a power of two, so the ties are exact), or a straight chain
+    of up to 150 points spaced just under eps, whose shuffled labels take
+    several propagation rounds to meet."""
+    kind = draw(st.sampled_from(["duplicates", "lattice", "chain"]))
+    if kind == "duplicates":
+        eps = draw(st.floats(0.1, 1.0))
+        base = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 50), st.just(3)), elements=st.floats(0.0, 2.0)))
+        copies = draw(st.lists(st.integers(0, len(base) - 1), max_size=30))
+        points = np.concatenate([base, base[copies]])
+        min_pts = draw(st.integers(1, 8))
+    elif kind == "lattice":
+        eps = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        cells = np.argwhere(np.ones(draw(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4)))))
+        points = cells[draw(hnp.arrays(bool, len(cells)))] * eps
+        min_pts = draw(st.integers(1, 8))
+    else:
+        eps = draw(st.floats(0.1, 1.0))
+        step = eps * draw(st.floats(0.9, 0.999))
+        points = np.arange(draw(st.integers(2, 150)))[:, None] * step * np.array([0.6, 0.0, 0.8])
+        min_pts = draw(st.integers(1, 3))  # a chain point has at most two neighbours
+    order = draw(st.permutations(range(len(points))))
+    return points[order], eps, min_pts
+
+
+@settings(deadline=None)
+@given(case=dbscan_clouds())
+def test_dbscan_matches_brute_force_oracle(case):
+    points, eps, min_pts = case
+    res = dbscan(cloud_of(points), eps, min_pts)
+    expected, n_clusters = brute_force_dbscan(points, eps, min_pts)
+    assert res.n_clusters == n_clusters
+    assert list(res.labels) == expected
+
+
 def test_membership_is_permutation_invariant():
     rng = np.random.default_rng(10)
     pts = np.concatenate(
