@@ -14,7 +14,9 @@ once. Every component's log-density ``log β − ½(x−μ)'P(x−μ) − ½ log
 is linear in those features, with one (10,) coefficient row per component, so
 an E-step is one (m, 10) @ (10, n) product, and the M-step's weighted counts,
 first and second moments are one (m, n) @ (n, 10) product. Centring keeps the
-expanded quadratic forms free of cancellation between large terms.
+expanded quadratic forms free of cancellation between large terms. The
+precisions and log-determinants come from the ``eigh`` that floors the
+covariances, and no normalized responsibility matrix is built per iteration.
 
 The E-step exponentiates only log-ratios at or above ``log(tiny)``: a
 responsibility that would be subnormal or zero is set to exactly 0. This
@@ -174,56 +176,47 @@ def cluster_moments(
     """Per-cluster mean/covariance/count, optionally keeping the ``keep`` largest.
 
     Ties break toward the smaller cluster label; order is by label among the
-    kept clusters, so the output is deterministic.
+    kept clusters, so the output is deterministic. Counts, sums and ``E[xx']``
+    come from one product of the label indicators with ``fit_em``'s features;
+    ``cov = E[xx'] − μμ'`` loses a few ulps of ``|μ − centre|²`` to
+    cancellation, as in ``fit_em``'s M-step.
     """
-    counts = np.array([int(np.sum(labels == c)) for c in range(n_clusters)])
-    order = sorted(range(n_clusters), key=lambda c: (-counts[c], c))
-    if keep is not None:
-        order = order[:keep]
-    order = sorted(order)
-    means, covs, kept_counts = [], [], []
-    for c in order:
-        member = points[labels == c]
-        means.append(member.mean(axis=0))
-        covs.append(np.cov(member.T, bias=True) if len(member) > 1 else np.zeros((3, 3)))
-        kept_counts.append(len(member))
-    covs = _floor_covs(np.array(covs).reshape(-1, 3, 3), COV_EIG_FLOOR, each=True)
-    return np.array(means), covs, np.array(kept_counts, dtype=float)
+    feats, centre = _quad_features(points)
+    moments = (labels == np.arange(n_clusters)[:, None]) @ feats.T  # (k, 10)
+    order = np.argsort(-moments[:, 0], kind="stable")  # stable: ties keep the smaller label
+    moments = moments[np.sort(order[:keep])]
+    counts = moments[:, 0]
+    moments = moments / counts[:, None]
+    means = moments[:, 1:4]
+    covs = moments[:, _SECOND_MOMENTS] - means[:, :, None] * means[:, None, :]
+    covs, _, _ = _floor_eigh(covs, COV_EIG_FLOOR, each=True)
+    return means + centre, covs, counts
 
 
-def _floor_covs(covs: np.ndarray, floor: float, each: bool = False) -> np.ndarray:
+def _quad_features(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (10, n) centred quadratic features of the points, and their centre."""
+    centre = points.mean(axis=0)
+    x, y, z = (points - centre).T
+    return np.stack([np.ones(len(points)), x, y, z, x * x, y * y, z * z, x * y, x * z, y * z]), centre
+
+
+def _floor_eigh(covs: np.ndarray, floor: float, each: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetrize a (m, 3, 3) stack and clip eigenvalues from below.
 
     When any matrix is below the floor the whole stack is rebuilt from its
-    eigendecomposition; with ``each`` only the matrices below it are.
+    eigendecomposition; with ``each`` only the matrices below it are. Also
+    returns the precisions ``V diag(1/λ) Vᵀ`` and log-determinants ``Σ log λ``.
     """
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     vals, vecs = np.linalg.eigh(covs)
     low = ~(vals[:, 0] >= floor)
-    if not low.any():
-        return covs
-    if not each:
-        low[:] = True
-    covs[low] = np.einsum("mij,mj,mkj->mik", vecs[low], np.maximum(vals[low], floor), vecs[low])
-    return covs
-
-
-def _inv_logdet(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form inverses and log-determinants of a (m, 3, 3) SPD stack."""
-    c = covs
-    cof00 = c[:, 1, 1] * c[:, 2, 2] - c[:, 1, 2] * c[:, 2, 1]
-    cof01 = c[:, 1, 2] * c[:, 2, 0] - c[:, 1, 0] * c[:, 2, 2]
-    cof02 = c[:, 1, 0] * c[:, 2, 1] - c[:, 1, 1] * c[:, 2, 0]
-    det = c[:, 0, 0] * cof00 + c[:, 0, 1] * cof01 + c[:, 0, 2] * cof02
-    inv = np.empty_like(c)
-    inv[:, 0, 0] = cof00
-    inv[:, 1, 1] = c[:, 0, 0] * c[:, 2, 2] - c[:, 0, 2] * c[:, 2, 0]
-    inv[:, 2, 2] = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
-    inv[:, 0, 1] = inv[:, 1, 0] = c[:, 0, 2] * c[:, 2, 1] - c[:, 0, 1] * c[:, 2, 2]
-    inv[:, 0, 2] = inv[:, 2, 0] = c[:, 0, 1] * c[:, 1, 2] - c[:, 0, 2] * c[:, 1, 1]
-    inv[:, 1, 2] = inv[:, 2, 1] = c[:, 0, 2] * c[:, 1, 0] - c[:, 0, 0] * c[:, 1, 2]
-    inv /= det[:, None, None]
-    return inv, np.log(det)
+    if low.any():
+        if not each:
+            low[:] = True
+        vals[low] = np.maximum(vals[low], floor)
+        covs[low] = np.einsum("mij,mj,mkj->mik", vecs[low], vals[low], vecs[low])
+    prec = (vecs / vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return covs, prec, np.log(vals).sum(axis=1)
 
 
 def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
@@ -262,21 +255,21 @@ def fit_em(
     responsibilities so they sum exactly to the number of points.
 
     Each iteration is two small matrix products over the centred quadratic
-    features (see the module docstring): the E-step evaluates every
-    component's log-density as ``coef @ feats`` and normalizes with one
-    ``exp``; the M-step takes counts, means and ``E[xx']`` from
-    ``(resp * w) @ feats.T`` and sets ``cov = E[xx'] − μμ'``. Means are
-    kept centred during the fit and shifted back on return.
+    features (see the module docstring) and one ``eigh``: the E-step takes
+    ``e = exp(coef @ feats − max)`` and its column sums ``s``; the M-step
+    takes counts, means and ``E[xx']`` from ``(e * (w / s)) @ feats.T``, sets
+    ``cov = E[xx'] − μμ'`` and floors it, and the floor's ``eigh`` gives the
+    next E-step its precisions and log-determinants. Means are kept centred
+    during the fit and shifted back on return.
 
     The E-step sets to exactly 0 every ``exp(log p − max)`` below ``tiny``
     (the smallest normal double) instead of computing a subnormal or zero.
-    That is exact: the top component of each point contributes 1 to the
-    normalizer, so adding a value below 2⁻¹⁰²² changes no bit of it, of the
-    log-likelihood or of any normal responsibility. A component whose
-    responsibilities all lie below ``tiny`` has a weighted count under
-    1e-12 either way and takes the same dead-component branch, and in a live
-    component's M-step sums the dropped terms are absorbed by the normal
-    ones.
+    That is exact: the top component of each point contributes 1 to ``s``,
+    so adding a value below 2⁻¹⁰²² changes no bit of it or of the
+    log-likelihood. A dropped ``e * (w / s)`` entry would lie below
+    ``tiny · w``: a component whose entries all lie there has a weighted
+    count under 1e-12 either way and takes the same dead-component branch,
+    and in a live component's sums the dropped terms are absorbed.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
@@ -295,7 +288,7 @@ def fit_em(
     else:
         base = np.cov(points.T, bias=True) if n > 1 else np.zeros((3, 3))
         covs = np.tile(base, (m, 1, 1))
-    covs = _floor_covs(covs, cov_floor, each=True)
+    covs, prec, logdet = _floor_eigh(covs, cov_floor, each=True)
     if init_weights is not None:
         beta = np.asarray(init_weights, dtype=float)[:m].copy()
         beta = beta / beta.sum() if beta.sum() > 0 else np.full(m, 1.0 / m)
@@ -310,66 +303,65 @@ def fit_em(
 
     # Work in coordinates centred on the points' mean, so the expanded
     # quadratic forms below cancel no large terms.
-    centre = points.mean(axis=0)
+    feats, centre = _quad_features(points)
     means = means - centre
-    x, y, z = (points - centre).T
-    feats = np.stack([np.ones(n), x, y, z, x * x, y * y, z * z, x * y, x * z, y * z])  # (10, n)
 
-    def e_step(beta, means, covs):
-        inv, logdet = _inv_logdet(covs)
-        p_mu = np.einsum("mij,mj->mi", inv, means)
+    def e_step(beta, means, prec, logdet):
+        p_mu = np.einsum("mij,mj->mi", prec, means)
         coef = np.empty((len(means), 10))
         coef[:, 0] = np.log(np.maximum(beta, 1e-300)) - 0.5 * (
             np.einsum("mi,mi->m", p_mu, means) + logdet + 3 * _LOG_2PI
         )
         coef[:, 1:4] = p_mu
-        coef[:, 4:] = inv.reshape(-1, 9)[:, _QUAD_ENTRIES] * _QUAD_SCALE
+        coef[:, 4:] = prec.reshape(-1, 9)[:, _QUAD_ENTRIES] * _QUAD_SCALE
         logp = coef @ feats  # (m, n) log(beta_j N(x_i; mu_j, cov_j))
         top = logp.max(axis=0)
         d = np.subtract(logp, top, out=logp)
         e = np.exp(d, out=np.zeros_like(d), where=d >= _LOG_TINY)
         s = e.sum(axis=0)
-        return float(np.dot(w, top + np.log(s))), e / s
+        return float(np.dot(w, top + np.log(s))), e, s
 
     trace: list[float] = []
     prev_ll = -np.inf
-    prev = (beta, means, covs)
+    prev = (beta, means, covs, prec, logdet)
     stale_resp = False
-    ll, resp = e_step(beta, means, covs)
+    ll, e, s = e_step(beta, means, prec, logdet)
     for _ in range(max_iters):
         if ll < prev_ll - 1e-12 * max(1.0, abs(prev_ll)):
-            beta, means, covs = prev  # floored M-step overshot; keep the last good fit
+            beta, means, covs, prec, logdet = prev  # floored M-step overshot; keep the last good fit
             stale_resp = True
             break
         trace.append(ll)
         if ll - prev_ll < tol * max(1.0, abs(ll)):
             break
         prev_ll = ll
-        prev = (beta.copy(), means.copy(), covs.copy())
+        prev = (beta, means, covs, prec, logdet)
 
-        moments = (resp * w) @ feats.T  # (m, 10) weighted sums of the features
+        moments = (e * (w / s)) @ feats.T  # (m, 10) weighted sums of the features
         nm = moments[:, 0]
         alive = nm > 1e-12
         moments = moments / np.where(alive, nm, 1.0)[:, None]
         new_means = moments[:, 1:4]
         new_covs = moments[:, _SECOND_MOMENTS] - new_means[:, :, None] * new_means[:, None, :]
-        new_covs = _floor_covs(new_covs, cov_floor)
+        new_covs, new_prec, new_logdet = _floor_eigh(new_covs, cov_floor)
         dead = ~alive
         if dead.any():
             new_means[dead] = means[dead]
             new_covs[dead] = covs[dead]
+            new_prec[dead] = prec[dead]
+            new_logdet[dead] = logdet[dead]
         beta = np.where(alive, nm, 0.0)
         beta = beta / beta.sum() if beta.sum() > 0 else np.full(m, 1.0 / m)
-        means, covs = new_means, new_covs
-        ll, resp = e_step(beta, means, covs)
+        means, covs, prec, logdet = new_means, new_covs, new_prec, new_logdet
+        ll, e, s = e_step(beta, means, prec, logdet)
 
     if __debug__ and trace:
         steps = np.diff(trace)
         assert np.all(steps >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1]))), "EM log-likelihood decreased"
 
     if stale_resp:
-        _, resp = e_step(beta, means, covs)
-    mixture = GaussianMixture(beta, means + centre, covs, _apportion(resp.sum(axis=1), n))
+        _, e, s = e_step(beta, means, prec, logdet)
+    mixture = GaussianMixture(beta, means + centre, covs, _apportion((e / s).sum(axis=1), n))
     return (mixture, trace) if return_trace else mixture
 
 

@@ -200,7 +200,8 @@ def dbscan(cloud: PointCloud, eps: float, min_pts: int) -> ClusterResult:
     jumping, until a round changes nothing. A component's root is then its
     smallest index, which is its first appearance in input order, so ranking
     the roots gives cluster ids in input order. Real clouds settle in about
-    three rounds; no ``scipy.sparse`` graph is built.
+    three rounds; no ``scipy.sparse`` graph is built. Everything is taken by
+    1-D indexing of the pairs' two columns, not by masking (e, 2) rows.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -219,8 +220,10 @@ def dbscan(cloud: PointCloud, eps: float, min_pts: int) -> ClusterResult:
     if core_idx.size == 0:
         return ClusterResult(labels, 0)
 
-    cp = core[pairs]  # (e, 2) core flags of each pair's ends
-    a, b = pairs[cp[:, 0] & cp[:, 1]].T  # core-core edges
+    i, j = pairs.T
+    ci, cj = core[i], core[j]  # core flags of each pair's ends
+    both = ci & cj
+    a, b = i[both], j[both]  # core-core edges
     root = np.arange(n)
     while True:
         ra, rb = root[a], root[b]
@@ -239,9 +242,10 @@ def dbscan(cloud: PointCloud, eps: float, min_pts: int) -> ClusterResult:
     roots, labels[core_idx] = np.unique(root[core_idx], return_inverse=True)
     n_clusters = len(roots)
 
-    half = cp[:, 0] ^ cp[:, 1]  # border-to-core edges
-    border = np.where(cp[half, 0], pairs[half, 1], pairs[half, 0])
-    anchor = np.where(cp[half, 0], pairs[half, 0], pairs[half, 1])
+    half = ci ^ cj  # border-to-core edges
+    hi, hj, hci = i[half], j[half], ci[half]
+    border = np.where(hci, hj, hi)
+    anchor = np.where(hci, hi, hj)
     if border.size:
         by_border = np.lexsort((anchor, border))
         uniq, first = np.unique(border[by_border], return_index=True)

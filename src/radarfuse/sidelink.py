@@ -227,7 +227,7 @@ def deliver(
 def message_values(msg: Message) -> list[float]:
     """Canonical flat payload: the exact 64-bit values on the wire."""
     if isinstance(msg, CoopMessage):
-        return [float(v) for v in msg.points.ravel()]
+        return msg.points.ravel().tolist()
     mix = msg.mixture
     m = mix.n_components
     table = np.column_stack([mix.weights, mix.means, mix.covs.reshape(m, 9), mix.counts])

@@ -7,11 +7,13 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from radarfuse import mixture
 from radarfuse.mixture import (
     COV_EIG_FLOOR,
     DensityGrid,
     GaussianMixture,
     GridSpec,
+    _floor_eigh,
     choose_components,
     cluster_moments,
     eval_on_grid,
@@ -218,6 +220,78 @@ def test_em_step_with_underflowing_responsibilities(problem):
             assert np.linalg.norm(cov - ref_cov) <= 1e-9 * np.linalg.norm(ref_cov)
 
 
+@st.composite
+def covariance_stacks(draw):
+    """1..6 symmetric positive-definite 3x3 matrices with eigenvalues from
+    1e-4 to 2 m² (so the floor engages in some and not in others) along
+    random orthonormal axes."""
+    m = draw(st.integers(1, 6))
+    vals = 10.0 ** draw(hnp.arrays(np.float64, (m, 3), elements=st.floats(-4.0, 0.3)))
+    raw = draw(hnp.arrays(np.float64, (m, 3, 3), elements=st.floats(-1.0, 1.0)))
+    axes = np.linalg.qr(raw + 3.0 * np.eye(3))[0]
+    return np.einsum("mij,mj,mkj->mik", axes, vals, axes)
+
+
+@settings(deadline=None)
+@given(covs=covariance_stacks(), each=st.booleans())
+def test_floor_eigh_returns_the_precisions_and_log_determinants_of_its_stack(covs, each):
+    floored, prec, logdet = _floor_eigh(covs, COV_EIG_FLOOR, each=each)
+    sym = 0.5 * (covs + covs.transpose(0, 2, 1))
+    low = np.linalg.eigvalsh(sym)[:, 0] < COV_EIG_FLOOR
+    for cov, p, ld, was_low, start in zip(floored, prec, logdet, low, sym):
+        assert np.linalg.eigvalsh(cov)[0] >= COV_EIG_FLOOR * (1 - 1e-12)
+        if each and not was_low:
+            assert np.array_equal(cov, start)
+        inv = np.linalg.inv(cov)
+        assert np.linalg.norm(p - inv) <= 1e-12 * np.linalg.norm(inv)
+        ref = np.linalg.slogdet(cov)[1]
+        assert abs(ld - ref) <= 1e-12 * max(1.0, abs(ref))
+    if not low.any():
+        assert np.array_equal(floored, sym)
+
+
+def test_component_far_from_every_point_keeps_its_start():
+    # 64 points on a 1/64 m lattice: every sum, the mean and every shift by
+    # it are exact, so the dead component's start comes back bit for bit.
+    pts = np.array([2.0, 3.0, 1.0]) + np.random.default_rng(8).integers(-20, 21, (64, 3)) / 64.0
+    assert np.array_equal(pts.mean(axis=0), pts.sum(axis=0) / 64)
+    init = np.array([pts.mean(axis=0), [1002.0, 3.0, 1.0]])
+    covs = np.array([iso_cov(0.5), np.diag([0.25, 0.5, 0.125])])
+    mix = fit_em(pts, 2, init, init_covs=covs)
+    assert mix.weights[1] == 0.0 and mix.counts[1] == 0 and mix.counts[0] == 64
+    assert np.array_equal(mix.means[1], init[1])
+    assert np.array_equal(mix.covs[1], covs[1])
+    alone = fit_em(pts, 1, init[:1], init_covs=covs[:1])
+    assert np.allclose(mix.means[0], alone.means[0], rtol=1e-12, atol=0)
+    assert np.allclose(mix.covs[0], alone.covs[0], rtol=1e-12, atol=1e-15)
+
+
+def test_em_reverts_an_m_step_that_lowers_the_log_likelihood(monkeypatch):
+    # No fit in the shipped scenarios reverts: clipping eigenvalues is the
+    # exact M-step under the floor, so EM stays monotone. Inflating the
+    # second M-step's covariances forces the fallback.
+    rng = np.random.default_rng(9)
+    pts = np.concatenate([rng.normal([1, 1, 1], 0.2, (60, 3)), rng.normal([3, 1, 1], 0.3, (40, 3))])
+    init = np.array([[1.5, 1.2, 1.0], [2.5, 0.8, 1.0]])
+    good, good_trace = fit_em(pts, 2, init, max_iters=1, return_trace=True)
+
+    floor_eigh = mixture._floor_eigh
+    m_steps = []
+
+    def overshooting(covs, floor, each=False):
+        if not each:
+            m_steps.append(covs)
+            if len(m_steps) == 2:
+                covs = 100.0 * covs
+        return floor_eigh(covs, floor, each)
+
+    monkeypatch.setattr(mixture, "_floor_eigh", overshooting)
+    mix, trace = fit_em(pts, 2, init, return_trace=True)
+    assert len(m_steps) == 2 and trace[:1] == good_trace and len(trace) == 2
+    for name in ("weights", "means", "covs", "counts"):
+        assert np.array_equal(getattr(mix, name), getattr(good, name)), name
+
+
 def test_mixture_arrays_must_agree_in_shape():
     mix = GaussianMixture([0.25, 0.75], np.zeros((2, 3)), [iso_cov(1.0)] * 2, [3, 4])
     assert mix.n_components == 2 and mix.total_points == 7 and mix.counts.dtype.kind == "i"
@@ -268,6 +342,49 @@ def test_cluster_moments_keeps_largest():
     means, covs, counts = cluster_moments(pts, labels, 3, keep=2)
     assert len(means) == 2
     assert set(counts) == {30.0, 20.0}
+
+
+@st.composite
+def labelled_clouds(draw):
+    """k = 1..8 clusters of 1..5 points (so counts often tie, and singletons
+    occur), centred anywhere in an 8 m cube (room scale) placed up to 10 m
+    from the origin, each spread by its own scale of 0.01..1 m; the points
+    come in a random order. ``keep`` is None or below k."""
+    k = draw(st.integers(1, 8))
+    sizes = draw(hnp.arrays(np.int64, k, elements=st.integers(1, 5)))
+    origin = draw(hnp.arrays(np.float64, 3, elements=st.floats(-10.0, 10.0)))
+    offsets = draw(hnp.arrays(np.float64, (k, 3), elements=st.floats(-4.0, 4.0)))
+    scales = draw(hnp.arrays(np.float64, k, elements=st.floats(0.01, 1.0)))
+    jitter = draw(hnp.arrays(np.float64, (int(sizes.sum()), 3), elements=st.floats(-1.0, 1.0)))
+    labels = np.repeat(np.arange(k), sizes)
+    points = origin + offsets[labels] + scales[labels][:, None] * jitter
+    order = np.array(draw(st.permutations(range(len(points)))))
+    keep = draw(st.one_of(st.none(), st.integers(1, max(k - 1, 1))))
+    return points[order], labels[order], k, keep
+
+
+@settings(deadline=None)
+@given(cloud=labelled_clouds())
+def test_cluster_moments_match_per_cluster_reference(cloud):
+    points, labels, k, keep = cloud
+    counts = np.bincount(labels, minlength=k)
+    kept = sorted(sorted(range(k), key=lambda c: (-counts[c], c))[:keep])
+    means, covs, got_counts = cluster_moments(points, labels, k, keep=keep)
+    assert got_counts.tolist() == [float(counts[c]) for c in kept]
+    centre = points.mean(axis=0)
+    scale = np.abs(points).max()  # means are shifted back from the centred frame
+    for c, mu, cov in zip(kept, means, covs):
+        member = points[labels == c]
+        ref_mu = member.mean(axis=0)
+        ref_cov = np.cov(member.T, bias=True) if len(member) > 1 else np.zeros((3, 3))
+        vals, vecs = np.linalg.eigh(ref_cov)
+        if vals[0] < COV_EIG_FLOOR:
+            ref_cov = vecs @ np.diag(np.maximum(vals, COV_EIG_FLOOR)) @ vecs.T
+        assert np.linalg.norm(mu - ref_mu) <= 1e-12 * scale
+        # E[xx'] - mu mu' in coordinates centred on the cloud's mean loses a
+        # few ulps of |mu - centre|^2 to cancellation.
+        cancellation = 8 * np.finfo(float).eps * np.sum((ref_mu - centre) ** 2)
+        assert np.linalg.norm(cov - ref_cov) <= 1e-12 * np.linalg.norm(ref_cov) + cancellation
 
 
 # ----------------------------------------------------------- eval_on_grid
