@@ -49,9 +49,8 @@ from .sensor import (
 )
 from .sidelink import (
     ClockModel,
-    CoopMessage,
-    FedMessage,
     LinkStats,
+    Message,
     Topology,
     account,
     decode_coop,

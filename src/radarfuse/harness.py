@@ -12,13 +12,13 @@ one posterior grid per radar:
   the received ones.
 
 A step sends through ``exchange(outbox) -> inboxes``, which charges, logs
-and delivers one epoch's messages over the simulated sidelink. The runner
-keeps the epoch loop, the link and the records: it extracts target
-estimates from the posterior grids, and ``reconstruct_scene`` builds each
-radar's next support from its posterior and fresh likelihood. In federation
-mode an observer can additionally run a pooled-cloud reference posterior per
-neighbourhood to sample divergences against; it never touches the sidelink
-accounting.
+and delivers one epoch's messages over the simulated sidelink; receivers
+decode the delivered payloads. The runner keeps the epoch loop, the link
+and the records: it extracts target estimates from the posterior grids,
+and ``reconstruct_scene`` builds each radar's next support from its
+posterior and fresh likelihood. In federation mode an observer can
+additionally run a pooled-cloud reference posterior per neighbourhood to
+sample divergences against; it never touches the sidelink accounting.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .sidelink import (
     OutboxHistory,
     account,
     account_delivery,
+    account_undelivered,
     decode_coop,
     decode_fed,
     deliver,
@@ -318,6 +319,11 @@ def run_experiment(
             log_fh.close()
 
     stats.epochs = cfg.n_epochs
+    # In flight at the end: what the epochs after the last would deliver.
+    for epoch in range(cfg.n_epochs + 1, cfg.n_epochs + 1 + history.depth):
+        for k, msgs in deliver(cfg.topology, history, epoch, cfg.clock, cfg.dt).items():
+            for msg in msgs:
+                account_undelivered(stats, msg, k)
     return records, summarize(records, cfg, stats)
 
 

@@ -1,11 +1,13 @@
 """Simulated radar-to-radar sidelink.
 
-Messages carry either preprocessed point clouds (cooperation) or mixture
-parameters (federation), with every numeric value quantized to 64 bits.
-Bandwidth accounting counts the quantized payload only; transport framing is
-not part of the overhead figure. Delivery is lossless and instantaneous,
-with per-radar clock offsets rounded to whole update periods so a one-period
-offset delivers the sender's previous-epoch content.
+A ``Message`` is its wire payload: the 64-bit values of a preprocessed point
+cloud (cooperation) or of mixture parameters (federation). The link charges,
+delivers and logs those values, and one decoder per kind reads them for
+live receivers and replay logs alike. Bandwidth accounting counts the
+payload only; transport framing is not part of the overhead figure. Delivery
+is lossless and instantaneous, with per-radar clock offsets rounded to whole
+update periods so a one-period offset delivers the sender's previous-epoch
+content.
 """
 
 from __future__ import annotations
@@ -55,38 +57,24 @@ class Topology:
         return tuple(h for h, dst in self.edges if dst == k)
 
 
-@dataclass(frozen=True)
-class CoopMessage:
-    """Raw point-cloud payload: 3 coordinates x 64 bits per point."""
+@dataclass(frozen=True, eq=False)
+class Message:
+    """One broadcast; ``values`` are the exact 64-bit values on the wire: a
+    coop cloud's points, 3 coordinates each, or a fed mixture's point total,
+    component count, then 14 values per component."""
 
     sender: int
     epoch: int
-    points: np.ndarray  # (n, 3) float64
-
-    @property
-    def payload_bits(self) -> int:
-        return 3 * BITS_PER_VALUE * len(self.points)
-
-
-@dataclass(frozen=True)
-class FedMessage:
-    """Mixture-parameter payload: point total, component count, then 14
-    values per component."""
-
-    sender: int
-    epoch: int
-    mixture: GaussianMixture
+    kind: str  # COOP_KIND or FED_KIND
+    values: np.ndarray  # (n,) float64
 
     @property
     def value_count(self) -> int:
-        return 2 + FED_VALUES_PER_COMPONENT * self.mixture.n_components
+        return len(self.values)
 
     @property
     def payload_bits(self) -> int:
-        return BITS_PER_VALUE * self.value_count
-
-
-Message = CoopMessage | FedMessage
+        return BITS_PER_VALUE * len(self.values)
 
 
 @dataclass(frozen=True)
@@ -106,27 +94,46 @@ class ClockModel:
         return int(round(self.offsets.get(radar, 0.0) / update_period))
 
 
-def encode_coop(cloud: PointCloud) -> CoopMessage:
+def encode_coop(cloud: PointCloud) -> Message:
     if cloud.frame != GLOBAL:
         raise ValueError("only global-frame clouds are exchanged")
-    return CoopMessage(cloud.radar_id, cloud.epoch, np.asarray(cloud.points, dtype=np.float64).copy())
+    return Message(cloud.radar_id, cloud.epoch, COOP_KIND, np.array(cloud.points, dtype=np.float64).ravel())
 
 
-def decode_coop(msg: CoopMessage) -> PointCloud:
-    return PointCloud(GLOBAL, msg.points.copy(), msg.epoch, msg.sender)
+def decode_coop(msg: Message) -> PointCloud:
+    """The global-frame cloud of a coop payload; a malformed payload raises ValueError."""
+    if len(msg.values) % 3:
+        raise ValueError(f"coop payload of {len(msg.values)} values is not a list of 3D points")
+    return PointCloud(GLOBAL, msg.values.reshape(-1, 3).copy(), msg.epoch, msg.sender)
 
 
-def encode_fed(mixture: GaussianMixture, sender: int, epoch: int) -> FedMessage:
+def encode_fed(mixture: GaussianMixture, sender: int, epoch: int) -> Message:
     """Refuses mixtures whose covariances are not positive-definite."""
     try:
         np.linalg.cholesky(mixture.covs)
     except np.linalg.LinAlgError:
         raise ValueError("mixture has a non positive-definite covariance") from None
-    return FedMessage(sender, epoch, mixture)
+    m = mixture.n_components
+    table = np.column_stack([mixture.weights, mixture.means, mixture.covs.reshape(m, 9), mixture.counts])
+    return Message(sender, epoch, FED_KIND, np.concatenate([[float(mixture.total_points), float(m)], table.ravel()]))
 
 
-def decode_fed(msg: FedMessage) -> GaussianMixture:
-    return msg.mixture
+def decode_fed(msg: Message) -> GaussianMixture:
+    """The mixture of a fed payload; a malformed payload raises ValueError."""
+    values = msg.values
+    if len(values) < 2 or not values[1].is_integer() or values[1] < 0:
+        raise ValueError("fed payload must start with the point total and a non-negative component count")
+    m = int(values[1])
+    if len(values) != 2 + FED_VALUES_PER_COMPONENT * m:
+        raise ValueError(f"fed payload of {len(values)} values does not hold {m} components")
+    table = values[2:].reshape(m, FED_VALUES_PER_COMPONENT)
+    counts = table[:, 13]
+    # NaN fails every comparison; the upper bound keeps the integer cast exact.
+    if not np.all((counts >= 0) & (counts <= 2.0**53) & (np.floor(counts) == counts)):
+        raise ValueError("component point counts must be non-negative integers below 2**53")
+    if values[0] != counts.sum():
+        raise ValueError(f"point total {values[0]} differs from the sum of the component counts")
+    return GaussianMixture(table[:, 0].copy(), table[:, 1:4].copy(), table[:, 4:13].reshape(m, 3, 3).copy(), counts)
 
 
 @dataclass
@@ -135,17 +142,19 @@ class LinkStats:
 
     ``tx_bits`` counts each radar's broadcast payload once per message (the
     sidelink is a shared medium); ``link_bits`` additionally tracks per-edge
-    deliveries. Rates divide by elapsed time = epochs x update period, kept
-    as exact fractions until display.
+    deliveries and ``undelivered_bits`` what each edge had in flight when the
+    run ended. Rates divide by elapsed time = epochs x update period, kept as
+    exact fractions until display.
     """
 
     update_period: Fraction
     epochs: int = 0
     tx_bits: dict[int, int] = field(default_factory=dict)
-    tx_msgs: dict[int, int] = field(default_factory=dict)
     rx_bits: dict[int, int] = field(default_factory=dict)
     link_bits: dict[tuple[int, int], int] = field(default_factory=dict)
     link_msgs: dict[tuple[int, int], int] = field(default_factory=dict)
+    undelivered_bits: dict[tuple[int, int], int] = field(default_factory=dict)
+    undelivered_msgs: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def tx_rate(self, radar: int) -> Fraction:
         """Transmitted payload bits per second for one radar."""
@@ -157,7 +166,6 @@ class LinkStats:
 def account(stats: LinkStats, msg: Message) -> LinkStats:
     """Charge one transmitted message to its sender's cumulative payload."""
     stats.tx_bits[msg.sender] = stats.tx_bits.get(msg.sender, 0) + msg.payload_bits
-    stats.tx_msgs[msg.sender] = stats.tx_msgs.get(msg.sender, 0) + 1
     return stats
 
 
@@ -166,6 +174,14 @@ def account_delivery(stats: LinkStats, msg: Message, receiver: int) -> LinkStats
     stats.link_bits[link] = stats.link_bits.get(link, 0) + msg.payload_bits
     stats.link_msgs[link] = stats.link_msgs.get(link, 0) + 1
     stats.rx_bits[receiver] = stats.rx_bits.get(receiver, 0) + msg.payload_bits
+    return stats
+
+
+def account_undelivered(stats: LinkStats, msg: Message, receiver: int) -> LinkStats:
+    """Charge a message still in flight to ``receiver`` when the run ends."""
+    link = (msg.sender, receiver)
+    stats.undelivered_bits[link] = stats.undelivered_bits.get(link, 0) + msg.payload_bits
+    stats.undelivered_msgs[link] = stats.undelivered_msgs.get(link, 0) + 1
     return stats
 
 
@@ -188,12 +204,12 @@ class OutboxHistory:
 
 def _jittered(msg: Message, noise_std: float, rng: np.random.Generator) -> Message:
     """Extra position noise from sub-period clock jitter on moving content."""
-    if isinstance(msg, CoopMessage):
-        points = msg.points + rng.normal(0.0, noise_std, msg.points.shape)
-        return CoopMessage(msg.sender, msg.epoch, points)
-    mix = msg.mixture
+    if msg.kind == COOP_KIND:
+        noise = rng.normal(0.0, noise_std, (len(msg.values) // 3, 3))
+        return replace(msg, values=msg.values + noise.ravel())
+    mix = decode_fed(msg)
     means = mix.means + rng.normal(0.0, noise_std, mix.means.shape)
-    return FedMessage(msg.sender, msg.epoch, replace(mix, means=means))
+    return encode_fed(replace(mix, means=means), msg.sender, msg.epoch)
 
 
 def deliver(
@@ -224,38 +240,6 @@ def deliver(
     return inboxes
 
 
-def message_values(msg: Message) -> list[float]:
-    """Canonical flat payload: the exact 64-bit values on the wire."""
-    if isinstance(msg, CoopMessage):
-        return msg.points.ravel().tolist()
-    mix = msg.mixture
-    m = mix.n_components
-    table = np.column_stack([mix.weights, mix.means, mix.covs.reshape(m, 9), mix.counts])
-    return [float(mix.total_points), float(m), *table.ravel().tolist()]
-
-
-def message_from_values(sender: int, epoch: int, kind: str, values: Sequence[float]) -> Message:
-    """Message from its flat payload; a malformed payload raises ValueError."""
-    values = np.asarray(values, dtype=np.float64)
-    if kind == COOP_KIND:
-        return CoopMessage(sender, epoch, values.reshape(-1, 3))
-    if kind != FED_KIND:
-        raise ValueError(f"unknown message kind {kind!r}")
-    if len(values) < 2 or not values[1].is_integer() or values[1] < 0:
-        raise ValueError("fed payload must start with the point total and a non-negative component count")
-    m = int(values[1])
-    if len(values) != 2 + FED_VALUES_PER_COMPONENT * m:
-        raise ValueError(f"fed payload of {len(values)} values does not hold {m} components")
-    table = values[2:].reshape(m, FED_VALUES_PER_COMPONENT)
-    counts = table[:, 13]
-    if not all(c.is_integer() and c >= 0 for c in counts):
-        raise ValueError("component point counts must be non-negative integers")
-    if values[0] != counts.sum():
-        raise ValueError(f"point total {values[0]} differs from the sum of the component counts")
-    mixture = GaussianMixture(table[:, 0], table[:, 1:4], table[:, 4:13].reshape(m, 3, 3), counts)
-    return FedMessage(sender, epoch, mixture)
-
-
 def write_replay(messages: Iterable[Message], fh) -> None:
     """Append messages to an open text stream, one JSON object per line.
 
@@ -263,21 +247,29 @@ def write_replay(messages: Iterable[Message], fh) -> None:
     the numeric payload survives the text format bit-exactly.
     """
     for msg in messages:
-        kind = COOP_KIND if isinstance(msg, CoopMessage) else FED_KIND
-        record = {"sender": msg.sender, "epoch": msg.epoch, "kind": kind, "values": message_values(msg)}
+        record = {"sender": msg.sender, "epoch": msg.epoch, "kind": msg.kind, "values": msg.values.tolist()}
         fh.write(json.dumps(record) + "\n")
 
 
 def read_replay(path) -> list[Message]:
-    """Messages of a replay log; a malformed record raises ValueError naming its line."""
+    """Messages of a replay log, each checked by the decoder for its kind; a
+    malformed record raises ValueError naming its line."""
     messages = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
             try:
-                messages.append(message_from_values(rec["sender"], rec["epoch"], rec["kind"], rec["values"]))
+                rec = json.loads(line)
+                decode = {COOP_KIND: decode_coop, FED_KIND: decode_fed}.get(rec["kind"])
+                if decode is None:
+                    raise ValueError(f"unknown message kind {rec['kind']!r}")
+                values = np.asarray(rec["values"], dtype=np.float64)
+                if values.ndim != 1:
+                    raise ValueError("values must be a flat list of numbers")
+                msg = Message(rec["sender"], rec["epoch"], rec["kind"], values)
+                decode(msg)
+                messages.append(msg)
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from None
     return messages

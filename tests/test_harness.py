@@ -19,7 +19,7 @@ from radarfuse.harness import (
     run_sweep,
     unresolved_probability,
 )
-from radarfuse.sidelink import read_replay
+from radarfuse.sidelink import decode_coop, decode_fed, read_replay
 
 SMALL = {
     "name": "small",
@@ -165,20 +165,30 @@ def test_clock_offset_uses_previous_epoch_content():
 
 
 def test_long_clock_offset_is_delivered(monkeypatch):
-    # 170 ms is 17 update periods: radar 2's first message arrives at epoch 18.
+    # 170 ms is 17 update periods: radar 2's first message arrives at epoch 18,
+    # and its last 17 are still in flight when the run ends.
     data = dict(SMALL)
     data["clock"] = {"offsets": {"1": 0.0, "2": 0.170, "3": 0.0}, "jitter_std": 0.0}
     cfg = config_from_dict(data, epochs=20, kl_reference=False)
-    delivered = []
-    account_delivery = harness.account_delivery
+    delivered, summarized = [], []
+    account_delivery, summarize = harness.account_delivery, harness.summarize
 
     def spy(stats, msg, receiver):
         delivered.append((msg.sender, msg.epoch, receiver))
         return account_delivery(stats, msg, receiver)
 
+    def spy_summarize(records, cfg, stats):
+        summarized.append(stats)
+        return summarize(records, cfg, stats)
+
     monkeypatch.setattr(harness, "account_delivery", spy)
-    run_experiment(cfg)
+    monkeypatch.setattr(harness, "summarize", spy_summarize)
+    records, _ = run_experiment(cfg)
     assert sorted((e, k) for h, e, k in delivered if h == 2) == [(e, k) for e in (1, 2, 3) for k in (1, 3)]
+    (stats,) = summarized
+    assert stats.undelivered_msgs == {(2, 1): 17, (2, 3): 17}
+    late_bits = sum(rec.tx_bits[2] for rec in records[3:])
+    assert stats.undelivered_bits == {(2, 1): late_bits, (2, 3): late_bits}
 
 
 def test_cooperation_under_jitter_fuses_each_radars_own_cloud(monkeypatch):
@@ -334,8 +344,9 @@ def test_summary_round_trip_is_exact(tmp_path):
     assert all(float(cell) == v for cell, v in floats)
 
 
-def test_message_log_replays(tmp_path):
-    cfg = small_config(mode="cooperation", epochs=5)
+@pytest.mark.parametrize("mode", ["cooperation", "federation"])
+def test_message_log_replays(tmp_path, mode):
+    cfg = small_config(mode=mode, epochs=5)
     log = tmp_path / "messages.jsonl"
     records, _ = run_experiment(cfg, message_log=log)
     msgs = read_replay(log)
@@ -343,6 +354,26 @@ def test_message_log_replays(tmp_path):
     total_logged = sum(m.payload_bits for m in msgs)
     total_recorded = sum(bits for rec in records for bits in rec.tx_bits.values())
     assert total_logged == total_recorded
+    for msg in msgs:
+        # Each message describes its sender's own cloud of that epoch.
+        points = records[msg.epoch - 1].cloud_points[msg.sender]
+        if mode == "cooperation":
+            assert len(decode_coop(msg)) == points
+        else:
+            mix = decode_fed(msg)
+            assert mix.n_components <= cfg.fit.m_max
+            assert mix.total_points == points
+
+
+def test_federation_payload_size_does_not_depend_on_the_link():
+    # Jitter moves the received means, never the sender's own clustering, so
+    # every radar sends messages of the same size as without jitter.
+    clean, _ = run_experiment(small_config(epochs=8, kl_reference=False))
+    data = {**SMALL, "clock": {"offsets": {}, "jitter_std": 0.005}}
+    jittered, _ = run_experiment(config_from_dict(data, epochs=8, kl_reference=False))
+    assert [rec.tx_bits for rec in jittered] == [rec.tx_bits for rec in clean]
+    assert any(not np.array_equal(rec.estimates[k], ref.estimates[k])
+               for rec, ref in zip(jittered, clean) for k in rec.estimates)
 
 
 def test_grid_dumps(tmp_path):

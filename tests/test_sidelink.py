@@ -11,17 +11,17 @@ from radarfuse.sensor import GLOBAL, LOCAL, PointCloud
 from radarfuse.sidelink import (
     ClockModel,
     LinkStats,
+    Message,
     OutboxHistory,
     Topology,
     account,
     account_delivery,
+    account_undelivered,
     decode_coop,
     decode_fed,
     deliver,
     encode_coop,
     encode_fed,
-    message_from_values,
-    message_values,
     read_replay,
     write_replay,
 )
@@ -163,7 +163,8 @@ def networks(draw):
 @settings(max_examples=60, deadline=None)
 @given(networks(), st.integers(1, 12), st.data())
 def test_link_accounting_conserves_bits(network, n_epochs, data):
-    # The runner's exchange: push, charge the sender, deliver, charge each link.
+    # The runner's exchange: push, charge the sender, deliver, charge each
+    # link; at the end, charge each link what is still in flight.
     topo, clock = network
     stats = LinkStats(update_period=Fraction(1, 100))
     history = OutboxHistory(max(clock.offset_periods(k, 0.010) for k in topo.ids))
@@ -179,8 +180,15 @@ def test_link_accounting_conserves_bits(network, n_epochs, data):
             for msg in msgs:
                 account_delivery(stats, msg, k)
                 delivered.append((msg.sender, msg.epoch, k))
+    for epoch in range(n_epochs + 1, n_epochs + 1 + history.depth):
+        for k, msgs in deliver(topo, history, epoch, clock, 0.010).items():
+            for msg in msgs:
+                account_undelivered(stats, msg, k)
 
     assert sum(stats.rx_bits.values()) == sum(stats.link_bits.values())
+    fan_out = {h: sum(1 for s, _ in topo.edges if s == h) for h in topo.ids}
+    assert (sum(stats.link_bits.values()) + sum(stats.undelivered_bits.values())
+            == sum(stats.tx_bits[h] * fan_out[h] for h in topo.ids))
     assert set(stats.link_bits) <= set(topo.edges)
     for h, k in topo.edges:
         # Each message a sender charged reaches each out-neighbour exactly once,
@@ -189,6 +197,9 @@ def test_link_accounting_conserves_bits(network, n_epochs, data):
         assert epochs == list(range(1, n_epochs + 1 - clock.offset_periods(h, 0.010)))
         assert stats.link_msgs.get((h, k), 0) == len(epochs)
         assert stats.link_bits.get((h, k), 0) == sum(sent[h, e].payload_bits for e in epochs)
+        late = range(len(epochs) + 1, n_epochs + 1)  # still in flight at the end
+        assert stats.undelivered_msgs.get((h, k), 0) == len(late)
+        assert stats.undelivered_bits.get((h, k), 0) == sum(sent[h, e].payload_bits for e in late)
     for k in topo.ids:
         assert stats.tx_bits[k] == sum(sent[k, e].payload_bits for e in range(1, n_epochs + 1))
 
@@ -264,19 +275,19 @@ def test_replay_round_trip_is_bit_exact():
     finally:
         os.unlink(path)
     for orig, rec in zip(msgs, back):
-        assert type(orig) is type(rec)
-        assert message_values(orig) == message_values(rec)
+        assert orig.kind == rec.kind
+        assert orig.values.tobytes() == rec.values.tobytes()
         assert orig.sender == rec.sender and orig.epoch == rec.epoch
 
 
 def test_message_values_round_trip():
     msg = encode_fed(mixture_of(3, seed=11), 1, 2)
-    values = message_values(msg)
+    values = msg.values.tolist()
     assert len(values) == msg.value_count
-    back = message_from_values(1, 2, "fed", values)
-    assert message_values(back) == values
+    back = decode_fed(Message(1, 2, "fed", np.array(values)))
+    assert encode_fed(back, 1, 2).values.tolist() == values
     coop = encode_coop(cloud_of([[1.5, -2.5, 3.25]]))
-    assert message_from_values(1, 0, "coop", message_values(coop)).points[0][2] == 3.25
+    assert decode_coop(Message(1, 0, "coop", np.array(coop.values.tolist()))).points[0][2] == 3.25
 
 
 @pytest.mark.parametrize(
@@ -291,21 +302,38 @@ def test_message_values_round_trip():
         ([5.5, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 5.5], "non-negative integers"),
         ([-5.0, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, -5.0], "non-negative integers"),
         ([6.0, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 5.0], "point total"),
+        ([5.0, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, float("nan")], "non-negative integers"),
+        ([5.0, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, float("inf")], "non-negative integers"),
+        ([5.0, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, float("-inf")], "non-negative integers"),
+        ([2.0**60, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 2.0**60], r"below 2\*\*53"),
     ],
 )
 def test_malformed_fed_records_are_rejected(values, reason):
     with pytest.raises(ValueError, match=reason):
-        message_from_values(1, 0, "fed", values)
+        decode_fed(Message(1, 0, "fed", np.array(values, dtype=float)))
 
 
-def test_replay_reader_names_the_malformed_line(tmp_path):
+@pytest.mark.parametrize(
+    "old, new, reason",
+    [
+        ('"values": [5.0, 1.0, ', '"values": [5.0, 1.0, 0.25, 0.5, ', "fed payload of 18 values"),
+        ('"kind": "fed"', '"kind": "telegram"', "unknown message kind 'telegram'"),
+        ('"kind": "fed", "values": [5.0, 1.0, ', '"kind": "coop", "values": [', "coop payload of 14 values"),
+        ('"values": [', '"values": null, "payload": [', "values must be a flat list of numbers"),
+        ('"sender": 1, ', '"sender": 1,, ', "Expecting property name"),
+    ],
+    ids=["fed-payload-too-long", "unknown-kind", "coop-length-not-a-multiple-of-3", "values-not-a-list", "not-json"],
+)
+def test_replay_reader_names_the_malformed_line(tmp_path, old, new, reason):
+    # A hand-edited second record of a log the program wrote.
     path = tmp_path / "replay.jsonl"
     buf = io.StringIO()
     write_replay([encode_fed(mixture_of(1, total=5), 1, 0)], buf)
     good = buf.getvalue()
-    bad = good.replace('"values": [5.0, 1.0, ', '"values": [5.0, 1.0, 0.25, 0.5, ')
+    bad = good.replace(old, new)
+    assert bad != good
     path.write_text(good + bad)
-    with pytest.raises(ValueError, match=r"replay\.jsonl:2: fed payload of 18 values"):
+    with pytest.raises(ValueError, match=rf"replay\.jsonl:2: {reason}"):
         read_replay(path)
 
 
@@ -359,9 +387,9 @@ def replay_round_trip(msgs, path):
 @given(mix=mixtures(), sender=st.integers(1, 9), epoch=st.integers(0, 10**6))
 def test_fed_codec_is_bit_exact(mix, sender, epoch, tmp_path_factory):
     msg = encode_fed(mix, sender, epoch)
-    values = message_values(msg)
+    values = msg.values.tolist()
     assert len(values) == msg.value_count == 2 + 14 * mix.n_components
-    back = message_from_values(sender, epoch, "fed", values)
+    back = Message(sender, epoch, "fed", np.array(values))
     assert_same_mixture(decode_fed(back), mix)
     (replayed,) = replay_round_trip([msg], tmp_path_factory.getbasetemp() / "fed.jsonl")
     assert (replayed.sender, replayed.epoch) == (sender, epoch)
@@ -372,7 +400,7 @@ def test_fed_codec_is_bit_exact(mix, sender, epoch, tmp_path_factory):
 @given(points=hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)), elements=finite))
 def test_coop_codec_is_bit_exact(points, tmp_path_factory):
     msg = encode_coop(cloud_of(points, radar_id=2, epoch=3))
-    back = message_from_values(2, 3, "coop", message_values(msg))
+    back = Message(2, 3, "coop", np.array(msg.values.tolist()))
     (replayed,) = replay_round_trip([msg], tmp_path_factory.getbasetemp() / "coop.jsonl")
-    for got in (back, replayed):
+    for got in (decode_coop(back), decode_coop(replayed)):
         assert got.points.shape == points.shape and got.points.tobytes() == points.tobytes()
