@@ -36,7 +36,7 @@ from .mixture import (
     fit_em,
     kl_divergence,
 )
-from .scene import ConfigError, Landmark, Scene, TargetSpec, advance_scene, initial_scene
+from .scene import ConfigError, Scene, TargetSpec, advance_scene, initial_scene
 from .sensor import (
     ClusterResult,
     PointCloud,

@@ -85,9 +85,6 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config, mode=args.mode, epochs=args.epochs)
     seeds = range(args.seed_start, args.seed_start + args.seeds)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for m in modes:
-        if m not in MODES:
-            raise ConfigError(f"unknown mode {m!r}")
     rows = run_sweep(cfg, seeds, modes, workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -103,7 +100,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_kl(args) -> int:
-    cfg = load_config(args.config, mode="federation", seed=args.seed, epochs=args.epochs)
+    cfg = load_config(args.config, mode="federation", seed=args.seed, epochs=args.epochs, kl_reference=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records, metrics = run_experiment(cfg)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
@@ -22,7 +23,7 @@ import numpy as np
 
 from .fusion import FitOptions
 from .mixture import GridSpec
-from .scene import ConfigError, Landmark, TargetSpec
+from .scene import ConfigError, TargetSpec
 from .sensor import RadarModel, RadarPose
 from .sidelink import ClockModel, Topology
 
@@ -40,6 +41,8 @@ class RadarSetup:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings, checked when built (also by ``dataclasses.replace``)."""
+
     name: str
     mode: str
     seed: int
@@ -64,11 +67,12 @@ class ExperimentConfig:
     def dt(self) -> float:
         return float(self.update_period)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.update_period <= 0:
-            raise ConfigError("update period must be > 0")
+        # The float period must neither overflow nor round to 0.
+        if not (self.update_period <= sys.float_info.max and self.dt > 0):
+            raise ConfigError("update period must be > 0 and finite as a double")
         if self.n_epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if not self.radars:
@@ -102,7 +106,7 @@ class ExperimentConfig:
 
 
 def _landmarks_from(raw: Mapping[str, Any]) -> dict[str, np.ndarray]:
-    return {label: Landmark(label, _vector(pos, 2, f"landmarks: {label}")).position for label, pos in raw.items()}
+    return {label: _vector(pos, 2, f"landmarks: {label}") for label, pos in raw.items()}
 
 
 def _object(raw: Any, where: str) -> Mapping[str, Any]:
@@ -154,6 +158,10 @@ def _typed(value: Any, kind: type, where: str) -> Any:
     accepted, name = _KINDS[kind]
     if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where} must be {name}, got {json.dumps(value, default=repr)}")
+    # NaN fails the comparison; an integer is compared exactly, so one that
+    # overflows a double fails it too.
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {json.dumps(value)}")
     return kind(value)
 
 
@@ -161,10 +169,7 @@ def _vector(raw: Any, size: int, where: str) -> np.ndarray:
     """A JSON list of ``size`` finite numbers, as a float array."""
     if not isinstance(raw, list) or len(raw) != size:
         raise ConfigError(f"{where} must be a list of {size} numbers, got {json.dumps(raw, default=repr)}")
-    vec = np.array([_typed(v, float, where) for v in raw])
-    if not np.all(np.isfinite(vec)):
-        raise ConfigError(f"{where} must be finite, got {json.dumps(raw, default=repr)}")
-    return vec
+    return np.array([_typed(v, float, where) for v in raw])
 
 
 def _period(raw: Any) -> Fraction:
@@ -255,7 +260,7 @@ def _topology_from(raw: Any, ids: tuple[int, ...]) -> Topology:
 
 
 def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentConfig:
-    """Build and validate a config; keyword overrides replace top-level keys
+    """Build a config; keyword overrides replace top-level keys
     (``mode``, ``seed``, ``epochs``, ...)."""
     data = dict(data)
     for key, value in overrides.items():
@@ -271,8 +276,6 @@ def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentCon
     db = _section(data, "dbscan")
     mix = _section(data, "mixture")
     radars = tuple(_radar_from(r) for r in _objects(data["radars"], "radars"))
-    if not radars:
-        raise ConfigError("at least one radar is required")
     ids = tuple(r.id for r in radars)
     clock_raw = _section(data, "clock", ("offsets",))
     offsets = _object(clock_raw.get("offsets", {}), "clock.offsets")
@@ -281,7 +284,7 @@ def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentCon
         jitter_std=clock_raw["jitter_std"],
     )
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         name=top["name"],
         mode=top["mode"],
         seed=top["seed"],
@@ -299,11 +302,9 @@ def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentCon
         radars=radars,
         topology=_topology_from(data.get("topology"), ids),
         clock=clock,
-        ego_radar=ids[0] if top["ego_radar"] is None else top["ego_radar"],
+        ego_radar=next(iter(ids), None) if top["ego_radar"] is None else top["ego_radar"],
         kl_reference=top["kl_reference"],
     )
-    cfg.validate()
-    return cfg
 
 
 def resolve_scenario(name_or_path: str | Path) -> Path:
@@ -325,9 +326,3 @@ def load_config(name_or_path: str | Path, **overrides: Any) -> ExperimentConfig:
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON ({err})") from None
     return config_from_dict(data, **overrides)
-
-
-def with_mode(cfg: ExperimentConfig, mode: str) -> ExperimentConfig:
-    out = replace(cfg, mode=mode)
-    out.validate()
-    return out

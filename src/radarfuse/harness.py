@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .config import ExperimentConfig, with_mode
+from .config import ExperimentConfig
 from .fusion import (
     alpha_weights,
     bayes_product,
@@ -240,7 +240,6 @@ def run_experiment(
     grid_dump_every: int = 0,
 ) -> tuple[list[EpochRecord], MetricsRecord]:
     """Run one experiment; fully determined by (config, seed)."""
-    cfg.validate()
     radar_ids = [r.id for r in cfg.radars]
     setups = {r.id: r for r in cfg.radars}
     seq = np.random.SeedSequence(cfg.seed)
@@ -575,7 +574,7 @@ def run_sweep(
     fully determined by its (config, seed).
     """
     configs = [
-        replace(with_mode(replace(cfg, kl_reference=kl_reference), mode), seed=int(seed))
+        replace(cfg, mode=mode, seed=int(seed), kl_reference=kl_reference)
         for mode in modes
         for seed in seeds
     ]

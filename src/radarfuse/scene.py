@@ -21,20 +21,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class Landmark:
-    """Named waypoint on the floor plan."""
-
-    label: str
-    position: np.ndarray  # (2,) meters
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (2,) or not np.all(np.isfinite(pos)):
-            raise ConfigError(f"landmark {self.label!r}: position must be two finite coordinates")
-        object.__setattr__(self, "position", pos)
-
-
-@dataclass(frozen=True)
 class TargetSpec:
     """A moving target: waypoint route, speed, and point-scatter body model.
 

@@ -42,11 +42,15 @@ class Topology:
         known = set(self.ids)
         if len(known) != len(self.ids):
             raise ValueError("duplicate radar ids")
+        seen = set()
         for h, k in self.edges:
             if h == k:
                 raise ValueError(f"self-loop on radar {h}")
             if h not in known or k not in known:
                 raise ValueError(f"edge ({h}, {k}) references an unknown radar")
+            if (h, k) in seen:
+                raise ValueError(f"edge ({h}, {k}) is repeated")
+            seen.add((h, k))
 
     @classmethod
     def fully_connected(cls, ids: Sequence[int]) -> "Topology":
@@ -107,12 +111,16 @@ def decode_coop(msg: Message) -> PointCloud:
     return PointCloud(GLOBAL, msg.values.reshape(-1, 3).copy(), msg.epoch, msg.sender)
 
 
-def encode_fed(mixture: GaussianMixture, sender: int, epoch: int) -> Message:
-    """Refuses mixtures whose covariances are not positive-definite."""
+def _require_positive_definite(covs: np.ndarray) -> None:
     try:
-        np.linalg.cholesky(mixture.covs)
+        np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
         raise ValueError("mixture has a non positive-definite covariance") from None
+
+
+def encode_fed(mixture: GaussianMixture, sender: int, epoch: int) -> Message:
+    """Refuses mixtures whose covariances are not positive-definite."""
+    _require_positive_definite(mixture.covs)
     m = mixture.n_components
     table = np.column_stack([mixture.weights, mixture.means, mixture.covs.reshape(m, 9), mixture.counts])
     return Message(sender, epoch, FED_KIND, np.concatenate([[float(mixture.total_points), float(m)], table.ravel()]))
@@ -133,7 +141,13 @@ def decode_fed(msg: Message) -> GaussianMixture:
         raise ValueError("component point counts must be non-negative integers below 2**53")
     if values[0] != counts.sum():
         raise ValueError(f"point total {values[0]} differs from the sum of the component counts")
-    return GaussianMixture(table[:, 0].copy(), table[:, 1:4].copy(), table[:, 4:13].reshape(m, 3, 3).copy(), counts)
+    if not np.isfinite(table[:, :13]).all():
+        raise ValueError("component weights, means and covariances must be finite")
+    if (table[:, 0] < 0).any():
+        raise ValueError("component weights must be non-negative")
+    covs = table[:, 4:13].reshape(m, 3, 3).copy()
+    _require_positive_definite(covs)
+    return GaussianMixture(table[:, 0].copy(), table[:, 1:4].copy(), covs, counts)
 
 
 @dataclass
@@ -261,6 +275,11 @@ def read_replay(path) -> list[Message]:
                 continue
             try:
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError(f"record must be a JSON object, got {type(rec).__name__}")
+                missing = [key for key in ("sender", "epoch", "kind", "values") if key not in rec]
+                if missing:
+                    raise ValueError(f"record has no {missing[0]!r}")
                 decode = {COOP_KIND: decode_coop, FED_KIND: decode_fed}.get(rec["kind"])
                 if decode is None:
                     raise ValueError(f"unknown message kind {rec['kind']!r}")
@@ -270,6 +289,6 @@ def read_replay(path) -> list[Message]:
                 msg = Message(rec["sender"], rec["epoch"], rec["kind"], values)
                 decode(msg)
                 messages.append(msg)
-            except ValueError as err:
+            except (TypeError, ValueError) as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from None
     return messages

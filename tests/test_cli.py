@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from radarfuse import harness
 from radarfuse.cli import main
 from radarfuse.config import resolve_scenario
 from radarfuse.sidelink import read_replay
@@ -103,6 +104,15 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data["targets"][0].update(body_extent="x"), 'target 1: body_extent must be a list of 3 numbers, got "x"'),
         (lambda data: data["landmarks"].update(C=["a", 1]), 'landmarks: C must be a number, got "a"'),
         (lambda data: data["radars"][1].update(position=[0, 0]), "radar 2: position must be a list of 3 numbers, got [0, 0]"),
+        (lambda data: data.update(min_separation=float("nan")), "min_separation must be a finite number, got NaN"),
+        (lambda data: data["dbscan"].update(eps=float("nan")), "dbscan: eps must be a finite number, got NaN"),
+        (lambda data: data.update(prior_speed=float("inf")), "prior_speed must be a finite number, got Infinity"),
+        (lambda data: data.update(area=[0, 1e400, 0, 8]), "area must be a finite number, got Infinity"),
+        (lambda data: data.update(area=[0, 10**400, 0, 8]), f"area must be a finite number, got {10**400}"),
+        (lambda data: data.update(topology=[[1, 2], [1, 2], [2, 1]]), "edge (1, 2) is repeated"),
+        (lambda data: data.update(update_period_s="1e400"), "update period must be > 0 and finite as a double"),
+        (lambda data: data.update(update_period_s="1e-400"), "update period must be > 0 and finite as a double"),
+        (lambda data: data.update(update_period_s="-0.01"), "update period must be > 0 and finite as a double"),
     ],
     ids=[
         "no-radars", "target-without-speed", "no-area", "offset-of-undeployed-radar",
@@ -113,6 +123,9 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         "string-waypoints", "number-topology", "null-update-period", "boolean-update-period",
         "string-update-period", "letter-offset-key", "fractional-offset-key", "string-radar-coordinate",
         "string-body-extent", "string-landmark-coordinate", "two-coordinate-radar-position",
+        "nan-min-separation", "nan-dbscan-eps", "infinite-prior-speed", "overflowing-area-bound",
+        "overflowing-integer-area-bound", "repeated-topology-edge", "overflowing-update-period",
+        "underflowing-update-period", "negative-update-period",
     ],
 )
 def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reason):
@@ -145,15 +158,33 @@ def test_sweep_and_report(tmp_path, small_scenario, capsys):
     assert "runs=2" in capsys.readouterr().out
 
 
+def test_sweep_rejects_an_unknown_mode_before_any_run(tmp_path, capsys, monkeypatch, small_scenario):
+    def no_run(cfg, **kwargs):
+        raise AssertionError(f"ran {cfg.mode}")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    rc = main(["sweep", "--config", str(small_scenario), "--epochs", "2", "--seeds", "1",
+               "--modes", "isolated,bogus", "--out", str(tmp_path / "sweep")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: mode must be one of ('isolated', 'cooperation', 'federation'), got 'bogus'\n"
+    )
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_report_without_sweep_fails(tmp_path, capsys):
     rc = main(["report", "--out", str(tmp_path)])
     assert rc != 0
     assert "error" in capsys.readouterr().err
 
 
-def test_kl_subcommand(tmp_path, small_scenario):
+@pytest.mark.parametrize("kl_reference", [True, False], ids=["reference-on", "reference-off"])
+def test_kl_subcommand(tmp_path, kl_reference):
+    # ``kl`` computes the pooled reference whatever the scenario says.
+    scenario = tmp_path / "small.json"
+    scenario.write_text(json.dumps({**SMALL, "kl_reference": kl_reference}))
     out = tmp_path / "kl"
-    rc = main(["kl", "--config", str(small_scenario), "--epochs", "8", "--out", str(out)])
+    rc = main(["kl", "--config", str(scenario), "--epochs", "8", "--out", str(out)])
     assert rc == 0
     with open(out / "kl_summary.csv", newline="") as fh:
         rows = list(csv.reader(fh))

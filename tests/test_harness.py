@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -427,6 +428,12 @@ def test_config_validation_errors():
     bad["clock"] = {"offsets": {"2": -0.010}}
     with pytest.raises(ConfigError):
         config_from_dict(bad)
+
+
+@pytest.mark.parametrize("change", [{"mode": "telepathy"}, {"ego_radar": 99}], ids=["unknown-mode", "undeployed-ego"])
+def test_replaced_config_is_checked(change):
+    with pytest.raises(ConfigError):
+        replace(config_from_dict(SMALL), **change)
 
 
 def test_update_period_is_a_decimal_string_or_a_number():

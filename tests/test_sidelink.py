@@ -59,6 +59,8 @@ def test_topology_rejects_self_loops_and_unknown_ids():
         Topology((1, 2), ((1, 1),))
     with pytest.raises(ValueError):
         Topology((1, 2), ((1, 3),))
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) is repeated"):
+        Topology((1, 2, 3), ((1, 2), (1, 2), (3, 2)))
 
 
 # ------------------------------------------------------------------ codecs
@@ -306,6 +308,12 @@ def test_message_values_round_trip():
         ([5.0, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, float("inf")], "non-negative integers"),
         ([5.0, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, float("-inf")], "non-negative integers"),
         ([2.0**60, 1.0, 1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 2.0**60], r"below 2\*\*53"),
+        ([5.0, 1.0, float("nan"), 0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, -1, 5.0], "must be finite"),
+        ([5.0, 1.0, 1.0, float("inf"), 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 5.0], "must be finite"),
+        ([5.0, 1.0, 1.0, 0, 0, 0, 1, 0, float("nan"), 0, 1, 0, 0, 0, 1, 5.0], "must be finite"),
+        ([5.0, 1.0, -0.5, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 5.0], "weights must be non-negative"),
+        ([5.0, 1.0, 1.0, 0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, -1, 5.0], "non positive-definite"),
+        ([5.0, 1.0, 1.0, 0, 0, 0, 1, 2, 0, 2, 1, 0, 0, 0, 1, 5.0], "non positive-definite"),
     ],
 )
 def test_malformed_fed_records_are_rejected(values, reason):
@@ -321,16 +329,28 @@ def test_malformed_fed_records_are_rejected(values, reason):
         ('"kind": "fed", "values": [5.0, 1.0, ', '"kind": "coop", "values": [', "coop payload of 14 values"),
         ('"values": [', '"values": null, "payload": [', "values must be a flat list of numbers"),
         ('"sender": 1, ', '"sender": 1,, ', "Expecting property name"),
+        ('"kind": "fed", ', "", "record has no 'kind'"),
+        ('"sender": 1, ', "", "record has no 'sender'"),
+        ('"epoch": 0, ', "", "record has no 'epoch'"),
+        (', "values": [', ', "payload": [', "record has no 'values'"),
+        (None, "[1, 2]\n", "record must be a JSON object, got list"),
+        (None, "7\n", "record must be a JSON object, got int"),
+        ('"values": [', '"values": {"x": 1}, "payload": [', "float"),
     ],
-    ids=["fed-payload-too-long", "unknown-kind", "coop-length-not-a-multiple-of-3", "values-not-a-list", "not-json"],
+    ids=[
+        "fed-payload-too-long", "unknown-kind", "coop-length-not-a-multiple-of-3", "values-not-a-list", "not-json",
+        "missing-kind", "missing-sender", "missing-epoch", "missing-values", "list-record", "number-record",
+        "values-an-object",
+    ],
 )
 def test_replay_reader_names_the_malformed_line(tmp_path, old, new, reason):
-    # A hand-edited second record of a log the program wrote.
+    # A hand-edited second record of a log the program wrote; ``old`` None
+    # replaces the whole record.
     path = tmp_path / "replay.jsonl"
     buf = io.StringIO()
     write_replay([encode_fed(mixture_of(1, total=5), 1, 0)], buf)
     good = buf.getvalue()
-    bad = good.replace(old, new)
+    bad = new if old is None else good.replace(old, new)
     assert bad != good
     path.write_text(good + bad)
     with pytest.raises(ValueError, match=rf"replay\.jsonl:2: {reason}"):
@@ -360,9 +380,9 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def mixtures(draw):
-    """Arbitrary finite weights and means, SPD covariances and counts, m = 0..8."""
+    """Arbitrary non-negative finite weights, finite means, SPD covariances and counts, m = 0..8."""
     m = draw(st.integers(0, 8))
-    weights = draw(hnp.arrays(np.float64, m, elements=finite))
+    weights = draw(hnp.arrays(np.float64, m, elements=st.floats(min_value=0.0, allow_infinity=False)))
     means = draw(hnp.arrays(np.float64, (m, 3), elements=finite))
     lower = draw(hnp.arrays(np.float64, (m, 3, 3), elements=st.floats(-5.0, 5.0)))
     diag = draw(hnp.arrays(np.float64, (m, 3), elements=st.floats(0.5, 10.0)))
