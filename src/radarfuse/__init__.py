@@ -20,6 +20,7 @@ from .fusion import (
 from .harness import (
     EpochRecord,
     MetricsRecord,
+    SensingRecord,
     compute_mae,
     export_csv,
     kl_study,

@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--modes", default="isolated,cooperation,federation",
                          help="comma-separated modes to sweep")
     sweep_p.add_argument("--workers", type=int, default=1,
-                         help="parallel worker processes (runs are independent)")
+                         help="parallel worker processes, each running one seed's modes at a time")
 
     kl_p = sub.add_parser("kl", help="divergence study (forces federation mode)")
     _add_common(kl_p)

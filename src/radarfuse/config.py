@@ -79,10 +79,13 @@ class ExperimentConfig:
             raise ConfigError("at least one radar is required")
         if not 0.0 < self.tau < 1.0:
             raise ConfigError("tau must be in (0, 1)")
-        if self.min_separation <= 0:
+        # Written so that NaN fails each comparison.
+        if not self.min_separation > 0:
             raise ConfigError("min_separation must be > 0")
-        if self.dbscan_eps <= 0 or self.dbscan_min_pts < 1:
+        if not (self.dbscan_eps > 0 and self.dbscan_min_pts >= 1):
             raise ConfigError("invalid density-clustering parameters")
+        if not 0 <= self.prior_speed <= sys.float_info.max:
+            raise ConfigError("prior_speed must be >= 0 and finite")
         ids = [r.id for r in self.radars]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate radar ids")

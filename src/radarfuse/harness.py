@@ -19,6 +19,9 @@ and ``reconstruct_scene`` builds each radar's next support from its
 posterior and fresh likelihood. In federation mode an observer can
 additionally run a pooled-cloud reference posterior per neighbourhood to
 sample divergences against; it never touches the sidelink accounting.
+
+Every mode of one seed senses the same clouds, so ``run_sweep`` runs a
+seed's modes on one ``SensingRecord`` and senses each seed once.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ from .fusion import (
     reconstruct_scene,
     refit_posterior_mixture,
 )
-from .mixture import eval_on_grid, grid_to_csv, kl_divergence
+from .mixture import GaussianMixture, eval_on_grid, grid_to_csv, kl_divergence
 from .scene import advance_scene, initial_scene
-from .sensor import dbscan, observe, preprocess
+from .sensor import ClusterResult, PointCloud, dbscan, observe, preprocess
 from .sidelink import (
     LinkStats,
     OutboxHistory,
@@ -106,6 +109,41 @@ class MetricsRecord:
     kl_fed_deciles: tuple[float, ...] | None
 
 
+@dataclass(eq=False)
+class SensingRecord:
+    """What one seed's radars sensed, shared by that seed's runs in every mode.
+
+    The scene and observation RNGs are seeded by the seed alone, so every
+    mode senses the same clouds. Per epoch (index ``epoch - 1``) the record
+    holds each radar's preprocessed cloud and clustering, appended by the
+    first run to reach the epoch, and each radar's ``likelihood_from_cloud``
+    mixture, kept by the first isolated or federation run; a run that reads
+    a mixture rebuilds its grid with ``eval_on_grid``. Recorded arrays are
+    read-only. The observation RNGs live with the record, so a run longer
+    than the record draws its extra epochs where the record left off. A
+    record belongs to one seed of one scenario; only the seed is checked.
+    """
+
+    seed: int
+    clouds: list[dict[int, PointCloud]] = field(default_factory=list)
+    clusters: list[dict[int, ClusterResult]] = field(default_factory=list)
+    mixtures: list[dict[int, GaussianMixture]] = field(default_factory=list)
+    obs_rngs: dict[int, np.random.Generator] | None = None
+
+    def append(self, clouds: dict[int, PointCloud], clusters: dict[int, ClusterResult]) -> None:
+        for k in clouds:
+            _freeze(clouds[k].points, clouds[k].truth_outlier, clusters[k].labels)
+        self.clouds.append(clouds)
+        self.clusters.append(clusters)
+        self.mixtures.append({})
+
+
+def _freeze(*arrays: np.ndarray | None) -> None:
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+
+
 def _associate(
     truth: dict[int, np.ndarray], positions: np.ndarray
 ) -> dict[int, tuple[float, float] | None]:
@@ -129,24 +167,39 @@ def _nearest_waypoint(cfg: ExperimentConfig, spec, center: np.ndarray) -> str:
 
 # --------------------------------------------------------------- mode steps
 #
-# Every step takes (cfg, epoch, clouds, clusters, priors, exchange), all
-# per-radar dicts in deployment order, and returns (posterior grids, local
-# mixtures, fresh support). The local mixtures are what the KL reference is
-# compared against; only federation has them. The fresh support is the
-# thresholded likelihood's cell mask, which ``reconstruct_scene`` unites
-# with the posterior's to seed the next prior.
+# Every step takes (cfg, epoch, clouds, clusters, priors, exchange,
+# recorded), where clouds, clusters and priors are per-radar dicts in
+# deployment order and ``recorded`` is the epoch's dict of recorded
+# likelihood mixtures (None without a sensing record). It returns (posterior
+# grids, local mixtures, fresh support). The local mixtures are what the KL
+# reference is compared against; only federation has them. The fresh
+# support is the thresholded likelihood's cell mask, which
+# ``reconstruct_scene`` unites with the posterior's to seed the next prior.
 
 
-def _isolated_step(cfg, epoch, clouds, clusters, priors, exchange):
+def _likelihood(cfg, k, clouds, clusters, recorded):
+    """Radar k's likelihood grid and mixture: fitted, or rebuilt from the
+    mixture in ``recorded``. A fit is recorded when ``recorded`` is a dict."""
+    if recorded is None:
+        return likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
+    if k in recorded:
+        return eval_on_grid(recorded[k], cfg.grid), recorded[k]
+    grid, mixture = likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
+    _freeze(mixture.weights, mixture.means, mixture.covs, mixture.counts)
+    recorded[k] = mixture
+    return grid, mixture
+
+
+def _isolated_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
     posteriors, fresh = {}, {}
     for k in clouds:
-        lik_grid, _ = likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
+        lik_grid, _ = _likelihood(cfg, k, clouds, clusters, recorded)
         posteriors[k] = bayes_product(lik_grid, priors[k])
         fresh[k] = grid_support(lik_grid, cfg.tau)
     return posteriors, {}, fresh
 
 
-def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange):
+def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
     inboxes = exchange({k: encode_coop(clouds[k]) for k in clouds})
     # Receivers whose own cloud and inbox hold the same (sender, epoch)
     # members share one pooled likelihood. Under clock jitter every receiver
@@ -179,10 +232,10 @@ def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange):
     return posteriors, {}, fresh
 
 
-def _federation_step(cfg, epoch, clouds, clusters, priors, exchange):
+def _federation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
     local_mixtures, fresh = {}, {}
     for k in clouds:
-        lik_grid, lik_mix = likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
+        lik_grid, lik_mix = _likelihood(cfg, k, clouds, clusters, recorded)
         local_mixtures[k] = refit_posterior_mixture(clouds[k], lik_mix, priors[k], cfg.fit)
         fresh[k] = grid_support(lik_grid, cfg.tau)
     inboxes = exchange({k: encode_fed(local_mixtures[k], k, epoch) for k in clouds})
@@ -238,8 +291,15 @@ def run_experiment(
     message_log: Path | str | None = None,
     grid_dump_dir: Path | str | None = None,
     grid_dump_every: int = 0,
+    sensing: SensingRecord | None = None,
 ) -> tuple[list[EpochRecord], MetricsRecord]:
-    """Run one experiment; fully determined by (config, seed)."""
+    """Run one experiment; fully determined by (config, seed).
+
+    With ``sensing``, a record of this seed (else ``ValueError``), the run
+    replays the clouds, clusters and likelihood mixtures recorded by earlier
+    runs of the seed and records what it senses first. Its outputs are those
+    of a run without the record.
+    """
     radar_ids = [r.id for r in cfg.radars]
     setups = {r.id: r for r in cfg.radars}
     seq = np.random.SeedSequence(cfg.seed)
@@ -247,6 +307,12 @@ def run_experiment(
     scene_rng = np.random.default_rng(children[0])
     link_rng = np.random.default_rng(children[1])
     obs_rngs = {k: np.random.default_rng(children[2 + i]) for i, k in enumerate(radar_ids)}
+    if sensing is not None:
+        if sensing.seed != cfg.seed:
+            raise ValueError(f"sensing record of seed {sensing.seed} given to a run of seed {cfg.seed}")
+        if sensing.obs_rngs is None:
+            sensing.obs_rngs = obs_rngs
+        obs_rngs = sensing.obs_rngs
 
     step = STEPS[cfg.mode]
     scene = initial_scene(cfg.targets, cfg.landmarks, scene_rng)
@@ -266,10 +332,16 @@ def run_experiment(
         for epoch in range(1, cfg.n_epochs + 1):
             scene = advance_scene(scene, cfg.targets, cfg.landmarks, cfg.dt, scene_rng)
 
-            clouds, clusters = {}, {}
-            for k in radar_ids:
-                raw = observe(scene, setups[k].pose, setups[k].model, obs_rngs[k], radar_id=k)
-                clouds[k], clusters[k] = preprocess(raw, setups[k].pose, cfg.dbscan_eps, cfg.dbscan_min_pts)
+            if sensing is None or epoch > len(sensing.clouds):
+                clouds, clusters = {}, {}
+                for k in radar_ids:
+                    raw = observe(scene, setups[k].pose, setups[k].model, obs_rngs[k], radar_id=k)
+                    clouds[k], clusters[k] = preprocess(raw, setups[k].pose, cfg.dbscan_eps, cfg.dbscan_min_pts)
+                if sensing is not None:
+                    sensing.append(clouds, clusters)
+            else:
+                clouds, clusters = sensing.clouds[epoch - 1], sensing.clusters[epoch - 1]
+            recorded = sensing.mixtures[epoch - 1] if sensing is not None else None
             priors = {
                 k: motion_prior(prev_support[k], cfg.prior_speed, cfg.dt, cfg.grid)
                 for k in radar_ids
@@ -277,7 +349,7 @@ def run_experiment(
 
             tx_bits = {k: 0 for k in radar_ids}
             exchange = partial(_exchange, cfg, history, stats, link_rng, log_fh, epoch, tx_bits)
-            posteriors, local_mixtures, fresh_support = step(cfg, epoch, clouds, clusters, priors, exchange)
+            posteriors, local_mixtures, fresh_support = step(cfg, epoch, clouds, clusters, priors, exchange, recorded)
             kl_fed: dict[int, float] = {}
             kl_local: dict[int, float] = {}
             if cfg.kl_reference and local_mixtures:
@@ -548,8 +620,8 @@ def metrics_to_rows(m: MetricsRecord) -> list[tuple]:
     return rows
 
 
-def _sweep_one(cfg: ExperimentConfig) -> dict:
-    _, metrics = run_experiment(cfg)
+def _sweep_one(cfg: ExperimentConfig, sensing: SensingRecord) -> dict:
+    _, metrics = run_experiment(cfg, sensing=sensing)
     return {
         "mode": cfg.mode,
         "seed": cfg.seed,
@@ -561,6 +633,12 @@ def _sweep_one(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _sweep_seed(seed: int, configs: Sequence[ExperimentConfig]) -> list[dict]:
+    """One seed's runs, one per config in order, sharing one sensing record."""
+    sensing = SensingRecord(seed)
+    return [_sweep_one(cfg, sensing) for cfg in configs]
+
+
 def run_sweep(
     cfg: ExperimentConfig,
     seeds: Iterable[int],
@@ -568,22 +646,26 @@ def run_sweep(
     kl_reference: bool = False,
     workers: int = 1,
 ) -> list[dict]:
-    """Monte Carlo sweep: one run per (mode, seed), summarized as flat rows.
+    """Monte Carlo sweep: one run per (mode, seed), summarized as flat rows
+    in mode-major order.
 
-    Runs are independent, so they may execute in parallel; each run is still
-    fully determined by its (config, seed).
+    Every run's config is built, and so checked, before the first run. Each
+    seed is one task: its modes run in the given order on one
+    ``SensingRecord``, so the seed is sensed once. With ``workers > 1`` the
+    seeds are spread over a process pool, and fewer seeds than workers leave
+    a worker idle. Each run is still fully determined by its (config, seed).
     """
-    configs = [
-        replace(cfg, mode=mode, seed=int(seed), kl_reference=kl_reference)
-        for mode in modes
-        for seed in seeds
-    ]
+    seeds = [int(seed) for seed in seeds]
+    tasks = [(seed, [replace(cfg, mode=mode, seed=seed, kl_reference=kl_reference) for mode in modes])
+             for seed in seeds]
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            return pool.map(_sweep_one, configs)
-    return [_sweep_one(c) for c in configs]
+            per_seed = pool.starmap(_sweep_seed, tasks, chunksize=1)
+    else:
+        per_seed = [_sweep_seed(*task) for task in tasks]
+    return [rows[i] for i in range(len(modes)) for rows in per_seed]
 
 
 def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:

@@ -113,6 +113,7 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data.update(update_period_s="1e400"), "update period must be > 0 and finite as a double"),
         (lambda data: data.update(update_period_s="1e-400"), "update period must be > 0 and finite as a double"),
         (lambda data: data.update(update_period_s="-0.01"), "update period must be > 0 and finite as a double"),
+        (lambda data: data.update(prior_speed=-1.0), "prior_speed must be >= 0 and finite"),
     ],
     ids=[
         "no-radars", "target-without-speed", "no-area", "offset-of-undeployed-radar",
@@ -125,7 +126,7 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         "string-body-extent", "string-landmark-coordinate", "two-coordinate-radar-position",
         "nan-min-separation", "nan-dbscan-eps", "infinite-prior-speed", "overflowing-area-bound",
         "overflowing-integer-area-bound", "repeated-topology-edge", "overflowing-update-period",
-        "underflowing-update-period", "negative-update-period",
+        "underflowing-update-period", "negative-update-period", "negative-prior-speed",
     ],
 )
 def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reason):

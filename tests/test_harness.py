@@ -1,7 +1,8 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from radarfuse import harness
 from radarfuse.config import MODES, ConfigError, config_from_dict, load_config, resolve_scenario
 from radarfuse.harness import (
     EpochRecord,
+    SensingRecord,
     aggregate_sweep,
     compute_mae,
     export_csv,
@@ -399,6 +401,32 @@ def test_sweep_and_aggregate():
     assert all(a["runs"] == 2 for a in agg)
 
 
+def test_sweep_rows_do_not_depend_on_the_workers():
+    cfg = small_config(epochs=6)
+    modes = ("federation", "isolated", "cooperation")
+    rows = run_sweep(cfg, seeds=[4, 2, 7], modes=modes)
+    assert [(r["mode"], r["seed"]) for r in rows] == [(m, s) for m in modes for s in (4, 2, 7)]
+    assert run_sweep(cfg, seeds=[4, 2, 7], modes=modes, workers=2) == rows
+
+
+def test_sweep_runs_each_mode_of_a_seed_on_one_record(monkeypatch):
+    # The runner is looked up by its module-level name and given the record
+    # by keyword, once per (mode, seed), seeds one after another.
+    calls = []
+    run = harness.run_experiment
+
+    def spy(cfg, **kwargs):
+        calls.append((cfg.mode, cfg.seed, kwargs["sensing"]))
+        return run(cfg, **kwargs)
+
+    monkeypatch.setattr(harness, "run_experiment", spy)
+    run_sweep(small_config(epochs=2), seeds=[5, 6], modes=("cooperation", "isolated"))
+    assert [(mode, seed) for mode, seed, _ in calls] == [
+        ("cooperation", 5), ("isolated", 5), ("cooperation", 6), ("isolated", 6)]
+    assert calls[0][2] is calls[1][2] and calls[2][2] is calls[3][2] and calls[1][2] is not calls[2][2]
+    assert all(sensing.seed == seed for _, seed, sensing in calls)
+
+
 def test_cooperation_beats_isolated_on_average():
     # Scaled-down analog of the accuracy comparison; the full version with
     # 100 seeds runs in the acceptance suite.
@@ -406,6 +434,83 @@ def test_cooperation_beats_isolated_on_average():
     rows = run_sweep(cfg, seeds=range(4), modes=("isolated", "cooperation"), workers=2)
     agg = {a["mode"]: a for a in aggregate_sweep(rows)}
     assert agg["cooperation"]["mae_x_mean"] < agg["isolated"]["mae_x_mean"]
+
+
+# ---------------------------------------------------------- sensing record
+
+SENSING_ORDERS = [
+    ("isolated", "cooperation", "federation"),
+    ("federation", "isolated", "cooperation"),
+    ("cooperation", "federation", "isolated"),
+]
+SENSING_CASES = {
+    "converging": {"kl_reference": False},
+    "offset-and-jitter": {"kl_reference": False, "clock": {"offsets": {"2": 0.010}, "jitter_std": 0.002}},
+    "kl-reference": {"kl_reference": True},
+}
+SENSING_EPOCHS = 15
+
+
+def sensing_config(case: str, mode: str):
+    return load_config("converging", mode=mode, seed=3, epochs=SENSING_EPOCHS, **SENSING_CASES[case])
+
+
+@lru_cache(maxsize=None)
+def separate_run(case: str, mode: str):
+    return run_experiment(sensing_config(case, mode))
+
+
+def assert_same_fields(a, b):
+    assert type(a) is type(b)
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "estimates":
+            assert x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("order", SENSING_ORDERS, ids=["-".join(o) for o in SENSING_ORDERS])
+@pytest.mark.parametrize("case", sorted(SENSING_CASES))
+def test_runs_on_a_shared_record_match_separate_runs(case, order):
+    sensing = SensingRecord(3)
+    for mode in order:
+        records, metrics = run_experiment(sensing_config(case, mode), sensing=sensing)
+        expected_records, expected_metrics = separate_run(case, mode)
+        assert len(records) == len(expected_records)
+        for rec, expected in zip(records, expected_records):
+            assert_same_fields(rec, expected)
+        assert_same_fields(metrics, expected_metrics)
+    assert len(sensing.clouds) == SENSING_EPOCHS
+    assert all(len(mixtures) == 3 for mixtures in sensing.mixtures)
+
+
+def test_a_run_longer_than_its_record_observes_where_the_record_ends():
+    sensing = SensingRecord(0)
+    run_experiment(small_config(mode="isolated", epochs=4), sensing=sensing)
+    records, metrics = run_experiment(small_config(mode="federation", epochs=9), sensing=sensing)
+    expected_records, expected_metrics = run_experiment(small_config(mode="federation", epochs=9))
+    for rec, expected in zip(records, expected_records, strict=True):
+        assert_same_fields(rec, expected)
+    assert_same_fields(metrics, expected_metrics)
+    assert len(sensing.clouds) == 9
+
+
+def test_a_record_of_another_seed_is_refused():
+    sensing = SensingRecord(1)
+    with pytest.raises(ValueError, match="seed 1 .* seed 2"):
+        run_experiment(small_config(seed=2, epochs=2), sensing=sensing)
+    assert sensing.clouds == []
+
+
+def test_recorded_arrays_are_read_only():
+    sensing = SensingRecord(0)
+    run_experiment(small_config(mode="isolated", epochs=2), sensing=sensing)
+    cloud, clusters, mixture = sensing.clouds[0][1], sensing.clusters[0][1], sensing.mixtures[0][1]
+    assert len(cloud) and mixture.n_components
+    for array in (cloud.points, cloud.truth_outlier, clusters.labels, mixture.means, mixture.covs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 # ---------------------------------------------------------------- config
@@ -430,7 +535,13 @@ def test_config_validation_errors():
         config_from_dict(bad)
 
 
-@pytest.mark.parametrize("change", [{"mode": "telepathy"}, {"ego_radar": 99}], ids=["unknown-mode", "undeployed-ego"])
+@pytest.mark.parametrize(
+    "change",
+    [{"mode": "telepathy"}, {"ego_radar": 99}, {"prior_speed": -1.0}, {"prior_speed": float("nan")},
+     {"prior_speed": float("inf")}, {"min_separation": float("nan")}, {"dbscan_eps": float("nan")}],
+    ids=["unknown-mode", "undeployed-ego", "negative-prior-speed", "nan-prior-speed", "infinite-prior-speed",
+         "nan-min-separation", "nan-dbscan-eps"],
+)
 def test_replaced_config_is_checked(change):
     with pytest.raises(ConfigError):
         replace(config_from_dict(SMALL), **change)

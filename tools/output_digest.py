@@ -7,7 +7,10 @@ The matrix covers every output the CLI writes:
   and 5, 40 epochs each (epochs.csv, summary.csv, replay log, grid dumps);
 * ``kl`` on both scenarios, seed 3, 40 epochs (kl_summary.csv);
 * ``sweep`` of 3 ``converging`` seeds in all three modes and ``report`` on
-  it (sweep.csv, report.csv).
+  it (sweep.csv, report.csv);
+* the same ``sweep`` with the modes in another order on 2 workers
+  (sweep.csv), so each seed's later modes replay what federation sensed
+  first, inside the worker pool.
 
 Each output line is ``sha256  relative/path``, sorted by path. Two source
 trees produce the same outputs exactly when their digests are equal, so a
@@ -51,6 +54,8 @@ def commands() -> list[list[str]]:
                      "--out", f"kl/{scenario}"])
     cmds.append(["sweep", "--config", "converging", "--seeds", "3", "--out", "sweep"])
     cmds.append(["report", "--out", "sweep"])
+    cmds.append(["sweep", "--config", "converging", "--seeds", "3", "--modes", "federation,isolated,cooperation",
+                 "--workers", "2", "--out", "sweep-reordered"])
     return cmds
 
 
