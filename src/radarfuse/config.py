@@ -86,6 +86,12 @@ class ExperimentConfig:
             raise ConfigError("invalid density-clustering parameters")
         if not 0 <= self.prior_speed <= sys.float_info.max:
             raise ConfigError("prior_speed must be >= 0 and finite")
+        if self.fit.m_max < 1:
+            raise ConfigError("mixture: m_max must be >= 1")
+        if self.fit.max_iters < 0:
+            raise ConfigError("mixture: em_max_iters must be >= 0")
+        if not 0 <= self.fit.tol <= sys.float_info.max:
+            raise ConfigError("mixture: em_tol must be >= 0 and finite")
         ids = [r.id for r in self.radars]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate radar ids")
@@ -138,15 +144,18 @@ def _check_keys(raw: Mapping[str, Any], where: str, required: tuple[str, ...], o
 # is the scenario's top level; "target" and "radar" apply to each list entry.
 # A default of None means the key is required (its presence is checked with
 # the section's other keys) or, for ``ego_radar``, defaults to the first radar.
+# A key whose dataclass field has a default takes it from the dataclass.
 _SCALARS: dict[str, dict[str, tuple[type, Any]]] = {
     "": {"name": (str, "unnamed"), "mode": (str, "federation"), "seed": (int, 0), "epochs": (int, 100),
          "grid_resolution": (float, None), "tau": (float, 0.45), "min_separation": (float, 0.5),
-         "prior_speed": (float, 1.0), "ego_radar": (int, None), "kl_reference": (bool, True)},
+         "prior_speed": (float, 1.0), "ego_radar": (int, None),
+         "kl_reference": (bool, ExperimentConfig.kl_reference)},
     "dbscan": {"eps": (float, 0.3), "min_pts": (int, 5)},
-    "mixture": {"m_max": (int, 8), "em_max_iters": (int, 60), "em_tol": (float, 1e-5)},
-    "clock": {"jitter_std": (float, 0.0)},
+    "mixture": {"m_max": (int, FitOptions.m_max), "em_max_iters": (int, FitOptions.max_iters),
+                "em_tol": (float, FitOptions.tol)},
+    "clock": {"jitter_std": (float, ClockModel.jitter_std)},
     "target": {"id": (int, None), "speed": (float, None), "points_per_frame": (int, None),
-               "center_height": (float, 1.0)},
+               "center_height": (float, TargetSpec.center_height)},
     "radar": {"id": (int, None), "yaw_deg": (float, None)},
 }
 
@@ -233,7 +242,8 @@ def _target_from(raw: Mapping[str, Any]) -> TargetSpec:
     )
 
 
-_MODEL_KEYS = {f.name for f in fields(RadarModel)} | {"fov_azimuth_deg", "azimuth_resolution_deg"}
+# A radar's model keys: the ``RadarModel`` fields, with the field of view in degrees.
+_MODEL_KEYS = {f.name for f in fields(RadarModel)} - {"fov_azimuth"} | {"fov_azimuth_deg"}
 
 
 def _radar_from(raw: Mapping[str, Any]) -> RadarSetup:
@@ -247,8 +257,6 @@ def _radar_from(raw: Mapping[str, Any]) -> RadarSetup:
     model_raw = {key: _typed(value, float, f"{where}: model.{key}") for key, value in model_raw.items()}
     if "fov_azimuth_deg" in model_raw:
         model_raw["fov_azimuth"] = math.radians(model_raw.pop("fov_azimuth_deg"))
-    if "azimuth_resolution_deg" in model_raw:
-        model_raw["azimuth_resolution"] = math.radians(model_raw.pop("azimuth_resolution_deg"))
     pose = RadarPose(_vector(raw["position"], 3, f"{where}: position"), math.radians(scalars["yaw_deg"]))
     return RadarSetup(scalars["id"], pose, RadarModel(**model_raw))
 
@@ -265,7 +273,7 @@ def _topology_from(raw: Any, ids: tuple[int, ...]) -> Topology:
 def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentConfig:
     """Build a config; keyword overrides replace top-level keys
     (``mode``, ``seed``, ``epochs``, ...)."""
-    data = dict(data)
+    data = dict(_object(data, "scenario"))
     for key, value in overrides.items():
         if value is not None:
             data[key] = value

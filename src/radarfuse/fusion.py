@@ -43,7 +43,7 @@ SIGMA_FLOOR = RANGE_RESOLUTION
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Mixture-fit knobs shared by all posterior builders."""
+    """Mixture-fit knobs shared by all posterior builders (and the scenario defaults)."""
 
     m_max: int = 8
     max_iters: int = 60
@@ -59,7 +59,7 @@ def likelihood_from_cloud(
     cloud: PointCloud,
     clusters: ClusterResult,
     spec: GridSpec,
-    fit: FitOptions = FitOptions(),
+    fit: FitOptions,
 ) -> tuple[DensityGrid, GaussianMixture]:
     """Likelihood grid and mixture for one preprocessed cloud.
 
@@ -72,7 +72,7 @@ def likelihood_from_cloud(
 def pooled_likelihood(
     ensemble: Sequence[tuple[PointCloud, ClusterResult]],
     spec: GridSpec,
-    fit: FitOptions = FitOptions(),
+    fit: FitOptions,
 ) -> tuple[DensityGrid, GaussianMixture]:
     """Likelihood of the pooled ensemble, fitted with one component per
     contributing cluster (component count sums over the member clouds)."""
@@ -121,12 +121,11 @@ def motion_prior(
     speed: float,
     dt: float,
     spec: GridSpec,
-    sigma_floor: float = SIGMA_FLOOR,
 ) -> DensityGrid:
     """Prior from the previous support mask, diffused by a random-walk step.
 
     Each cell of the boolean ``(ny, nx)`` support spreads as an isotropic
-    Gaussian with sigma = speed * dt + sigma_floor, computed as a separable
+    Gaussian with sigma = speed * dt + SIGMA_FLOOR, computed as a separable
     Gaussian blur of the mask (truncated at 6 sigma). The blur runs on the
     support's bounding box padded by the kernel radius: every cell outside
     it is a sum of zeros, and where the box is clipped its edge is the
@@ -143,7 +142,7 @@ def motion_prior(
     if len(rows) == 0:
         return DensityGrid.uniform(spec)
     cols = np.flatnonzero(support.any(axis=0))
-    sigma_px = (speed * dt + sigma_floor) / spec.resolution
+    sigma_px = (speed * dt + SIGMA_FLOOR) / spec.resolution
     radius = int(6.0 * sigma_px + 0.5)  # gaussian_filter's kernel radius at truncate=6
     win = (
         slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
@@ -158,7 +157,7 @@ def refit_posterior_mixture(
     cloud: PointCloud,
     lik_mixture: GaussianMixture,
     prior: DensityGrid,
-    fit: FitOptions = FitOptions(),
+    fit: FitOptions,
 ) -> GaussianMixture:
     """Re-fit a cloud mixture with points weighted by the prior mass at
     their location, so the parameters summarize the posterior rather than

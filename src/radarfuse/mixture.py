@@ -43,6 +43,7 @@ COV_EIG_FLOOR = RANGE_RESOLUTION**2
 _LOG_2PI = math.log(2.0 * math.pi)
 # Below this, exp(·) is subnormal or zero; the E-step sets it to exactly 0.
 _LOG_TINY = math.log(np.finfo(float).tiny)
+_KL_FLOOR = 1e-12  # per-cell mass floor of kl_divergence
 
 # EM point features are [1, x, y, z, x^2, y^2, z^2, xy, xz, yz]. A precision
 # matrix P enters log N through -x'Px/2: entries (0,0), (1,1), (2,2), (0,1),
@@ -64,9 +65,10 @@ class GridSpec:
     resolution: float  # cell size, meters
 
     def __post_init__(self):
-        if self.resolution <= 0:
+        # Written so that NaN fails each comparison.
+        if not self.resolution > 0:
             raise ValueError("resolution must be > 0")
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
+        if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("grid extent must be non-degenerate")
 
     @property
@@ -240,9 +242,8 @@ def fit_em(
     init_covs: np.ndarray | None = None,
     init_weights: np.ndarray | None = None,
     point_weights: np.ndarray | None = None,
-    max_iters: int = 60,
-    tol: float = 1e-5,
-    cov_floor: float = COV_EIG_FLOOR,
+    max_iters: int,
+    tol: float,
     return_trace: bool = False,
 ):
     """Fit a Gaussian mixture by EM from a deterministic initialization.
@@ -288,7 +289,7 @@ def fit_em(
     else:
         base = np.cov(points.T, bias=True) if n > 1 else np.zeros((3, 3))
         covs = np.tile(base, (m, 1, 1))
-    covs, prec, logdet = _floor_eigh(covs, cov_floor, each=True)
+    covs, prec, logdet = _floor_eigh(covs, COV_EIG_FLOOR, each=True)
     if init_weights is not None:
         beta = np.asarray(init_weights, dtype=float)[:m].copy()
         beta = beta / beta.sum() if beta.sum() > 0 else np.full(m, 1.0 / m)
@@ -343,7 +344,7 @@ def fit_em(
         moments = moments / np.where(alive, nm, 1.0)[:, None]
         new_means = moments[:, 1:4]
         new_covs = moments[:, _SECOND_MOMENTS] - new_means[:, :, None] * new_means[:, None, :]
-        new_covs, new_prec, new_logdet = _floor_eigh(new_covs, cov_floor)
+        new_covs, new_prec, new_logdet = _floor_eigh(new_covs, COV_EIG_FLOOR)
         dead = ~alive
         if dead.any():
             new_means[dead] = means[dead]
@@ -400,7 +401,7 @@ def eval_on_grid(mixture: GaussianMixture, spec: GridSpec) -> DensityGrid:
     return DensityGrid(spec, mass / total)
 
 
-def kl_divergence(p: DensityGrid, q: DensityGrid, floor: float = 1e-12) -> float:
+def kl_divergence(p: DensityGrid, q: DensityGrid) -> float:
     """KL divergence between two grids after flooring and renormalization.
 
     Flooring keeps the divergence finite under disjoint supports; the result
@@ -408,10 +409,8 @@ def kl_divergence(p: DensityGrid, q: DensityGrid, floor: float = 1e-12) -> float
     """
     if p.spec != q.spec:
         raise ValueError("grids must share extent and resolution")
-    if floor <= 0:
-        raise ValueError("floor must be > 0")
-    pf = np.maximum(p.mass, floor)
-    qf = np.maximum(q.mass, floor)
+    pf = np.maximum(p.mass, _KL_FLOOR)
+    qf = np.maximum(q.mass, _KL_FLOOR)
     pf = pf / pf.sum()
     qf = qf / qf.sum()
     d = float(np.sum(pf * (np.log(pf) - np.log(qf))))

@@ -26,7 +26,7 @@ LOCAL = "local"
 GLOBAL = "global"
 OUTLIER = -1
 
-# Resolvable-scale default shared by noise floors elsewhere in the pipeline.
+# The radars' resolvable scale; it floors EM covariances and the prior's step.
 RANGE_RESOLUTION = 0.042  # meters
 
 # Injected outlier points are drawn uniformly over the FOV sector in the
@@ -69,8 +69,6 @@ class RadarModel:
 
     fov_azimuth: float = math.radians(60.0)  # half angle, radians
     max_range: float = 12.0  # meters
-    range_resolution: float = RANGE_RESOLUTION  # meters
-    azimuth_resolution: float = math.radians(25.0)  # radians
     noise_sigma: float = 0.12  # per-axis std dev, meters
     outlier_rate: float = 5.0  # expected outliers per frame
     detection_range_ref: float = 5.0  # meters
@@ -78,14 +76,7 @@ class RadarModel:
     occlusion_attenuation: float = 0.1
 
     def __post_init__(self):
-        positive = (
-            self.fov_azimuth,
-            self.max_range,
-            self.range_resolution,
-            self.azimuth_resolution,
-            self.detection_range_ref,
-            self.occlusion_width,
-        )
+        positive = (self.fov_azimuth, self.max_range, self.detection_range_ref, self.occlusion_width)
         if not all(v > 0 for v in positive):
             raise ValueError("radar model parameters must be strictly positive")
         if self.noise_sigma < 0 or self.outlier_rate < 0:

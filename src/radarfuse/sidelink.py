@@ -200,9 +200,9 @@ def account_undelivered(stats: LinkStats, msg: Message, receiver: int) -> LinkSt
 
 
 class OutboxHistory:
-    """Per-epoch buffer of sent messages, kept long enough for clock offsets."""
+    """Per-epoch buffer of sent messages, kept ``depth`` epochs back for clock offsets."""
 
-    def __init__(self, depth: int = 16):
+    def __init__(self, depth: int):
         self.depth = depth
         self._buffer: dict[int, dict[int, Message]] = {}
 

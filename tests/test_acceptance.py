@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from radarfuse.config import load_config
-from radarfuse.fusion import extract_targets, federated_posterior
+from radarfuse.fusion import FitOptions, extract_targets, federated_posterior
 from radarfuse.harness import aggregate_sweep, export_csv, run_experiment, run_sweep
 from radarfuse.mixture import (
     GaussianMixture,
@@ -27,6 +27,7 @@ from test_fusion import exhaustive_extract, random_mixture
 from test_sensor import brute_force_dbscan
 
 UPDATES_PER_SECOND = Fraction(100)  # one localization update every 10 ms
+FIT = FitOptions()  # the scenario defaults of the EM fit
 
 
 def report(name, ok, detail):
@@ -158,7 +159,7 @@ def test_criterion_6_numerical_invariants():
         n = int(rng.integers(m + 4, 60))
         pts = rng.normal(rng.uniform(-1, 1, 3), rng.uniform(0.1, 1.0), (n, 3))
         init = pts[rng.choice(n, m, replace=False)]
-        _, trace = fit_em(pts, m, init, return_trace=True)
+        _, trace = fit_em(pts, m, init, max_iters=FIT.max_iters, tol=FIT.tol, return_trace=True)
         if len(trace) > 1:
             steps = np.diff(trace) / np.maximum(1.0, np.abs(trace[:-1]))
             worst = min(worst, float(steps.min()))

@@ -59,8 +59,15 @@ def run_edited_converging(tmp_path, edit):
         (lambda radar: radar.pop("position"), "radar 2: missing key 'position'"),
         (lambda radar: radar.setdefault("model", {}).update(noise_sigma=None), "radar 2: model.noise_sigma must be a number, got null"),
         (lambda radar: radar.update(yaw_deg="east"), 'radar 2: yaw_deg must be a number, got "east"'),
+        (lambda radar: radar["model"].update(fov_azimuth=1.0), "radar 2: unknown model key 'fov_azimuth'"),
+        (lambda radar: radar["model"].update(range_resolution=3.0), "radar 2: unknown model key 'range_resolution'"),
+        (lambda radar: radar["model"].update(azimuth_resolution=1.4),
+         "radar 2: unknown model key 'azimuth_resolution'"),
+        (lambda radar: radar["model"].update(azimuth_resolution_deg=80.0),
+         "radar 2: unknown model key 'azimuth_resolution_deg'"),
     ],
-    ids=["unknown-model-key", "missing-yaw", "missing-position", "null-model-field", "string-yaw"],
+    ids=["unknown-model-key", "missing-yaw", "missing-position", "null-model-field", "string-yaw",
+         "radians-fov", "range-resolution", "azimuth-resolution", "azimuth-resolution-deg"],
 )
 def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
     rc = run_edited_converging(tmp_path, lambda data: edit(next(r for r in data["radars"] if r["id"] == 2)))
@@ -114,6 +121,9 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data.update(update_period_s="1e-400"), "update period must be > 0 and finite as a double"),
         (lambda data: data.update(update_period_s="-0.01"), "update period must be > 0 and finite as a double"),
         (lambda data: data.update(prior_speed=-1.0), "prior_speed must be >= 0 and finite"),
+        (lambda data: data["mixture"].update(m_max=0), "mixture: m_max must be >= 1"),
+        (lambda data: data["mixture"].update(em_max_iters=-1), "mixture: em_max_iters must be >= 0"),
+        (lambda data: data["mixture"].update(em_tol=-1.0), "mixture: em_tol must be >= 0 and finite"),
     ],
     ids=[
         "no-radars", "target-without-speed", "no-area", "offset-of-undeployed-radar",
@@ -127,11 +137,25 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         "nan-min-separation", "nan-dbscan-eps", "infinite-prior-speed", "overflowing-area-bound",
         "overflowing-integer-area-bound", "repeated-topology-edge", "overflowing-update-period",
         "underflowing-update-period", "negative-update-period", "negative-prior-speed",
+        "zero-m-max", "negative-em-max-iters", "negative-em-tol",
     ],
 )
 def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reason):
     assert run_edited_converging(tmp_path, edit) == 1
     assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not (tmp_path / "o").exists()  # refused before the run starts
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [("[1, 2]", "list"), ("42", "int"), ("null", "NoneType"), ('"text"', "str"), ('[["area", 1]]', "list")],
+    ids=["list", "number", "null", "string", "list-of-pairs"],
+)
+def test_run_rejects_a_scenario_that_is_not_an_object(tmp_path, capsys, text, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: scenario must be an object, got {kind}\n"
 
 
 def test_run_rejects_missing_scenario(tmp_path, capsys):

@@ -5,6 +5,7 @@ from scipy.ndimage import gaussian_filter
 from scipy.stats import multivariate_normal
 
 from radarfuse.fusion import (
+    SIGMA_FLOOR,
     FitOptions,
     alpha_weights,
     bayes_product,
@@ -114,12 +115,12 @@ def test_single_point_prior_is_a_bump():
 
 
 def test_step_size_rule():
-    # sigma(v) = v * dt + floor; with floor 0 the blur is exactly v * dt.
-    prior = motion_prior(mask_at([[4.05, 4.05]]), 1.0, 0.01, SPEC, sigma_floor=0.0)
-    # oracle: direct superposition with sigma = 0.01
+    # sigma(v) = v * dt + SIGMA_FLOOR
+    prior = motion_prior(mask_at([[4.05, 4.05]]), 1.0, 0.01, SPEC)
+    # oracle: direct superposition with sigma = 1.0 * 0.01 + SIGMA_FLOOR
     gx, gy = np.meshgrid(SPEC.x_centers(), SPEC.y_centers())
     d2 = (gx - 4.05) ** 2 + (gy - 4.05) ** 2
-    oracle = np.exp(-0.5 * d2 / 0.01**2)
+    oracle = np.exp(-0.5 * d2 / (0.01 + SIGMA_FLOOR) ** 2)
     oracle /= oracle.sum()
     assert np.max(np.abs(prior.mass - oracle)) < 1e-9
 
@@ -181,7 +182,7 @@ def test_windowed_prior_equals_full_grid_blur(spec_mask, speed, dt):
     oracle = DensityGrid(
         spec, gaussian_filter(mask.astype(float), sigma / spec.resolution, mode="constant", truncate=6.0)
     ).normalized()
-    prior = motion_prior(mask, speed, dt, spec, sigma_floor=0.042)
+    prior = motion_prior(mask, speed, dt, spec)
     assert np.array_equal(prior.mass, oracle.mass)
 
 

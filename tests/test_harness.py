@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from radarfuse import harness
+from radarfuse.fusion import FitOptions
 from radarfuse.config import MODES, ConfigError, config_from_dict, load_config, resolve_scenario
 from radarfuse.harness import (
     EpochRecord,
@@ -538,9 +539,12 @@ def test_config_validation_errors():
 @pytest.mark.parametrize(
     "change",
     [{"mode": "telepathy"}, {"ego_radar": 99}, {"prior_speed": -1.0}, {"prior_speed": float("nan")},
-     {"prior_speed": float("inf")}, {"min_separation": float("nan")}, {"dbscan_eps": float("nan")}],
+     {"prior_speed": float("inf")}, {"min_separation": float("nan")}, {"dbscan_eps": float("nan")},
+     {"fit": FitOptions(m_max=0)}, {"fit": FitOptions(max_iters=-1)}, {"fit": FitOptions(tol=-1.0)},
+     {"fit": FitOptions(tol=float("nan"))}, {"fit": FitOptions(tol=float("inf"))}],
     ids=["unknown-mode", "undeployed-ego", "negative-prior-speed", "nan-prior-speed", "infinite-prior-speed",
-         "nan-min-separation", "nan-dbscan-eps"],
+         "nan-min-separation", "nan-dbscan-eps", "zero-m-max", "negative-max-iters", "negative-tol", "nan-tol",
+         "infinite-tol"],
 )
 def test_replaced_config_is_checked(change):
     with pytest.raises(ConfigError):

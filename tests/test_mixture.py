@@ -8,6 +8,7 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from radarfuse import mixture
+from radarfuse.fusion import FitOptions
 from radarfuse.mixture import (
     COV_EIG_FLOOR,
     DensityGrid,
@@ -26,9 +27,21 @@ from radarfuse.sensor import ClusterResult
 
 SPEC = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
 
+# fit_em takes its iteration cap and tolerance from the caller; these are the
+# scenario defaults.
+EM = {"max_iters": FitOptions.max_iters, "tol": FitOptions.tol}
+
 
 def iso_cov(s2):
     return np.eye(3) * s2
+
+
+def test_grid_spec_refuses_nan():
+    nan = float("nan")
+    for bounds in ((0, 1, 0, 1, nan), (nan, 1, 0, 1, 0.1), (0, nan, 0, 1, 0.1), (0, 1, nan, 1, 0.1),
+                   (0, 1, 0, nan, 0.1)):
+        with pytest.raises(ValueError):
+            GridSpec(*bounds)
 
 
 # ------------------------------------------------------ component count
@@ -46,7 +59,7 @@ def test_choose_components():
 def test_single_component_is_moment_matching():
     rng = np.random.default_rng(0)
     pts = rng.normal([1.0, 2.0, 0.5], [0.3, 0.2, 0.4], (500, 3))
-    mix = fit_em(pts, 1, pts.mean(axis=0, keepdims=True))
+    mix = fit_em(pts, 1, pts.mean(axis=0, keepdims=True), **EM)
     assert mix.weights[0] == pytest.approx(1.0)
     assert np.allclose(mix.means[0], pts.mean(axis=0), atol=1e-9)
     sample_cov = np.cov(pts.T, bias=True)
@@ -62,7 +75,7 @@ def test_two_blob_fit_matches_membership_oracle():
     b = rng.normal([10, 0, 0], 0.1, (200, 3))
     pts = np.concatenate([a, b])
     init = np.array([a.mean(axis=0), b.mean(axis=0)])
-    mix = fit_em(pts, 2, init)
+    mix = fit_em(pts, 2, init, **EM)
     for i, blob in zip(np.argsort(mix.means[:, 0]), (a, b)):
         assert np.linalg.norm(mix.means[i] - blob.mean(axis=0)) < 0.05
     weights = sorted(mix.weights)
@@ -75,7 +88,7 @@ def test_weights_sum_to_one_and_counts_close():
         m = int(rng.integers(1, 5))
         centers = rng.uniform(0, 8, (m, 3))
         pts = np.concatenate([rng.normal(c, 0.2, (rng.integers(20, 80), 3)) for c in centers])
-        mix = fit_em(pts, m, centers)
+        mix = fit_em(pts, m, centers, **EM)
         assert abs(mix.weights.sum() - 1.0) <= 1e-9
         assert mix.counts.sum() == mix.total_points == len(pts)
 
@@ -86,7 +99,7 @@ def test_log_likelihood_nondecreasing():
         m = int(rng.integers(1, 4))
         pts = rng.normal(0, 1.0, (100, 3)) + rng.uniform(-2, 2, 3)
         init = pts[rng.choice(100, m, replace=False)]
-        _, trace = fit_em(pts, m, init, return_trace=True)
+        _, trace = fit_em(pts, m, init, return_trace=True, **EM)
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
 
@@ -119,7 +132,7 @@ def test_initial_log_likelihood_matches_direct_evaluation(problem):
     per_point = logsumexp(logpdf, axis=0, b=(weights / weights.sum())[:, None])
     for w in (None, point_weights):
         _, trace = fit_em(points, len(means), means, init_covs=covs, init_weights=weights,
-                          point_weights=w, max_iters=1, return_trace=True)
+                          point_weights=w, max_iters=1, tol=EM["tol"], return_trace=True)
         expected = float(np.dot(np.ones(n) if w is None else w * (n / w.sum()), per_point))
         assert abs(trace[0] - expected) <= 1e-9 * max(1.0, abs(expected))
 
@@ -212,7 +225,7 @@ def test_em_step_with_underflowing_responsibilities(problem):
     for w in (None, point_weights):
         ll, ref_weights, ref_means, ref_covs = reference_em_step(points, logp, np.ones(n) if w is None else w * (n / w.sum()))
         mix, trace = fit_em(points, len(means), means, init_covs=covs, init_weights=weights,
-                            point_weights=w, max_iters=1, return_trace=True)
+                            point_weights=w, max_iters=1, tol=EM["tol"], return_trace=True)
         assert abs(trace[0] - ll) <= 1e-9 * max(1.0, abs(ll))
         assert np.all(np.abs(mix.weights - ref_weights) <= 1e-9 * ref_weights)
         for mu, ref_mu, cov, ref_cov in zip(mix.means, ref_means, mix.covs, ref_covs):
@@ -257,11 +270,11 @@ def test_component_far_from_every_point_keeps_its_start():
     assert np.array_equal(pts.mean(axis=0), pts.sum(axis=0) / 64)
     init = np.array([pts.mean(axis=0), [1002.0, 3.0, 1.0]])
     covs = np.array([iso_cov(0.5), np.diag([0.25, 0.5, 0.125])])
-    mix = fit_em(pts, 2, init, init_covs=covs)
+    mix = fit_em(pts, 2, init, init_covs=covs, **EM)
     assert mix.weights[1] == 0.0 and mix.counts[1] == 0 and mix.counts[0] == 64
     assert np.array_equal(mix.means[1], init[1])
     assert np.array_equal(mix.covs[1], covs[1])
-    alone = fit_em(pts, 1, init[:1], init_covs=covs[:1])
+    alone = fit_em(pts, 1, init[:1], init_covs=covs[:1], **EM)
     assert np.allclose(mix.means[0], alone.means[0], rtol=1e-12, atol=0)
     assert np.allclose(mix.covs[0], alone.covs[0], rtol=1e-12, atol=1e-15)
 
@@ -273,7 +286,7 @@ def test_em_reverts_an_m_step_that_lowers_the_log_likelihood(monkeypatch):
     rng = np.random.default_rng(9)
     pts = np.concatenate([rng.normal([1, 1, 1], 0.2, (60, 3)), rng.normal([3, 1, 1], 0.3, (40, 3))])
     init = np.array([[1.5, 1.2, 1.0], [2.5, 0.8, 1.0]])
-    good, good_trace = fit_em(pts, 2, init, max_iters=1, return_trace=True)
+    good, good_trace = fit_em(pts, 2, init, max_iters=1, tol=EM["tol"], return_trace=True)
 
     floor_eigh = mixture._floor_eigh
     m_steps = []
@@ -286,7 +299,7 @@ def test_em_reverts_an_m_step_that_lowers_the_log_likelihood(monkeypatch):
         return floor_eigh(covs, floor, each)
 
     monkeypatch.setattr(mixture, "_floor_eigh", overshooting)
-    mix, trace = fit_em(pts, 2, init, return_trace=True)
+    mix, trace = fit_em(pts, 2, init, return_trace=True, **EM)
     assert len(m_steps) == 2 and trace[:1] == good_trace and len(trace) == 2
     for name in ("weights", "means", "covs", "counts"):
         assert np.array_equal(getattr(mix, name), getattr(good, name)), name
@@ -305,9 +318,9 @@ def test_mixture_arrays_must_agree_in_shape():
 
 def test_component_reduction_and_empty_input():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    mix = fit_em(pts, 5, np.tile(pts.mean(axis=0), (5, 1)))
+    mix = fit_em(pts, 5, np.tile(pts.mean(axis=0), (5, 1)), **EM)
     assert mix.n_components <= 2
-    empty = fit_em(np.empty((0, 3)), 1, np.zeros((1, 3)))
+    empty = fit_em(np.empty((0, 3)), 1, np.zeros((1, 3)), **EM)
     assert empty.is_empty() and empty.total_points == 0
 
 
@@ -316,7 +329,7 @@ def test_covariances_stay_floored_and_pd():
     # nearly coplanar points would collapse an eigenvalue without the floor
     pts = rng.normal(0, 0.5, (100, 3))
     pts[:, 2] = 0.0
-    mix = fit_em(pts, 2, pts[:2])
+    mix = fit_em(pts, 2, pts[:2], **EM)
     for cov in mix.covs:
         vals = np.linalg.eigvalsh(cov)
         assert vals[0] >= COV_EIG_FLOOR - 1e-12
@@ -327,8 +340,8 @@ def test_weighted_fit_with_equal_weights_matches_unweighted():
     rng = np.random.default_rng(5)
     pts = rng.normal([2, 2, 1], 0.3, (150, 3))
     init = pts[:2]
-    plain = fit_em(pts, 2, init)
-    weighted = fit_em(pts, 2, init, point_weights=np.full(150, 0.37))
+    plain = fit_em(pts, 2, init, **EM)
+    weighted = fit_em(pts, 2, init, point_weights=np.full(150, 0.37), **EM)
     assert np.allclose(plain.means, weighted.means)
     assert np.allclose(plain.covs, weighted.covs)
     assert plain.weights == pytest.approx(weighted.weights)
@@ -420,7 +433,7 @@ def test_bimodal_grid_matches_density_oracle():
 def test_density_integrates_to_one_on_enlarged_grid():
     rng = np.random.default_rng(7)
     pts = np.concatenate([rng.normal([3, 3, 1], 0.3, (80, 3)), rng.normal([5, 5, 1], 0.2, (80, 3))])
-    mix = fit_em(pts, 2, np.array([[3, 3, 1.0], [5, 5, 1.0]]))
+    mix = fit_em(pts, 2, np.array([[3, 3, 1.0], [5, 5, 1.0]]), **EM)
     big = GridSpec(-4.0, 12.0, -4.0, 12.0, 0.05)
     total = 0.0
     cells = np.column_stack([g.ravel() for g in np.meshgrid(big.x_centers(), big.y_centers())])
@@ -453,7 +466,7 @@ def test_disjoint_supports_stay_finite():
     q = DensityGrid(spec, np.zeros((spec.ny, spec.nx)))
     p.mass[0, 0] = 1.0
     q.mass[-1, -1] = 1.0
-    d = kl_divergence(p, q, floor=1e-12)
+    d = kl_divergence(p, q)
     assert np.isfinite(d) and d > 10.0
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from radarfuse import config
 from radarfuse.scene import Scene
 from radarfuse.sensor import (
     GLOBAL,
@@ -39,6 +40,31 @@ def cloud_of(points, frame=LOCAL):
 
 
 # ---------------------------------------------------------------- observe
+
+
+def loader_default(key):
+    """The value a radar gets for a model key its scenario leaves out."""
+    if key.endswith("_deg"):
+        return math.degrees(getattr(RadarModel(), key.removesuffix("_deg")))
+    return getattr(RadarModel(), key)
+
+
+@pytest.mark.parametrize("key", sorted(config._MODEL_KEYS))
+def test_every_model_key_changes_the_observation(key):
+    # A key the loader accepts but observe never reads would be silently ignored.
+    # Target 2 fills a sector past the range and FOV limits and behind target 1.
+    rng = np.random.default_rng(1)
+    near = rng.normal([3.0, 0.0, 1.0], 0.2, (50, 3))
+    r, az = rng.uniform(1.0, 13.0, 600), rng.uniform(-1.3, 1.3, 600)
+    far = np.column_stack([r * np.cos(az), r * np.sin(az), rng.uniform(0.5, 1.5, 600)])
+    scene = make_scene(np.concatenate([near, far]), np.repeat([1, 2], [50, 600]),
+                       {1: np.array([3.0, 0.0]), 2: np.array([8.0, 0.0])})
+
+    def observed(model):
+        radar = config._radar_from({"id": 1, "position": [0.0, 0.0, 0.0], "yaw_deg": 0.0, "model": model})
+        return observe(scene, radar.pose, radar.model, np.random.default_rng(4)).points
+
+    assert not np.array_equal(observed({key: 0.5 * loader_default(key)}), observed({}))
 
 
 def test_noiseless_boresight_point_is_identity():

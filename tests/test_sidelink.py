@@ -115,7 +115,7 @@ def test_fed_rejects_non_positive_definite_covariance():
 
 
 def fill_history(topo, epochs):
-    history = OutboxHistory()
+    history = OutboxHistory(epochs)  # keeps every epoch pushed
     for e in range(1, epochs + 1):
         history.push(e, {k: encode_coop(cloud_of([[float(k), float(e), 0.0]], radar_id=k, epoch=e)) for k in topo.ids})
     return history
@@ -360,7 +360,7 @@ def test_replay_reader_names_the_malformed_line(tmp_path, old, new, reason):
 def test_jitter_moves_only_the_means():
     topo = Topology((1, 2), ((2, 1),))
     mix = mixture_of(3, total=90, seed=4)
-    history = OutboxHistory()
+    history = OutboxHistory(0)
     history.push(1, {2: encode_fed(mix, 2, 1)})
     (msg,) = deliver(topo, history, 1, ClockModel({}, jitter_std=0.01), 0.010, np.random.default_rng(8), 2.0)[1]
     got = decode_fed(msg)

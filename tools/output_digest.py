@@ -10,7 +10,12 @@ The matrix covers every output the CLI writes:
   it (sweep.csv, report.csv);
 * the same ``sweep`` with the modes in another order on 2 workers
   (sweep.csv), so each seed's later modes replay what federation sensed
-  first, inside the worker pool.
+  first, inside the worker pool;
+* the ``run`` commands of the first item, seed 3 only, on a copy of
+  ``converging`` stripped to its required keys, so that every other
+  setting (the top-level keys, ``dbscan``, ``mixture``, ``clock``, each
+  radar's ``model`` and each target's ``center_height``) takes the
+  loader's default. No shipped scenario leaves these out.
 
 Each output line is ``sha256  relative/path``, sorted by path. Two source
 trees produce the same outputs exactly when their digests are equal, so a
@@ -29,33 +34,52 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SCENARIOS = ("default", "converging")
 MODES = ("isolated", "cooperation", "federation")
 SEEDS = (3, 5)
 EPOCHS = 40
+# The keys a scenario, a target and a radar must have.
+REQUIRED = {"": ("area", "grid_resolution", "landmarks", "targets", "radars"),
+            "targets": ("id", "waypoints", "speed", "body_extent", "points_per_frame"),
+            "radars": ("id", "position", "yaw_deg")}
 
 
-def commands() -> list[list[str]]:
-    """CLI argument lists of the matrix, relative to the output directory."""
+def required_only(scenario: dict) -> dict:
+    """The scenario without any key the loader has a default for."""
+    kept = {key: scenario[key] for key in REQUIRED[""]}
+    for key in ("targets", "radars"):
+        kept[key] = [{k: item[k] for k in REQUIRED[key]} for item in scenario[key]]
+    return kept
+
+
+def run_command(scenario: str, mode: str, seed: int, out: str) -> list[str]:
+    return ["run", "--config", scenario, "--mode", mode, "--seed", str(seed), "--epochs", str(EPOCHS),
+            "--out", out, "--dump-grids", "10", "--messages-out", f"{out}/messages.jsonl"]
+
+
+def commands(defaults_scenario: Path) -> list[list[str]]:
+    """CLI argument lists of the matrix, relative to the output directory;
+    ``defaults_scenario`` is the stripped copy of ``converging``."""
     cmds = []
     for scenario in SCENARIOS:
         for mode in MODES:
             for seed in SEEDS:
-                out = f"run/{scenario}-{mode}-s{seed}"
-                cmds.append(["run", "--config", scenario, "--mode", mode, "--seed", str(seed),
-                             "--epochs", str(EPOCHS), "--out", out, "--dump-grids", "10",
-                             "--messages-out", f"{out}/messages.jsonl"])
+                cmds.append(run_command(scenario, mode, seed, f"run/{scenario}-{mode}-s{seed}"))
         cmds.append(["kl", "--config", scenario, "--seed", "3", "--epochs", str(EPOCHS),
                      "--out", f"kl/{scenario}"])
     cmds.append(["sweep", "--config", "converging", "--seeds", "3", "--out", "sweep"])
     cmds.append(["report", "--out", "sweep"])
     cmds.append(["sweep", "--config", "converging", "--seeds", "3", "--modes", "federation,isolated,cooperation",
                  "--workers", "2", "--out", "sweep-reordered"])
+    for mode in MODES:
+        cmds.append(run_command(str(defaults_scenario), mode, 3, f"defaults/converging-{mode}-s3"))
     return cmds
 
 
@@ -82,12 +106,17 @@ def main(argv=None) -> int:
         print(f"error: output directory {args.out} is not empty", file=sys.stderr)
         return 2
     env = {**os.environ, "PYTHONPATH": str(package)}
-    for cmd in commands():
-        result = subprocess.run([sys.executable, "-m", "radarfuse.cli", *cmd], cwd=args.out, env=env,
-                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-        if result.returncode != 0:
-            print(f"error: radarfuse {' '.join(cmd)} exited {result.returncode}:\n{result.stderr}", file=sys.stderr)
-            return 1
+    converging = json.loads((package / "radarfuse" / "scenarios" / "converging.json").read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        defaults_scenario = Path(tmp) / "converging-required.json"
+        defaults_scenario.write_text(json.dumps(required_only(converging)))
+        for cmd in commands(defaults_scenario):
+            result = subprocess.run([sys.executable, "-m", "radarfuse.cli", *cmd], cwd=args.out, env=env,
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            if result.returncode != 0:
+                print(f"error: radarfuse {' '.join(cmd)} exited {result.returncode}:\n{result.stderr}",
+                      file=sys.stderr)
+                return 1
     print("\n".join(digest(args.out)))
     return 0
 
