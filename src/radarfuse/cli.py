@@ -2,7 +2,7 @@
 
 Subcommands:
   run     one experiment, writes epochs.csv and summary.csv
-  sweep   Monte Carlo over seeds and modes, writes sweep.csv
+  sweep   Monte Carlo over seeds and modes, writes sweep.csv (never the KL reference)
   kl      divergence study (federation run with the pooled reference)
   report  aggregate a sweep.csv into per-mode statistics
 """
@@ -10,7 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from pathlib import Path
@@ -18,12 +17,15 @@ from pathlib import Path
 from .config import MODES, load_config
 from .harness import (
     DECILES,
+    REPORT_COLUMNS,
+    SWEEP_COLUMNS,
     aggregate_sweep,
     export_csv,
-    format_value,
     kl_study,
+    read_sweep,
     run_experiment,
     run_sweep,
+    write_csv,
 )
 from .scene import ConfigError
 
@@ -47,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dump posterior grids every N epochs")
     run_p.add_argument("--messages-out", help="write the sidelink replay log to this file")
 
-    sweep_p = sub.add_parser("sweep", help="Monte Carlo sweep over seeds")
+    sweep_p = sub.add_parser("sweep", help="Monte Carlo sweep over seeds",
+                             description="Monte Carlo sweep over seeds and modes; writes sweep.csv. A sweep "
+                             "never computes the KL reference, whatever the scenario's kl_reference says.")
     _add_common(sweep_p)
     sweep_p.add_argument("--seeds", type=int, default=20, help="number of seeds")
     sweep_p.add_argument("--seed-start", type=int, default=0)
@@ -88,13 +92,7 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(cfg, seeds, modes, workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
-    fields = ["mode", "seed", "mae_x", "mae_y", "mae_n", "p_u", "tx_rate_ego"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: format_value(row[k]) for k in fields})
+    path = write_csv(out / "sweep.csv", SWEEP_COLUMNS, (row.values() for row in rows))
     print(f"wrote {path} ({len(rows)} runs)")
     return 0
 
@@ -106,15 +104,11 @@ def _cmd_kl(args) -> int:
     records, metrics = run_experiment(cfg)
     export_csv(records, metrics, out, cfg)
     study = kl_study(records)
-    path = out / "kl_summary.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["comparison", "radar", "median"] + [f"d{int(q * 100)}" for q in DECILES])
-        rows = [("global_vs_federated", "pooled", study["fed_pooled"])] if study["fed_pooled"] else []
-        rows += [("global_vs_federated", k, dist) for k, dist in study["fed"].items()]
-        rows += [("global_vs_local", k, dist) for k, dist in study["local"].items()]
-        for comparison, radar, dist in rows:
-            writer.writerow([format_value(v) for v in (comparison, radar, dist["median"], *dist["deciles"])])
+    rows = [("global_vs_federated", "pooled", study["fed_pooled"])] if study["fed_pooled"] else []
+    rows += [("global_vs_federated", k, dist) for k, dist in study["fed"].items()]
+    rows += [("global_vs_local", k, dist) for k, dist in study["local"].items()]
+    header = ["comparison", "radar", "median"] + [f"d{int(q * 100)}" for q in DECILES]
+    path = write_csv(out / "kl_summary.csv", header, ((c, k, d["median"], *d["deciles"]) for c, k, d in rows))
     print(f"wrote {path}")
     for k, dist in study["local"].items():
         fed_median = study["fed"][k]["median"]
@@ -123,31 +117,8 @@ def _cmd_kl(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    sweep_path = Path(args.out) / "sweep.csv"
-    if not sweep_path.exists():
-        raise FileNotFoundError(f"no sweep results at {sweep_path}")
-    with open(sweep_path, newline="") as fh:
-        rows = []
-        for raw in csv.DictReader(fh):
-            rows.append(
-                {
-                    "mode": raw["mode"],
-                    "seed": int(raw["seed"]),
-                    "mae_x": float(raw["mae_x"]) if raw["mae_x"] else None,
-                    "mae_y": float(raw["mae_y"]) if raw["mae_y"] else None,
-                    "p_u": float(raw["p_u"]) if raw["p_u"] else None,
-                    "tx_rate_ego": float(raw["tx_rate_ego"]) if raw["tx_rate_ego"] else None,
-                }
-            )
-    agg = aggregate_sweep(rows)
-    path = Path(args.out) / "report.csv"
-    fields = ["mode", "runs"] + [f"{k}_{s}" for k in ("mae_x", "mae_y", "p_u", "tx_rate_ego")
-                                 for s in ("mean", "median")]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in agg:
-            writer.writerow({k: format_value(row.get(k)) for k in fields})
+    agg = aggregate_sweep(read_sweep(Path(args.out) / "sweep.csv"))
+    path = write_csv(Path(args.out) / "report.csv", REPORT_COLUMNS, (row.values() for row in agg))
     for row in agg:
         mae = f"mae_x={row['mae_x_mean']:.4f}" if row["mae_x_mean"] is not None else "mae_x=n/a"
         pu = f"p_u={row['p_u_mean']:.3f}" if row["p_u_mean"] is not None else "p_u=n/a"

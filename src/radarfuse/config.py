@@ -25,7 +25,7 @@ from .fusion import FitOptions
 from .mixture import GridSpec
 from .scene import ConfigError, TargetSpec
 from .sensor import RadarModel, RadarPose
-from .sidelink import ClockModel, Topology
+from .sidelink import ClockModel, Topology, json_kind
 
 MODES = ("isolated", "cooperation", "federation")
 
@@ -120,7 +120,7 @@ def _landmarks_from(raw: Mapping[str, Any]) -> dict[str, np.ndarray]:
 
 def _object(raw: Any, where: str) -> Mapping[str, Any]:
     if not isinstance(raw, Mapping):
-        raise ConfigError(f"{where} must be an object, got {type(raw).__name__}")
+        raise ConfigError(f"{where} must be an object, got {json_kind(raw)}")
     return raw
 
 

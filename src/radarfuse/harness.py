@@ -512,17 +512,6 @@ def summarize(records: Sequence[EpochRecord], cfg: ExperimentConfig, stats: Link
     )
 
 
-EPOCH_BASE_COLUMNS = ["epoch", "radar", "cloud_points", "tx_bits", "resolved", "n_estimates"]
-
-
-def _epoch_columns(target_ids: Sequence[int]) -> list[str]:
-    cols = list(EPOCH_BASE_COLUMNS)
-    for tid in target_ids:
-        cols += [f"true_x_{tid}", f"true_y_{tid}", f"landmark_{tid}", f"est_x_{tid}", f"est_y_{tid}"]
-    cols += ["kl_global_fed", "kl_global_local"]
-    return cols
-
-
 def format_value(value) -> str:
     """One CSV cell: empty for None, 1/0 for bools, shortest round-tripping
     form for floats."""
@@ -535,56 +524,47 @@ def format_value(value) -> str:
     return str(value)
 
 
+def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write the header, then every row with each cell through ``format_value``."""
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format_value(v) for v in row] for row in rows)
+    return path
+
+
 def export_csv(
     records: Sequence[EpochRecord],
     metrics: MetricsRecord,
     out_dir: Path | str,
     cfg: ExperimentConfig,
 ) -> dict[str, Path]:
-    """Write the epoch-level and summary CSV files.
-
-    Column order is fixed; floats are written in their shortest
-    round-tripping form so re-reading reproduces the values exactly.
-    """
+    """Write ``epochs.csv`` (one row per epoch and radar) and ``summary.csv``
+    (``metrics_to_rows``)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target_ids = sorted(spec.id for spec in cfg.targets)
     radar_ids = [r.id for r in cfg.radars]
 
-    epochs_path = out / "epochs.csv"
-    with open(epochs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_epoch_columns(target_ids))
+    header = ["epoch", "radar", "cloud_points", "tx_bits", "resolved", "n_estimates"]
+    for tid in target_ids:
+        header += [f"true_x_{tid}", f"true_y_{tid}", f"landmark_{tid}", f"est_x_{tid}", f"est_y_{tid}"]
+    header += ["kl_global_fed", "kl_global_local"]
+
+    def epoch_rows():
         for rec in records:
             for k in radar_ids:
-                row = [
-                    rec.epoch,
-                    k,
-                    rec.cloud_points[k],
-                    rec.tx_bits[k],
-                    format_value(rec.resolved[k]),
-                    len(rec.estimates[k]),
-                ]
+                row = [rec.epoch, k, rec.cloud_points[k], rec.tx_bits[k], rec.resolved[k], len(rec.estimates[k])]
                 for tid in target_ids:
-                    true = rec.truth[tid]
-                    est = rec.matched[k].get(tid)
-                    row += [
-                        format_value(true[0]),
-                        format_value(true[1]),
-                        rec.target_landmark[tid],
-                        format_value(est[0] if est is not None else None),
-                        format_value(est[1] if est is not None else None),
-                    ]
-                row += [format_value(rec.kl_fed.get(k)), format_value(rec.kl_local.get(k))]
-                writer.writerow(row)
+                    est = rec.matched[k].get(tid) or (None, None)
+                    row += [*rec.truth[tid], rec.target_landmark[tid], *est]
+                yield row + [rec.kl_fed.get(k), rec.kl_local.get(k)]
 
-    summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "radar", "label", "value"])
-        for row in metrics_to_rows(metrics):
-            writer.writerow([format_value(v) for v in row])
-    return {"epochs": epochs_path, "summary": summary_path}
+    return {
+        "epochs": write_csv(out / "epochs.csv", header, epoch_rows()),
+        "summary": write_csv(out / "summary.csv", ("metric", "radar", "label", "value"), metrics_to_rows(metrics)),
+    }
 
 
 def metrics_to_rows(m: MetricsRecord) -> list[tuple]:
@@ -600,37 +580,31 @@ def metrics_to_rows(m: MetricsRecord) -> list[tuple]:
         rows += [("mae_x", "", label, mx), ("mae_y", "", label, my), ("mae_n", "", label, n)]
     if m.p_u is not None:
         rows.append(("p_u", "", "", m.p_u))
-    for k in sorted(m.p_u_by_radar):
-        rows.append(("p_u", k, "", m.p_u_by_radar[k]))
-    for k in sorted(m.tx_bits):
-        rows.append(("tx_bits", k, "", m.tx_bits[k]))
-    for k in sorted(m.tx_rate_bits_per_s):
-        rows.append(("tx_rate_bits_per_s", k, "", m.tx_rate_bits_per_s[k]))
-    for k in sorted(m.cloud_mean):
-        rows.append(("cloud_mean", k, "", m.cloud_mean[k]))
+    for name, values in (("p_u", m.p_u_by_radar), ("tx_bits", m.tx_bits),
+                         ("tx_rate_bits_per_s", m.tx_rate_bits_per_s), ("cloud_mean", m.cloud_mean)):
+        rows += [(name, k, "", values[k]) for k in sorted(values)]
     if m.kl_fed_median is not None:
         rows.append(("kl_fed_median", "", "pooled", m.kl_fed_median))
-    for k in sorted(m.kl_fed_median_by_radar):
-        rows.append(("kl_fed_median", k, "", m.kl_fed_median_by_radar[k]))
-    for k in sorted(m.kl_local_median_by_radar):
-        rows.append(("kl_local_median", k, "", m.kl_local_median_by_radar[k]))
+    for name, values in (("kl_fed_median", m.kl_fed_median_by_radar), ("kl_local_median", m.kl_local_median_by_radar)):
+        rows += [(name, k, "", values[k]) for k in sorted(values)]
     if m.kl_fed_deciles is not None:
-        for q, v in zip(DECILES, m.kl_fed_deciles):
-            rows.append(("kl_fed_decile", "", f"d{int(q * 100)}", v))
+        rows += [("kl_fed_decile", "", f"d{int(q * 100)}", v) for q, v in zip(DECILES, m.kl_fed_deciles)]
     return rows
+
+
+# sweep.csv's columns in order, each with the type ``read_sweep`` parses it
+# as; an empty cell is None. The float columns are the ones ``report`` aggregates.
+SWEEP_COLUMNS = {"mode": str, "seed": int, "mae_x": float, "mae_y": float, "mae_n": int, "p_u": float,
+                 "tx_rate_ego": float}
+AGGREGATED = tuple(name for name, kind in SWEEP_COLUMNS.items() if kind is float)
+REPORT_COLUMNS = ("mode", "runs", *(f"{name}_{stat}" for name in AGGREGATED for stat in ("mean", "median")))
 
 
 def _sweep_one(cfg: ExperimentConfig, sensing: SensingRecord) -> dict:
     _, metrics = run_experiment(cfg, sensing=sensing)
-    return {
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "mae_x": metrics.mae_x,
-        "mae_y": metrics.mae_y,
-        "mae_n": metrics.mae_n,
-        "p_u": metrics.p_u,
-        "tx_rate_ego": metrics.tx_rate_bits_per_s.get(cfg.ego_radar, 0.0),
-    }
+    values = (cfg.mode, cfg.seed, metrics.mae_x, metrics.mae_y, metrics.mae_n, metrics.p_u,
+              metrics.tx_rate_bits_per_s.get(cfg.ego_radar, 0.0))
+    return dict(zip(SWEEP_COLUMNS, values))
 
 
 def _sweep_seed(seed: int, configs: Sequence[ExperimentConfig]) -> list[dict]:
@@ -647,16 +621,21 @@ def run_sweep(
     workers: int = 1,
 ) -> list[dict]:
     """Monte Carlo sweep: one run per (mode, seed), summarized as flat rows
-    in mode-major order.
+    (``SWEEP_COLUMNS``) in mode-major order.
 
-    Every run's config is built, and so checked, before the first run. Each
-    seed is one task: its modes run in the given order on one
-    ``SensingRecord``, so the seed is sensed once. With ``workers > 1`` the
-    seeds are spread over a process pool, and fewer seeds than workers leave
-    a worker idle. Each run is still fully determined by its (config, seed).
+    A sweep never computes the KL reference, whatever ``cfg.kl_reference``
+    says: no sweep row holds a divergence. ``kl_reference=True`` raises
+    ValueError before any run. Every run's config is built, and so checked,
+    before the first run. Each seed is one task: its modes run in the given
+    order on one ``SensingRecord``, so the seed is sensed once. With
+    ``workers > 1`` the seeds are spread over a process pool, and fewer
+    seeds than workers leave a worker idle. Each run is still fully
+    determined by its (config, seed).
     """
+    if kl_reference:
+        raise ValueError("a sweep never computes the KL reference; no sweep row holds a divergence")
     seeds = [int(seed) for seed in seeds]
-    tasks = [(seed, [replace(cfg, mode=mode, seed=seed, kl_reference=kl_reference) for mode in modes])
+    tasks = [(seed, [replace(cfg, mode=mode, seed=seed, kl_reference=False) for mode in modes])
              for seed in seeds]
     if workers > 1:
         import multiprocessing
@@ -668,15 +647,27 @@ def run_sweep(
     return [rows[i] for i in range(len(modes)) for rows in per_seed]
 
 
+def read_sweep(path: Path | str) -> list[dict]:
+    """The rows of a sweep.csv, typed as ``run_sweep`` returns them. A file
+    without one of ``SWEEP_COLUMNS`` raises ValueError naming the first missing."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [name for name in SWEEP_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: no {missing[0]!r} column")
+        return [{name: kind(raw[name]) if raw[name] else None for name, kind in SWEEP_COLUMNS.items()}
+                for raw in reader]
+
+
 def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:
-    """Per-mode means and medians over a sweep's rows."""
+    """Per-mode means and medians of each ``AGGREGATED`` column, as
+    ``REPORT_COLUMNS`` rows."""
     out = []
     for mode in sorted({r["mode"] for r in rows}):
         sub = [r for r in rows if r["mode"] == mode]
-        agg = {"mode": mode, "runs": len(sub)}
-        for key in ("mae_x", "mae_y", "p_u", "tx_rate_ego"):
-            vals = [r[key] for r in sub if r[key] is not None]
-            agg[f"{key}_mean"] = float(np.mean(vals)) if vals else None
-            agg[f"{key}_median"] = float(np.median(vals)) if vals else None
-        out.append(agg)
+        values = [mode, len(sub)]
+        for name in AGGREGATED:
+            vals = [r[name] for r in sub if r[name] is not None]
+            values += [float(np.mean(vals)), float(np.median(vals))] if vals else [None, None]
+        out.append(dict(zip(REPORT_COLUMNS, values)))
     return out

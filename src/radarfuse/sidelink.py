@@ -73,10 +73,6 @@ class Message:
     values: np.ndarray  # (n,) float64
 
     @property
-    def value_count(self) -> int:
-        return len(self.values)
-
-    @property
     def payload_bits(self) -> int:
         return BITS_PER_VALUE * len(self.values)
 
@@ -254,6 +250,17 @@ def deliver(
     return inboxes
 
 
+_JSON_KINDS = {int: "number", float: "number", str: "string", list: "array", dict: "object"}
+
+
+def json_kind(value) -> str:
+    """How JSON names a decoded value's kind: null, true, false, number,
+    string, array or object. A value JSON cannot hold is named by its type."""
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
 def write_replay(messages: Iterable[Message], fh) -> None:
     """Append messages to an open text stream, one JSON object per line.
 
@@ -276,7 +283,7 @@ def read_replay(path) -> list[Message]:
             try:
                 rec = json.loads(line)
                 if not isinstance(rec, dict):
-                    raise ValueError(f"record must be a JSON object, got {type(rec).__name__}")
+                    raise ValueError(f"record must be a JSON object, got {json_kind(rec)}")
                 missing = [key for key in ("sender", "epoch", "kind", "values") if key not in rec]
                 if missing:
                     raise ValueError(f"record has no {missing[0]!r}")

@@ -67,14 +67,14 @@ def test_criterion_1_bandwidth_reproduction():
     ok = (
         rate_625 == 12_000_000
         and rate_815 == 15_648_000
-        and fed.value_count == 44
+        and len(fed.values) == 44
         and fed_rate == 281_600
     )
     report(
         "criterion 1 (bandwidth reproduction)",
         ok,
         f"625 pts -> {float(rate_625) / 1e6} Mbit/s, 815 pts -> {float(rate_815) / 1e6} Mbit/s, "
-        f"3 components -> {fed.value_count} values = {float(fed_rate) / 1e3} Kbit/s",
+        f"3 components -> {len(fed.values)} values = {float(fed_rate) / 1e3} Kbit/s",
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from radarfuse import harness
 from radarfuse.cli import main
-from radarfuse.config import resolve_scenario
+from radarfuse.config import load_config, resolve_scenario
 from radarfuse.sidelink import read_replay
 
 from test_harness import SMALL
@@ -88,7 +88,7 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data["mixture"].update(em_max_iter=5), "mixture: unknown key 'em_max_iter'"),
         (lambda data: data["clock"].update(jitter=0.001), "clock: unknown key 'jitter'"),
         (lambda data: data.update(area=[0, 8]), "area must be [x_min, x_max, y_min, y_max]"),
-        (lambda data: data.update(landmarks=list(data["landmarks"].values())), "landmarks must be an object, got list"),
+        (lambda data: data.update(landmarks=list(data["landmarks"].values())), "landmarks must be an object, got array"),
         (lambda data: data["targets"].__setitem__(0, "L"), "targets must be a list of objects"),
         (lambda data: data.update(tau=None), "tau must be a number, got null"),
         (lambda data: data.update(seed=[1]), "seed must be an integer, got [1]"),
@@ -148,8 +148,9 @@ def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reaso
 
 @pytest.mark.parametrize(
     "text, kind",
-    [("[1, 2]", "list"), ("42", "int"), ("null", "NoneType"), ('"text"', "str"), ('[["area", 1]]', "list")],
-    ids=["list", "number", "null", "string", "list-of-pairs"],
+    [("[1, 2]", "array"), ("42", "number"), ("null", "null"), ('"text"', "string"), ('[["area", 1]]', "array"),
+     ("false", "false")],
+    ids=["list", "number", "null", "string", "list-of-pairs", "boolean"],
 )
 def test_run_rejects_a_scenario_that_is_not_an_object(tmp_path, capsys, text, kind):
     bad = tmp_path / "bad.json"
@@ -195,6 +196,27 @@ def test_sweep_rejects_an_unknown_mode_before_any_run(tmp_path, capsys, monkeypa
         "error: mode must be one of ('isolated', 'cooperation', 'federation'), got 'bogus'\n"
     )
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("epochs", [6, 0], ids=["floats", "empty-cells"])
+def test_read_sweep_returns_the_rows_of_run_sweep(tmp_path, small_scenario, epochs):
+    # Floats round-trip through their shortest form; a run of no epochs has
+    # no MAE or P_u, written as empty cells and read back as None.
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(small_scenario), "--epochs", str(epochs), "--seeds", "2", "--seed-start", "3",
+            "--modes", "cooperation,isolated", "--out", str(out)]
+    assert main(argv) == 0
+    rows = harness.run_sweep(load_config(str(small_scenario), epochs=epochs), [3, 4], ["cooperation", "isolated"])
+    assert all(isinstance(row["mae_x"], float if epochs else type(None)) for row in rows)
+    assert harness.read_sweep(out / "sweep.csv") == rows
+
+
+def test_report_refuses_a_sweep_without_a_column(tmp_path, capsys):
+    header = [name for name in harness.SWEEP_COLUMNS if name != "mae_y"]
+    (tmp_path / "sweep.csv").write_text(",".join(header) + "\nisolated,0,0.1,3,0.5,100.0\n")
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'sweep.csv'}: no 'mae_y' column\n"
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_report_without_sweep_fails(tmp_path, capsys):

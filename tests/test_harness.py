@@ -428,6 +428,27 @@ def test_sweep_runs_each_mode_of_a_seed_on_one_record(monkeypatch):
     assert all(sensing.seed == seed for _, seed, sensing in calls)
 
 
+def test_sweep_never_computes_the_kl_reference(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def stub(cfg, **kwargs):
+        seen.append(cfg.kl_reference)
+        raise Stop
+
+    monkeypatch.setattr(harness, "run_experiment", stub)
+    cfg = load_config("default", epochs=2)
+    assert cfg.kl_reference
+    with pytest.raises(ValueError, match="never computes the KL reference"):
+        run_sweep(cfg, seeds=[1], modes=("federation",), kl_reference=True)
+    assert seen == []
+    with pytest.raises(Stop):
+        run_sweep(cfg, seeds=[1], modes=("federation",))
+    assert seen == [False]
+
+
 def test_cooperation_beats_isolated_on_average():
     # Scaled-down analog of the accuracy comparison; the full version with
     # 100 seeds runs in the acceptance suite.

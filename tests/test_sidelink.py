@@ -89,11 +89,11 @@ def test_coop_requires_global_frame():
 
 
 def test_fed_value_counts():
-    assert encode_fed(mixture_of(3), 1, 0).value_count == 44
+    assert len(encode_fed(mixture_of(3), 1, 0).values) == 44
     assert encode_fed(mixture_of(3), 1, 0).payload_bits == 2816
-    assert encode_fed(mixture_of(1), 1, 0).value_count == 16
+    assert len(encode_fed(mixture_of(1), 1, 0).values) == 16
     empty = encode_fed(GaussianMixture.empty(), 1, 0)
-    assert empty.value_count == 2
+    assert len(empty.values) == 2
     assert empty.payload_bits == 128
 
 
@@ -285,7 +285,7 @@ def test_replay_round_trip_is_bit_exact():
 def test_message_values_round_trip():
     msg = encode_fed(mixture_of(3, seed=11), 1, 2)
     values = msg.values.tolist()
-    assert len(values) == msg.value_count
+    assert len(values) == len(msg.values)
     back = decode_fed(Message(1, 2, "fed", np.array(values)))
     assert encode_fed(back, 1, 2).values.tolist() == values
     coop = encode_coop(cloud_of([[1.5, -2.5, 3.25]]))
@@ -333,8 +333,8 @@ def test_malformed_fed_records_are_rejected(values, reason):
         ('"sender": 1, ', "", "record has no 'sender'"),
         ('"epoch": 0, ', "", "record has no 'epoch'"),
         (', "values": [', ', "payload": [', "record has no 'values'"),
-        (None, "[1, 2]\n", "record must be a JSON object, got list"),
-        (None, "7\n", "record must be a JSON object, got int"),
+        (None, "[1, 2]\n", "record must be a JSON object, got array"),
+        (None, "7\n", "record must be a JSON object, got number"),
         ('"values": [', '"values": {"x": 1}, "payload": [', "float"),
     ],
     ids=[
@@ -408,7 +408,7 @@ def replay_round_trip(msgs, path):
 def test_fed_codec_is_bit_exact(mix, sender, epoch, tmp_path_factory):
     msg = encode_fed(mix, sender, epoch)
     values = msg.values.tolist()
-    assert len(values) == msg.value_count == 2 + 14 * mix.n_components
+    assert len(values) == len(msg.values) == 2 + 14 * mix.n_components
     back = Message(sender, epoch, "fed", np.array(values))
     assert_same_mixture(decode_fed(back), mix)
     (replayed,) = replay_round_trip([msg], tmp_path_factory.getbasetemp() / "fed.jsonl")
