@@ -31,9 +31,8 @@ from .scene import ConfigError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The options of every command that runs a scenario; each command adds the overrides it reads."""
     parser.add_argument("--config", required=True, help="scenario file or builtin name (default, converging)")
-    parser.add_argument("--mode", choices=MODES, help="override the scenario mode")
-    parser.add_argument("--seed", type=int, help="override the scenario seed")
     parser.add_argument("--epochs", type=int, help="override the epoch count")
     parser.add_argument("--out", required=True, help="output directory")
 
@@ -42,14 +41,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="radarfuse", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run one experiment")
+    # No option is abbreviated, so one that a command lacks (sweep --mode) is
+    # refused rather than read as another (--modes).
+    run_p = sub.add_parser("run", help="run one experiment", allow_abbrev=False)
     _add_common(run_p)
-    run_p.add_argument("--dump-grids", type=int, default=0, metavar="N",
-                       help="dump posterior grids every N epochs")
+    run_p.add_argument("--mode", choices=MODES, help="override the scenario mode")
+    run_p.add_argument("--seed", type=int, help="override the scenario seed")
+    run_p.add_argument("--dump-grids", type=int, metavar="N",
+                       help="dump posterior grids every N >= 1 epochs into OUT/grids")
     run_p.add_argument("--messages-out", help="write the sidelink replay log to this file")
 
-    sweep_p = sub.add_parser("sweep", help="Monte Carlo sweep over seeds",
+    sweep_p = sub.add_parser("sweep", help="Monte Carlo sweep over seeds", allow_abbrev=False,
                              description="Monte Carlo sweep over seeds and modes; writes sweep.csv. A sweep "
                              "never computes the KL reference, whatever the scenario's kl_reference says.")
     _add_common(sweep_p)
@@ -60,10 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--workers", type=int, default=1,
                          help="parallel worker processes, each running one seed's modes at a time")
 
-    kl_p = sub.add_parser("kl", help="divergence study (forces federation mode)")
+    kl_p = sub.add_parser("kl", help="divergence study (forces federation mode)", allow_abbrev=False)
     _add_common(kl_p)
+    kl_p.add_argument("--seed", type=int, help="override the scenario seed")
 
-    report_p = sub.add_parser("report", help="aggregate sweep results")
+    report_p = sub.add_parser("report", help="aggregate sweep results", allow_abbrev=False)
     report_p.add_argument("--out", required=True, help="directory containing sweep.csv")
     return parser
 
@@ -72,12 +75,8 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config, mode=args.mode, seed=args.seed, epochs=args.epochs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records, metrics = run_experiment(
-        cfg,
-        message_log=args.messages_out,
-        grid_dump_dir=out / "grids" if args.dump_grids else None,
-        grid_dump_every=args.dump_grids,
-    )
+    grid_dump = (out / "grids", args.dump_grids) if args.dump_grids is not None else None
+    records, metrics = run_experiment(cfg, message_log=args.messages_out, grid_dump=grid_dump)
     paths = export_csv(records, metrics, out, cfg)
     print(f"wrote {paths['epochs']} and {paths['summary']}")
     if metrics.mae_x is not None:
@@ -86,7 +85,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config, mode=args.mode, epochs=args.epochs)
+    cfg = load_config(args.config, epochs=args.epochs)
     seeds = range(args.seed_start, args.seed_start + args.seeds)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     rows = run_sweep(cfg, seeds, modes, workers=args.workers)

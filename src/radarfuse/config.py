@@ -114,10 +114,6 @@ class ExperimentConfig:
                     raise ConfigError(f"target {spec.id}: unknown landmark {w!r}")
 
 
-def _landmarks_from(raw: Mapping[str, Any]) -> dict[str, np.ndarray]:
-    return {label: _vector(pos, 2, f"landmarks: {label}") for label, pos in raw.items()}
-
-
 def _object(raw: Any, where: str) -> Mapping[str, Any]:
     if not isinstance(raw, Mapping):
         raise ConfigError(f"{where} must be an object, got {json_kind(raw)}")
@@ -128,36 +124,6 @@ def _objects(raw: Any, where: str) -> list[Mapping[str, Any]]:
     if not isinstance(raw, list) or not all(isinstance(item, Mapping) for item in raw):
         raise ConfigError(f"{where} must be a list of objects")
     return raw
-
-
-def _check_keys(raw: Mapping[str, Any], where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
-    """Every required key is present and no key is outside required + optional."""
-    for key in required:
-        if key not in raw:
-            raise ConfigError(f"{where}: missing key {key!r}")
-    unknown = sorted(set(raw) - set(required) - set(optional))
-    if unknown:
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-
-
-# Every scalar the loader reads: section -> key -> (type, default). Section ""
-# is the scenario's top level; "target" and "radar" apply to each list entry.
-# A default of None means the key is required (its presence is checked with
-# the section's other keys) or, for ``ego_radar``, defaults to the first radar.
-# A key whose dataclass field has a default takes it from the dataclass.
-_SCALARS: dict[str, dict[str, tuple[type, Any]]] = {
-    "": {"name": (str, "unnamed"), "mode": (str, "federation"), "seed": (int, 0), "epochs": (int, 100),
-         "grid_resolution": (float, None), "tau": (float, 0.45), "min_separation": (float, 0.5),
-         "prior_speed": (float, 1.0), "ego_radar": (int, None),
-         "kl_reference": (bool, ExperimentConfig.kl_reference)},
-    "dbscan": {"eps": (float, 0.3), "min_pts": (int, 5)},
-    "mixture": {"m_max": (int, FitOptions.m_max), "em_max_iters": (int, FitOptions.max_iters),
-                "em_tol": (float, FitOptions.tol)},
-    "clock": {"jitter_std": (float, ClockModel.jitter_std)},
-    "target": {"id": (int, None), "speed": (float, None), "points_per_frame": (int, None),
-               "center_height": (float, TargetSpec.center_height)},
-    "radar": {"id": (int, None), "yaw_deg": (float, None)},
-}
 
 
 # Scalar type -> (accepted values, name in messages). An integer is also a
@@ -177,16 +143,33 @@ def _typed(value: Any, kind: type, where: str) -> Any:
     return kind(value)
 
 
-def _vector(raw: Any, size: int, where: str) -> np.ndarray:
+# Readers of structured values: (JSON value, name in messages) -> the value the config holds.
+def _vector(raw: Any, where: str, size: int = 3) -> np.ndarray:
     """A JSON list of ``size`` finite numbers, as a float array."""
     if not isinstance(raw, list) or len(raw) != size:
         raise ConfigError(f"{where} must be a list of {size} numbers, got {json.dumps(raw, default=repr)}")
     return np.array([_typed(v, float, where) for v in raw])
 
 
-def _period(raw: Any) -> Fraction:
+def _area(raw: Any, where: str) -> tuple[float, ...]:
+    if not isinstance(raw, list) or len(raw) != 4:
+        raise ConfigError(f"{where} must be [x_min, x_max, y_min, y_max]")
+    return tuple(_typed(v, float, where) for v in raw)
+
+
+def _landmarks(raw: Any, where: str) -> dict[str, np.ndarray]:
+    return {label: _vector(pos, f"{where}: {label}", 2) for label, pos in _object(raw, where).items()}
+
+
+def _waypoints(raw: Any, where: str) -> tuple[str, ...]:
+    if not isinstance(raw, list) or not all(isinstance(w, str) for w in raw):
+        raise ConfigError(f"{where} must be a list of landmark names")
+    return tuple(raw)
+
+
+def _period(raw: Any, where: str) -> Fraction:
     """``update_period_s``, exact: a decimal string or a number (not a boolean)."""
-    message = f"update_period_s must be a decimal string or a number, got {json.dumps(raw, default=repr)}"
+    message = f"{where} must be a decimal string or a number, got {json.dumps(raw, default=repr)}"
     if isinstance(raw, bool) or not isinstance(raw, (str, numbers.Real)):
         raise ConfigError(message)
     try:
@@ -195,79 +178,93 @@ def _period(raw: Any) -> Fraction:
         raise ConfigError(message) from None
 
 
-def _offset_key(key: str) -> int:
-    """The radar id that a ``clock.offsets`` key names."""
-    try:
-        return int(key)
-    except ValueError:
-        raise ConfigError(f"clock.offsets: key {json.dumps(key)} must be a radar id") from None
+def _edges(raw: Any, where: str) -> str | tuple[tuple[int, int], ...]:
+    """``topology``: "full", or the directed edges as given."""
+    if raw == "full":
+        return raw
+    if not isinstance(raw, list) or not all(isinstance(edge, list) and len(edge) == 2 for edge in raw):
+        raise ConfigError(f'{where} must be "full" or a list of [from, to] edges')
+    return tuple((_typed(h, int, f"{where} edge"), _typed(k, int, f"{where} edge")) for h, k in raw)
 
 
-def _scalars(raw: Mapping[str, Any], section: str, where: str) -> dict[str, Any]:
-    """The section's scalars of ``raw``, type-checked, defaults filled in."""
-    prefix = f"{where}: " if where else ""
-    return {
-        key: _typed(raw[key], kind, f"{prefix}{key}") if key in raw else default
-        for key, (kind, default) in _SCALARS[section].items()
-    }
-
-
-def _section(data: Mapping[str, Any], key: str, extra: tuple[str, ...] = ()) -> dict[str, Any]:
-    """An optional sub-object of the scenario: its scalars, type-checked with
-    defaults filled in, and the ``extra`` keys as given. No other key is allowed."""
-    raw = _object(data.get(key, {}), key)
-    _check_keys(raw, key, (), (*_SCALARS[key], *extra))
-    return {**{k: raw[k] for k in extra if k in raw}, **_scalars(raw, key, key)}
-
-
-_REQUIRED_KEYS = ("area", "grid_resolution", "landmarks", "targets", "radars")
-_OPTIONAL_KEYS = ("name", "mode", "seed", "epochs", "update_period_s", "tau", "min_separation", "dbscan",
-                  "mixture", "prior_speed", "ego_radar", "topology", "clock", "kl_reference")
-
-
-def _target_from(raw: Mapping[str, Any]) -> TargetSpec:
-    where = f"target {raw.get('id', '?')}"
-    _check_keys(raw, where, ("id", "waypoints", "speed", "body_extent", "points_per_frame"), ("center_height",))
-    scalars = _scalars(raw, "target", where)
-    waypoints = raw["waypoints"]
-    if not isinstance(waypoints, list) or not all(isinstance(w, str) for w in waypoints):
-        raise ConfigError(f"{where}: waypoints must be a list of landmark names")
-    return TargetSpec(
-        id=scalars["id"],
-        waypoints=tuple(waypoints),
-        speed=scalars["speed"],
-        body_extent=_vector(raw["body_extent"], 3, f"{where}: body_extent"),
-        points_per_frame=scalars["points_per_frame"],
-        center_height=scalars["center_height"],
-    )
+def _offsets(raw: Any, where: str) -> dict[int, float]:
+    """``clock.offsets``: radar id -> seconds. Messages name it by its dotted path."""
+    offsets = {}
+    for key, value in _object(raw, "clock.offsets").items():
+        try:
+            radar = int(key)
+        except ValueError:
+            raise ConfigError(f"clock.offsets: key {json.dumps(key)} must be a radar id") from None
+        offsets[radar] = _typed(value, float, f"clock.offsets: {key}")
+    return offsets
 
 
 # A radar's model keys: the ``RadarModel`` fields, with the field of view in degrees.
 _MODEL_KEYS = {f.name for f in fields(RadarModel)} - {"fov_azimuth"} | {"fov_azimuth_deg"}
 
 
-def _radar_from(raw: Mapping[str, Any]) -> RadarSetup:
-    where = f"radar {raw.get('id', '?')}"
-    _check_keys(raw, where, ("id", "position", "yaw_deg"), ("model",))
-    scalars = _scalars(raw, "radar", where)
-    model_raw = _object(raw.get("model", {}), f"{where}: model")
-    unknown = sorted(set(model_raw) - _MODEL_KEYS)
+def _model(raw: Any, where: str) -> RadarModel:
+    """A radar's ``model`` (``where`` is "radar <id>: model"): any of ``_MODEL_KEYS``, each a number."""
+    unknown = sorted(set(_object(raw, where)) - _MODEL_KEYS)
     if unknown:
-        raise ConfigError(f"{where}: unknown model key {unknown[0]!r}")
-    model_raw = {key: _typed(value, float, f"{where}: model.{key}") for key, value in model_raw.items()}
-    if "fov_azimuth_deg" in model_raw:
-        model_raw["fov_azimuth"] = math.radians(model_raw.pop("fov_azimuth_deg"))
-    pose = RadarPose(_vector(raw["position"], 3, f"{where}: position"), math.radians(scalars["yaw_deg"]))
-    return RadarSetup(scalars["id"], pose, RadarModel(**model_raw))
+        raise ConfigError(f"{where.rpartition(': ')[0]}: unknown model key {unknown[0]!r}")
+    model = {key: _typed(value, float, f"{where}.{key}") for key, value in raw.items()}
+    if "fov_azimuth_deg" in model:
+        model["fov_azimuth"] = math.radians(model.pop("fov_azimuth_deg"))
+    return RadarModel(**model)
 
 
-def _topology_from(raw: Any, ids: tuple[int, ...]) -> Topology:
-    if raw == "full" or raw is None:
-        return Topology.fully_connected(ids)
-    if not isinstance(raw, list) or not all(isinstance(edge, list) and len(edge) == 2 for edge in raw):
-        raise ConfigError('topology must be "full" or a list of [from, to] edges')
-    edges = tuple((_typed(h, int, "topology edge"), _typed(k, int, "topology edge")) for h, k in raw)
-    return Topology(ids, edges)
+# The value of a key the scenario must give.
+REQUIRED = object()
+
+# Every key the loader reads: section -> key -> (kind, default), in reading
+# order. Section "" is the scenario's top level; "dbscan", "mixture" and
+# "clock" are its sub-objects, "target" and "radar" each entry of its
+# ``targets`` and ``radars``. A kind is a scalar type of ``_KINDS`` or a
+# reader; a default is the value a missing key takes, or REQUIRED. A key
+# whose dataclass field has a default takes it from the dataclass.
+_KEYS: dict[str, dict[str, tuple[Any, Any]]] = {
+    "": {"name": (str, "unnamed"), "mode": (str, "federation"), "seed": (int, 0), "epochs": (int, 100),
+         "grid_resolution": (float, REQUIRED), "tau": (float, 0.45), "min_separation": (float, 0.5),
+         "prior_speed": (float, 1.0), "ego_radar": (int, None),  # None: the first radar
+         "kl_reference": (bool, ExperimentConfig.kl_reference), "area": (_area, REQUIRED),
+         "dbscan": (_object, {}), "mixture": (_object, {}), "radars": (_objects, REQUIRED),
+         "clock": (_object, {}), "update_period_s": (_period, Fraction("0.010")),
+         "landmarks": (_landmarks, REQUIRED), "targets": (_objects, REQUIRED), "topology": (_edges, "full")},
+    "dbscan": {"eps": (float, 0.3), "min_pts": (int, 5)},
+    "mixture": {"m_max": (int, FitOptions.m_max), "em_max_iters": (int, FitOptions.max_iters),
+                "em_tol": (float, FitOptions.tol)},
+    "clock": {"jitter_std": (float, ClockModel.jitter_std), "offsets": (_offsets, {})},
+    "target": {"id": (int, REQUIRED), "speed": (float, REQUIRED), "points_per_frame": (int, REQUIRED),
+               "center_height": (float, TargetSpec.center_height), "waypoints": (_waypoints, REQUIRED),
+               "body_extent": (_vector, REQUIRED)},
+    "radar": {"id": (int, REQUIRED), "yaw_deg": (float, REQUIRED), "model": (_model, RadarModel()),
+              "position": (_vector, REQUIRED)},
+}
+
+
+def _read(raw: Mapping[str, Any], section: str, where: str) -> dict[str, Any]:
+    """Every key of ``_KEYS[section]``, read from ``raw`` or defaulted. A
+    missing required key or an unknown key is refused, named after ``where``."""
+    keys = _KEYS[section]
+    missing = [key for key, (_, default) in keys.items() if default is REQUIRED and key not in raw]
+    if missing:
+        raise ConfigError(f"{where}: missing key {missing[0]!r}")
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+    prefix = f"{where}: " if section else ""
+    return {key: (_typed(raw[key], kind, prefix + key) if kind in _KINDS else kind(raw[key], prefix + key))
+            if key in raw else default for key, (kind, default) in keys.items()}
+
+
+def _target_from(raw: Mapping[str, Any]) -> TargetSpec:
+    return TargetSpec(**_read(raw, "target", f"target {raw.get('id', '?')}"))
+
+
+def _radar_from(raw: Mapping[str, Any]) -> RadarSetup:
+    radar = _read(raw, "radar", f"radar {raw.get('id', '?')}")
+    return RadarSetup(radar["id"], RadarPose(radar["position"], math.radians(radar["yaw_deg"])), radar["model"])
 
 
 def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentConfig:
@@ -278,41 +275,29 @@ def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentCon
         if value is not None:
             data[key] = value
 
-    _check_keys(data, "scenario", _REQUIRED_KEYS, _OPTIONAL_KEYS)
-    top = _scalars(data, "", "")
-    area = data["area"]
-    if not isinstance(area, list) or len(area) != 4:
-        raise ConfigError("area must be [x_min, x_max, y_min, y_max]")
-    grid = GridSpec(*(_typed(v, float, "area") for v in area), top["grid_resolution"])
-    db = _section(data, "dbscan")
-    mix = _section(data, "mixture")
-    radars = tuple(_radar_from(r) for r in _objects(data["radars"], "radars"))
+    top = _read(data, "", "scenario")
+    db = _read(top["dbscan"], "dbscan", "dbscan")
+    mix = _read(top["mixture"], "mixture", "mixture")
+    radars = tuple(_radar_from(r) for r in top["radars"])
     ids = tuple(r.id for r in radars)
-    clock_raw = _section(data, "clock", ("offsets",))
-    offsets = _object(clock_raw.get("offsets", {}), "clock.offsets")
-    clock = ClockModel(
-        offsets={_offset_key(k): _typed(v, float, f"clock.offsets: {k}") for k, v in offsets.items()},
-        jitter_std=clock_raw["jitter_std"],
-    )
-
     return ExperimentConfig(
         name=top["name"],
         mode=top["mode"],
         seed=top["seed"],
         n_epochs=top["epochs"],
-        update_period=_period(data.get("update_period_s", "0.010")),
-        grid=grid,
+        update_period=top["update_period_s"],
+        grid=GridSpec(*top["area"], top["grid_resolution"]),
         tau=top["tau"],
         min_separation=top["min_separation"],
         dbscan_eps=db["eps"],
         dbscan_min_pts=db["min_pts"],
         fit=FitOptions(m_max=mix["m_max"], max_iters=mix["em_max_iters"], tol=mix["em_tol"]),
         prior_speed=top["prior_speed"],
-        landmarks=_landmarks_from(_object(data["landmarks"], "landmarks")),
-        targets=tuple(_target_from(t) for t in _objects(data["targets"], "targets")),
+        landmarks=top["landmarks"],
+        clock=ClockModel(**_read(top["clock"], "clock", "clock")),
+        targets=tuple(_target_from(t) for t in top["targets"]),
         radars=radars,
-        topology=_topology_from(data.get("topology"), ids),
-        clock=clock,
+        topology=Topology.fully_connected(ids) if top["topology"] == "full" else Topology(ids, top["topology"]),
         ego_radar=next(iter(ids), None) if top["ego_radar"] is None else top["ego_radar"],
         kl_reference=top["kl_reference"],
     )

@@ -170,18 +170,17 @@ def _nearest_waypoint(cfg: ExperimentConfig, spec, center: np.ndarray) -> str:
 # Every step takes (cfg, epoch, clouds, clusters, priors, exchange,
 # recorded), where clouds, clusters and priors are per-radar dicts in
 # deployment order and ``recorded`` is the epoch's dict of recorded
-# likelihood mixtures (None without a sensing record). It returns (posterior
-# grids, local mixtures, fresh support). The local mixtures are what the KL
-# reference is compared against; only federation has them. The fresh
-# support is the thresholded likelihood's cell mask, which
+# likelihood mixtures (without a sensing record, a fresh dict per epoch).
+# It returns (posterior grids, likelihood grids, local mixtures). The
+# runner thresholds each likelihood into the fresh support that
 # ``reconstruct_scene`` unites with the posterior's to seed the next prior.
+# The local mixtures are what the KL reference is compared against; only
+# federation has them.
 
 
 def _likelihood(cfg, k, clouds, clusters, recorded):
-    """Radar k's likelihood grid and mixture: fitted, or rebuilt from the
-    mixture in ``recorded``. A fit is recorded when ``recorded`` is a dict."""
-    if recorded is None:
-        return likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
+    """Radar k's likelihood grid and mixture: rebuilt from the mixture in
+    ``recorded``, or fitted and recorded there."""
     if k in recorded:
         return eval_on_grid(recorded[k], cfg.grid), recorded[k]
     grid, mixture = likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
@@ -191,12 +190,11 @@ def _likelihood(cfg, k, clouds, clusters, recorded):
 
 
 def _isolated_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
-    posteriors, fresh = {}, {}
+    posteriors, likelihoods = {}, {}
     for k in clouds:
-        lik_grid, _ = _likelihood(cfg, k, clouds, clusters, recorded)
-        posteriors[k] = bayes_product(lik_grid, priors[k])
-        fresh[k] = grid_support(lik_grid, cfg.tau)
-    return posteriors, {}, fresh
+        likelihoods[k], _ = _likelihood(cfg, k, clouds, clusters, recorded)
+        posteriors[k] = bayes_product(likelihoods[k], priors[k])
+    return posteriors, likelihoods, {}
 
 
 def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
@@ -212,7 +210,7 @@ def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
     # Older (offset) or jittered copies are clustered again.
     exact = cfg.clock.jitter_std == 0
     pooled = {}
-    posteriors, fresh = {}, {}
+    posteriors, likelihoods = {}, {}
     for k in clouds:
         key = k
         if exact:
@@ -227,24 +225,23 @@ def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
                     clustering = dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts)
                 members[msg.sender, msg.epoch] = (cloud, clustering)
             pooled[key], _ = pooled_likelihood([members[m] for m in sorted(members)], cfg.grid, cfg.fit)
+        likelihoods[k] = pooled[key]
         posteriors[k] = bayes_product(pooled[key], priors[k])
-        fresh[k] = grid_support(pooled[key], cfg.tau)
-    return posteriors, {}, fresh
+    return posteriors, likelihoods, {}
 
 
 def _federation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
-    local_mixtures, fresh = {}, {}
+    local_mixtures, likelihoods = {}, {}
     for k in clouds:
-        lik_grid, lik_mix = _likelihood(cfg, k, clouds, clusters, recorded)
+        likelihoods[k], lik_mix = _likelihood(cfg, k, clouds, clusters, recorded)
         local_mixtures[k] = refit_posterior_mixture(clouds[k], lik_mix, priors[k], cfg.fit)
-        fresh[k] = grid_support(lik_grid, cfg.tau)
     inboxes = exchange({k: encode_fed(local_mixtures[k], k, epoch) for k in clouds})
     posteriors = {}
     for k in clouds:
         received = [decode_fed(msg) for msg in inboxes[k]]
         counts = [local_mixtures[k].total_points] + [m.total_points for m in received]
         posteriors[k] = federated_posterior(local_mixtures[k], received, alpha_weights(counts), cfg.grid)
-    return posteriors, local_mixtures, fresh
+    return posteriors, likelihoods, local_mixtures
 
 
 STEPS = {
@@ -289,17 +286,21 @@ def run_experiment(
     cfg: ExperimentConfig,
     *,
     message_log: Path | str | None = None,
-    grid_dump_dir: Path | str | None = None,
-    grid_dump_every: int = 0,
+    grid_dump: tuple[Path | str, int] | None = None,
     sensing: SensingRecord | None = None,
 ) -> tuple[list[EpochRecord], MetricsRecord]:
     """Run one experiment; fully determined by (config, seed).
+
+    ``grid_dump=(directory, every)`` writes each radar's posterior grid every
+    ``every`` epochs; ``every`` below 1 raises ValueError before the run.
 
     With ``sensing``, a record of this seed (else ``ValueError``), the run
     replays the clouds, clusters and likelihood mixtures recorded by earlier
     runs of the seed and records what it senses first. Its outputs are those
     of a run without the record.
     """
+    if grid_dump is not None and grid_dump[1] < 1:
+        raise ValueError(f"grid dump period must be >= 1 epoch, got {grid_dump[1]}")
     radar_ids = [r.id for r in cfg.radars]
     setups = {r.id: r for r in cfg.radars}
     seq = np.random.SeedSequence(cfg.seed)
@@ -324,8 +325,8 @@ def run_experiment(
     records: list[EpochRecord] = []
 
     log_fh = open(message_log, "w") if message_log else None
-    dump_dir = Path(grid_dump_dir) if grid_dump_dir else None
-    if dump_dir:
+    if grid_dump is not None:
+        dump_dir, dump_every = Path(grid_dump[0]), grid_dump[1]
         dump_dir.mkdir(parents=True, exist_ok=True)
 
     try:
@@ -341,7 +342,7 @@ def run_experiment(
                     sensing.append(clouds, clusters)
             else:
                 clouds, clusters = sensing.clouds[epoch - 1], sensing.clusters[epoch - 1]
-            recorded = sensing.mixtures[epoch - 1] if sensing is not None else None
+            recorded = sensing.mixtures[epoch - 1] if sensing is not None else {}
             priors = {
                 k: motion_prior(prev_support[k], cfg.prior_speed, cfg.dt, cfg.grid)
                 for k in radar_ids
@@ -349,7 +350,7 @@ def run_experiment(
 
             tx_bits = {k: 0 for k in radar_ids}
             exchange = partial(_exchange, cfg, history, stats, link_rng, log_fh, epoch, tx_bits)
-            posteriors, local_mixtures, fresh_support = step(cfg, epoch, clouds, clusters, priors, exchange, recorded)
+            posteriors, likelihoods, local_mixtures = step(cfg, epoch, clouds, clusters, priors, exchange, recorded)
             kl_fed: dict[int, float] = {}
             kl_local: dict[int, float] = {}
             if cfg.kl_reference and local_mixtures:
@@ -359,12 +360,12 @@ def run_experiment(
             matched: dict[int, dict[int, tuple[float, float] | None]] = {}
             resolved: dict[int, bool] = {}
             for k in radar_ids:
-                prev_support[k] = reconstruct_scene(posteriors[k], fresh_support[k], cfg.tau)
+                prev_support[k] = reconstruct_scene(posteriors[k], grid_support(likelihoods[k], cfg.tau), cfg.tau)
                 estimates[k] = extract_targets(posteriors[k], cfg.tau, cfg.min_separation)
                 matched[k] = _associate(scene.centers, estimates[k])
                 resolved[k] = len(estimates[k]) >= len(scene.centers)
 
-            if dump_dir and grid_dump_every > 0 and epoch % grid_dump_every == 0:
+            if grid_dump is not None and epoch % dump_every == 0:
                 for k in radar_ids:
                     grid_to_csv(posteriors[k], dump_dir / f"epoch{epoch:05d}_radar{k}.csv")
 
@@ -600,17 +601,16 @@ AGGREGATED = tuple(name for name, kind in SWEEP_COLUMNS.items() if kind is float
 REPORT_COLUMNS = ("mode", "runs", *(f"{name}_{stat}" for name in AGGREGATED for stat in ("mean", "median")))
 
 
-def _sweep_one(cfg: ExperimentConfig, sensing: SensingRecord) -> dict:
-    _, metrics = run_experiment(cfg, sensing=sensing)
-    values = (cfg.mode, cfg.seed, metrics.mae_x, metrics.mae_y, metrics.mae_n, metrics.p_u,
-              metrics.tx_rate_bits_per_s.get(cfg.ego_radar, 0.0))
-    return dict(zip(SWEEP_COLUMNS, values))
-
-
 def _sweep_seed(seed: int, configs: Sequence[ExperimentConfig]) -> list[dict]:
-    """One seed's runs, one per config in order, sharing one sensing record."""
+    """One seed's ``SWEEP_COLUMNS`` rows, one run per config in order, sharing one sensing record."""
     sensing = SensingRecord(seed)
-    return [_sweep_one(cfg, sensing) for cfg in configs]
+    rows = []
+    for cfg in configs:
+        _, metrics = run_experiment(cfg, sensing=sensing)
+        values = (cfg.mode, cfg.seed, metrics.mae_x, metrics.mae_y, metrics.mae_n, metrics.p_u,
+                  metrics.tx_rate_bits_per_s.get(cfg.ego_radar, 0.0))
+        rows.append(dict(zip(SWEEP_COLUMNS, values)))
+    return rows
 
 
 def run_sweep(
@@ -648,15 +648,28 @@ def run_sweep(
 
 
 def read_sweep(path: Path | str) -> list[dict]:
-    """The rows of a sweep.csv, typed as ``run_sweep`` returns them. A file
-    without one of ``SWEEP_COLUMNS`` raises ValueError naming the first missing."""
+    """The rows of a sweep.csv, typed as ``run_sweep`` returns them. ValueError names the
+    first missing column, a row whose cell count is not the header's, or a cell that does not parse."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in SWEEP_COLUMNS if name not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in SWEEP_COLUMNS if name not in header]
         if missing:
             raise ValueError(f"{path}: no {missing[0]!r} column")
-        return [{name: kind(raw[name]) if raw[name] else None for name, kind in SWEEP_COLUMNS.items()}
-                for raw in reader]
+        rows = []
+        for cells in filter(None, reader):  # skips blank lines
+            where = f"{path}, line {reader.line_num}"
+            if len(cells) != len(header):
+                raise ValueError(f"{where}: {len(cells)} cells, the header has {len(header)}")
+            raw = dict(zip(header, cells))
+            rows.append({})
+            for name, kind in SWEEP_COLUMNS.items():
+                try:
+                    rows[-1][name] = kind(raw[name]) if raw[name] else None
+                except ValueError:
+                    raise ValueError(f"{where}, column {name!r}: cannot read {raw[name]!r} as {kind.__name__}") \
+                        from None
+        return rows
 
 
 def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from radarfuse import harness
+from radarfuse import config, harness
 from radarfuse.cli import main
 from radarfuse.config import load_config, resolve_scenario
 from radarfuse.sidelink import read_replay
@@ -102,6 +102,7 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data.update(area=[0, 8, None, 8]), "area must be a number, got null"),
         (lambda data: data["targets"][0].update(waypoints="DE"), "target 1: waypoints must be a list of landmark names"),
         (lambda data: data.update(topology=5), 'topology must be "full" or a list of [from, to] edges'),
+        (lambda data: data.update(topology=None), 'topology must be "full" or a list of [from, to] edges'),
         (lambda data: data.update(update_period_s=None), "update_period_s must be a decimal string or a number, got null"),
         (lambda data: data.update(update_period_s=True), "update_period_s must be a decimal string or a number, got true"),
         (lambda data: data.update(update_period_s="abc"), 'update_period_s must be a decimal string or a number, got "abc"'),
@@ -131,7 +132,7 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         "unknown-clock-key", "two-value-area", "landmark-list", "target-not-an-object",
         "null-tau", "list-seed", "string-kl-reference", "fractional-seed", "fractional-epochs",
         "fractional-m-max", "boolean-min-pts", "string-target-speed", "null-clock-offset", "null-area-bound",
-        "string-waypoints", "number-topology", "null-update-period", "boolean-update-period",
+        "string-waypoints", "number-topology", "null-topology", "null-update-period", "boolean-update-period",
         "string-update-period", "letter-offset-key", "fractional-offset-key", "string-radar-coordinate",
         "string-body-extent", "string-landmark-coordinate", "two-coordinate-radar-position",
         "nan-min-separation", "nan-dbscan-eps", "infinite-prior-speed", "overflowing-area-bound",
@@ -146,6 +147,25 @@ def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reaso
     assert not (tmp_path / "o").exists()  # refused before the run starts
 
 
+REQUIRED_KEYS = [(section, key) for section, keys in config._KEYS.items()
+                 for key, (_, default) in keys.items() if default is config.REQUIRED]
+
+
+@pytest.mark.parametrize("section, key", REQUIRED_KEYS, ids=[f"{s or 'scenario'}-{k}" for s, k in REQUIRED_KEYS])
+def test_run_refuses_a_scenario_without_a_required_key(tmp_path, capsys, section, key):
+    # An entry without an id is named by "?".
+    where = {"": "scenario", "target": "target 1", "radar": "radar 2"}[section]
+    if key == "id":
+        where = f"{section} ?"
+
+    def drop(data):
+        {"": data, "target": data["targets"][0], "radar": data["radars"][1]}[section].pop(key)
+
+    assert run_edited_converging(tmp_path, drop) == 1
+    assert capsys.readouterr().err == f"error: {where}: missing key {key!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "text, kind",
     [("[1, 2]", "array"), ("42", "number"), ("null", "null"), ('"text"', "string"), ('[["area", 1]]', "array"),
@@ -157,6 +177,27 @@ def test_run_rejects_a_scenario_that_is_not_an_object(tmp_path, capsys, text, ki
     bad.write_text(text)
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: scenario must be an object, got {kind}\n"
+
+
+def test_run_refuses_a_grid_dump_period_below_one(tmp_path, small_scenario, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(small_scenario), "--out", str(out), "--dump-grids", "-1"]) == 1
+    assert capsys.readouterr().err == "error: grid dump period must be >= 1 epoch, got -1\n"
+    assert not (out / "grids").exists() and not (out / "epochs.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["kl", "--mode", "isolated"], ["sweep", "--seed", "7"], ["sweep", "--mode", "cooperation"]],
+    ids=["kl-mode", "sweep-seed", "sweep-mode"],
+)
+def test_an_option_the_command_does_not_read_is_refused(tmp_path, small_scenario, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--config", str(small_scenario), "--epochs", "2", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_rejects_missing_scenario(tmp_path, capsys):
@@ -216,6 +257,22 @@ def test_report_refuses_a_sweep_without_a_column(tmp_path, capsys):
     (tmp_path / "sweep.csv").write_text(",".join(header) + "\nisolated,0,0.1,3,0.5,100.0\n")
     assert main(["report", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 'sweep.csv'}: no 'mae_y' column\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [("isolated,0,0.1", "line 3: 3 cells, the header has 7"),
+     ("isolated,0,0.1,0.2,3,0.5,100.0,9", "line 3: 8 cells, the header has 7"),
+     ("isolated,zero,0.1,0.2,3,0.5,100.0", "line 3, column 'seed': cannot read 'zero' as int"),
+     ("isolated,0,0.1,0.2,3,half,100.0", "line 3, column 'p_u': cannot read 'half' as float")],
+    ids=["short-row", "long-row", "word-seed", "word-p-u"],
+)
+def test_report_refuses_a_malformed_sweep_row(tmp_path, capsys, row, reason):
+    header = ",".join(harness.SWEEP_COLUMNS)
+    (tmp_path / "sweep.csv").write_text(f"{header}\nisolated,1,0.1,0.2,3,0.5,100.0\n{row}\n")
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'sweep.csv'}, {reason}\n"
     assert not (tmp_path / "report.csv").exists()
 
 

@@ -382,12 +382,23 @@ def test_federation_payload_size_does_not_depend_on_the_link():
 
 def test_grid_dumps(tmp_path):
     cfg = small_config(epochs=4)
-    run_experiment(cfg, grid_dump_dir=tmp_path / "grids", grid_dump_every=2)
+    run_experiment(cfg, grid_dump=(tmp_path / "grids", 2))
     files = sorted(p.name for p in (tmp_path / "grids").iterdir())
     assert files == [
         "epoch00002_radar1.csv", "epoch00002_radar2.csv", "epoch00002_radar3.csv",
         "epoch00004_radar1.csv", "epoch00004_radar2.csv", "epoch00004_radar3.csv",
     ]
+
+
+@pytest.mark.parametrize("every", [0, -1])
+def test_a_grid_dump_period_below_one_is_refused_before_the_run(tmp_path, monkeypatch, every):
+    def no_scene(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(harness, "initial_scene", no_scene)
+    with pytest.raises(ValueError, match=f"grid dump period must be >= 1 epoch, got {every}"):
+        run_experiment(small_config(epochs=4), grid_dump=(tmp_path / "grids", every))
+    assert not (tmp_path / "grids").exists()
 
 
 # ------------------------------------------------------------------ sweep
