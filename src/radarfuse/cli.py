@@ -73,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, mode=args.mode, seed=args.seed, epochs=args.epochs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # made by the run or the export, after the run's checks
     grid_dump = (out / "grids", args.dump_grids) if args.dump_grids is not None else None
     records, metrics = run_experiment(cfg, message_log=args.messages_out, grid_dump=grid_dump)
     paths = export_csv(records, metrics, out, cfg)

@@ -211,7 +211,16 @@ def _model(raw: Any, where: str) -> RadarModel:
     model = {key: _typed(value, float, f"{where}.{key}") for key, value in raw.items()}
     if "fov_azimuth_deg" in model:
         model["fov_azimuth"] = math.radians(model.pop("fov_azimuth_deg"))
-    return RadarModel(**model)
+    return _built(RadarModel, where, **model)
+
+
+def _built(cls, where: str, *args: Any, **kwargs: Any) -> Any:
+    """``cls(*args, **kwargs)``, with the ValueError of its own checks raised
+    as a ConfigError named after ``where``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from None
 
 
 # The value of a key the scenario must give.
@@ -286,7 +295,7 @@ def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentCon
         seed=top["seed"],
         n_epochs=top["epochs"],
         update_period=top["update_period_s"],
-        grid=GridSpec(*top["area"], top["grid_resolution"]),
+        grid=_built(GridSpec, "area / grid_resolution", *top["area"], top["grid_resolution"]),
         tau=top["tau"],
         min_separation=top["min_separation"],
         dbscan_eps=db["eps"],
@@ -294,7 +303,7 @@ def config_from_dict(data: Mapping[str, Any], **overrides: Any) -> ExperimentCon
         fit=FitOptions(m_max=mix["m_max"], max_iters=mix["em_max_iters"], tol=mix["em_tol"]),
         prior_speed=top["prior_speed"],
         landmarks=top["landmarks"],
-        clock=ClockModel(**_read(top["clock"], "clock", "clock")),
+        clock=_built(ClockModel, "clock", **_read(top["clock"], "clock", "clock")),
         targets=tuple(_target_from(t) for t in top["targets"]),
         radars=radars,
         topology=Topology.fully_connected(ids) if top["topology"] == "full" else Topology(ids, top["topology"]),

@@ -5,9 +5,12 @@ combined cell-wise with a likelihood grid fitted to the current point cloud.
 Posteriors are plain ``DensityGrid``s and supports are boolean ``(ny, nx)``
 cell masks. Cooperation fits one likelihood to the pooled clouds of a radar
 and its neighbors; federation combines the exchanged local-posterior
-mixtures convexly (``federated_posterior``). ``reconstruct_scene`` builds the
-next prior's support and ``extract_targets`` the local maxima of the
-thresholded posterior.
+mixtures convexly: ``federated_posterior`` sums the members' unnormalized
+densities (``grid_density``), which the caller evaluates once per mixture
+however many radars combine it. ``grid_support`` thresholds a grid into a
+support once; ``reconstruct_scene`` unites the posterior's support with the
+fresh likelihood's into the next prior's, and ``extract_targets`` finds the
+local maxima of the posterior within its support.
 
 A support covers a few small windows of the grid, so ``motion_prior`` and
 ``extract_targets`` work only in its bounding box (padded by the blur
@@ -31,6 +34,7 @@ from .mixture import (
     cluster_moments,
     eval_on_grid,
     fit_em,
+    normalized_density,
 )
 from .sensor import GLOBAL, RANGE_RESOLUTION, ClusterResult, PointCloud
 
@@ -201,27 +205,26 @@ def alpha_weights(q_counts: Sequence[int]) -> np.ndarray:
 
 
 def federated_posterior(
-    own: GaussianMixture,
-    received: Sequence[GaussianMixture],
+    densities: Sequence[np.ndarray | None],
     weights: np.ndarray,
     spec: GridSpec,
 ) -> DensityGrid:
-    """Posterior grid of the weighted union of local-posterior mixtures.
+    """Posterior grid of the weighted union of local-posterior mixtures: the
+    normalized ``weights``-weighted sum of their ``grid_density`` results.
 
-    Component weights are rescaled by the combination weights, so the union
-    is itself a valid mixture. This grid seeds the local prior of the next
-    update.
+    Weighting each density is rescaling its mixture's component weights, so
+    this is the grid of the union mixture, each member evaluated once. A
+    member without density (an empty mixture) adds nothing; when every
+    member is empty the grid is uniform. This grid seeds the local prior of
+    the next update.
     """
-    mixtures = [own, *received]
-    if len(weights) != len(mixtures):
-        raise ValueError("one weight per mixture is required")
-    federated = GaussianMixture(
-        np.concatenate([alpha * mix.weights for alpha, mix in zip(weights, mixtures)]),
-        np.concatenate([mix.means for mix in mixtures]),
-        np.concatenate([mix.covs for mix in mixtures]),
-        np.concatenate([mix.counts for mix in mixtures]),
-    )
-    return eval_on_grid(federated, spec)
+    if len(weights) != len(densities):
+        raise ValueError("one weight per density is required")
+    mass = None
+    for alpha, density in zip(weights, densities):
+        if density is not None:
+            mass = alpha * density if mass is None else mass + alpha * density
+    return normalized_density(mass, spec)
 
 
 def grid_support(grid: DensityGrid, tau: float) -> np.ndarray:
@@ -241,25 +244,25 @@ def grid_support(grid: DensityGrid, tau: float) -> np.ndarray:
     return grid.mass > tau * peak
 
 
-def reconstruct_scene(posterior: DensityGrid, fresh: np.ndarray, tau: float) -> np.ndarray:
-    """Support mask of the next prior: the posterior's cells above ``tau``
-    united with the fresh likelihood support mask.
+def reconstruct_scene(support: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """Support mask of the next prior: the posterior's support (its
+    ``grid_support``) united with the fresh likelihood support mask.
 
     Without the fresh support one sub-threshold epoch would remove a target
     from the recursion permanently.
     """
-    return grid_support(posterior, tau) | fresh
+    return support | fresh
 
 
-def extract_targets(grid: DensityGrid, tau: float, min_separation: float) -> np.ndarray:
-    """MAP target positions ``(m, 2)``: 8-neighborhood maxima of the
-    thresholded grid.
+def extract_targets(grid: DensityGrid, support: np.ndarray, min_separation: float) -> np.ndarray:
+    """MAP target positions ``(m, 2)``: 8-neighborhood maxima of the grid
+    among the cells of ``support``, its ``grid_support`` at some ``tau``.
 
     Candidates are accepted greedily in descending posterior order subject
     to a pairwise separation of at least ``min_separation``. Ties break by
     grid index, so the result only depends on posterior shape (it is
-    invariant under positive rescaling of the grid). A flat grid holds no
-    evidence and yields no targets.
+    invariant under positive rescaling of the grid). A flat grid has no
+    support and so yields no targets.
 
     Only support cells can be maxima, and a cell outside the support has
     mass at most ``tau * peak``, below every support cell, so it never beats
@@ -267,7 +270,6 @@ def extract_targets(grid: DensityGrid, tau: float, min_separation: float) -> np.
     alone, and its result is that of the full grid.
     """
     mass, spec = grid.mass, grid.spec
-    support = grid_support(grid, tau)
     rows = np.flatnonzero(support.any(axis=1))
     if len(rows) == 0:
         return np.empty((0, 2))

@@ -14,14 +14,23 @@ one posterior grid per radar:
 A step sends through ``exchange(outbox) -> inboxes``, which charges, logs
 and delivers one epoch's messages over the simulated sidelink; receivers
 decode the delivered payloads. The runner keeps the epoch loop, the link
-and the records: it extracts target estimates from the posterior grids,
-and ``reconstruct_scene`` builds each radar's next support from its
-posterior and fresh likelihood. In federation mode an observer can
-additionally run a pooled-cloud reference posterior per neighbourhood to
-sample divergences against; it never touches the sidelink accounting.
+and the records: it thresholds each posterior grid once into its support,
+extracts target estimates within it, and ``reconstruct_scene`` unites it
+with the step's fresh likelihood support into the radar's next support.
+In federation mode an observer can additionally run a pooled-cloud
+reference posterior per neighbourhood to sample divergences against; it
+never touches the sidelink accounting.
+
+Each grid quantity is computed once per epoch: a federation step
+evaluates each local posterior's density once and decodes each delivered
+message once, and receivers of one message share its decoded mixture and
+density; cooperation thresholds each shared pooled likelihood once.
 
 Every mode of one seed senses the same clouds, so ``run_sweep`` runs a
-seed's modes on one ``SensingRecord`` and senses each seed once.
+seed's modes on one ``SensingRecord`` and senses each seed once. The
+record also keeps each radar's likelihood mixture and its support, packed
+to bits (about 4.2 MB for a 190-epoch ``converging`` seed), so a replaying
+federation run evaluates no likelihood grid.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from .fusion import (
     reconstruct_scene,
     refit_posterior_mixture,
 )
-from .mixture import GaussianMixture, eval_on_grid, grid_to_csv, kl_divergence
+from .mixture import GaussianMixture, eval_on_grid, grid_density, grid_to_csv, kl_divergence, normalized_density
 from .scene import advance_scene, initial_scene
 from .sensor import ClusterResult, PointCloud, dbscan, observe, preprocess
 from .sidelink import (
@@ -116,18 +125,26 @@ class SensingRecord:
     The scene and observation RNGs are seeded by the seed alone, so every
     mode senses the same clouds. Per epoch (index ``epoch - 1``) the record
     holds each radar's preprocessed cloud and clustering, appended by the
-    first run to reach the epoch, and each radar's ``likelihood_from_cloud``
-    mixture, kept by the first isolated or federation run; a run that reads
-    a mixture rebuilds its grid with ``eval_on_grid``. Recorded arrays are
-    read-only. The observation RNGs live with the record, so a run longer
-    than the record draws its extra epochs where the record left off. A
-    record belongs to one seed of one scenario; only the seed is checked.
+    first run to reach the epoch, and each radar's likelihood, kept by the
+    first isolated or federation run: the ``likelihood_from_cloud`` mixture
+    and the likelihood's ``grid_support``, packed to one bit per cell
+    (``np.packbits``). A run that reads a likelihood back evaluates no
+    likelihood grid, except that isolated rebuilds it with ``eval_on_grid``
+    for the Bayes product. Recorded arrays are read-only. The observation
+    RNGs live with the record, so a run longer than the record draws its
+    extra epochs where the record left off. A record belongs to one seed of
+    one scenario; only the seed is checked.
+
+    A 190-epoch ``converging`` record holds about 4.2 MB of arrays: 2.4 MB
+    of clouds, clusterings and mixtures and 1.8 MB of packed supports
+    (3,200 bytes per radar and epoch on its 160 x 160 grid, an eighth of
+    the boolean mask).
     """
 
     seed: int
     clouds: list[dict[int, PointCloud]] = field(default_factory=list)
     clusters: list[dict[int, ClusterResult]] = field(default_factory=list)
-    mixtures: list[dict[int, GaussianMixture]] = field(default_factory=list)
+    likelihoods: list[dict[int, tuple[GaussianMixture, np.ndarray]]] = field(default_factory=list)
     obs_rngs: dict[int, np.random.Generator] | None = None
 
     def append(self, clouds: dict[int, PointCloud], clusters: dict[int, ClusterResult]) -> None:
@@ -135,7 +152,7 @@ class SensingRecord:
             _freeze(clouds[k].points, clouds[k].truth_outlier, clusters[k].labels)
         self.clouds.append(clouds)
         self.clusters.append(clusters)
-        self.mixtures.append({})
+        self.likelihoods.append({})
 
 
 def _freeze(*arrays: np.ndarray | None) -> None:
@@ -170,38 +187,44 @@ def _nearest_waypoint(cfg: ExperimentConfig, spec, center: np.ndarray) -> str:
 # Every step takes (cfg, epoch, clouds, clusters, priors, exchange,
 # recorded), where clouds, clusters and priors are per-radar dicts in
 # deployment order and ``recorded`` is the epoch's dict of recorded
-# likelihood mixtures (without a sensing record, a fresh dict per epoch).
-# It returns (posterior grids, likelihood grids, local mixtures). The
-# runner thresholds each likelihood into the fresh support that
-# ``reconstruct_scene`` unites with the posterior's to seed the next prior.
-# The local mixtures are what the KL reference is compared against; only
-# federation has them.
+# likelihoods (without a sensing record, a fresh dict per epoch). It returns
+# (posterior grids, fresh supports, local densities). The fresh support is
+# each radar's thresholded likelihood, which ``reconstruct_scene`` unites
+# with the posterior's to seed the next prior. The local densities are the
+# ``grid_density`` of each radar's local-posterior mixture, which the KL
+# reference is compared against; only federation has them.
 
 
 def _likelihood(cfg, k, clouds, clusters, recorded):
-    """Radar k's likelihood grid and mixture: rebuilt from the mixture in
-    ``recorded``, or fitted and recorded there."""
+    """Radar k's likelihood grid, mixture and support. A likelihood in
+    ``recorded`` is read back without its grid (None); else it is fitted,
+    thresholded and recorded there, its support packed to bits."""
     if k in recorded:
-        return eval_on_grid(recorded[k], cfg.grid), recorded[k]
+        mixture, bits = recorded[k]
+        return None, mixture, np.unpackbits(bits, count=cfg.grid.n_cells).view(bool).reshape(cfg.grid.ny, -1)
     grid, mixture = likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
-    _freeze(mixture.weights, mixture.means, mixture.covs, mixture.counts)
-    recorded[k] = mixture
-    return grid, mixture
+    support = grid_support(grid, cfg.tau)
+    bits = np.packbits(support)
+    _freeze(mixture.weights, mixture.means, mixture.covs, mixture.counts, bits)
+    recorded[k] = (mixture, bits)
+    return grid, mixture, support
 
 
 def _isolated_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
-    posteriors, likelihoods = {}, {}
+    posteriors, supports = {}, {}
     for k in clouds:
-        likelihoods[k], _ = _likelihood(cfg, k, clouds, clusters, recorded)
-        posteriors[k] = bayes_product(likelihoods[k], priors[k])
-    return posteriors, likelihoods, {}
+        grid, mixture, supports[k] = _likelihood(cfg, k, clouds, clusters, recorded)
+        if grid is None:  # read back: the product needs the grid
+            grid = eval_on_grid(mixture, cfg.grid)
+        posteriors[k] = bayes_product(grid, priors[k])
+    return posteriors, supports, {}
 
 
 def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
     inboxes = exchange({k: encode_coop(clouds[k]) for k in clouds})
     # Receivers whose own cloud and inbox hold the same (sender, epoch)
-    # members share one pooled likelihood. Under clock jitter every receiver
-    # holds its own noisy copies, so nothing is shared.
+    # members share one pooled likelihood and its support. Under clock
+    # jitter every receiver holds its own noisy copies, so nothing is shared.
     #
     # An exact copy of a sender's cloud of this epoch keeps the sender's
     # clustering: DBSCAN is idempotent on ``preprocess``'s output, because a
@@ -210,7 +233,7 @@ def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
     # Older (offset) or jittered copies are clustered again.
     exact = cfg.clock.jitter_std == 0
     pooled = {}
-    posteriors, likelihoods = {}, {}
+    posteriors, supports = {}, {}
     for k in clouds:
         key = k
         if exact:
@@ -224,24 +247,40 @@ def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
                 else:
                     clustering = dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts)
                 members[msg.sender, msg.epoch] = (cloud, clustering)
-            pooled[key], _ = pooled_likelihood([members[m] for m in sorted(members)], cfg.grid, cfg.fit)
-        likelihoods[k] = pooled[key]
-        posteriors[k] = bayes_product(pooled[key], priors[k])
-    return posteriors, likelihoods, {}
+            grid, _ = pooled_likelihood([members[m] for m in sorted(members)], cfg.grid, cfg.fit)
+            pooled[key] = grid, grid_support(grid, cfg.tau)
+        grid, supports[k] = pooled[key]
+        posteriors[k] = bayes_product(grid, priors[k])
+    return posteriors, supports, {}
 
 
 def _federation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
-    local_mixtures, likelihoods = {}, {}
+    local_mixtures, densities, supports = {}, {}, {}
     for k in clouds:
-        likelihoods[k], lik_mix = _likelihood(cfg, k, clouds, clusters, recorded)
+        _, lik_mix, supports[k] = _likelihood(cfg, k, clouds, clusters, recorded)
         local_mixtures[k] = refit_posterior_mixture(clouds[k], lik_mix, priors[k], cfg.fit)
+        densities[k] = grid_density(local_mixtures[k], cfg.grid)
     inboxes = exchange({k: encode_fed(local_mixtures[k], k, epoch) for k in clouds})
+    # Each delivered message is decoded, and its density evaluated, once.
+    # Without clock jitter every receiver of a (sender, epoch) holds the same
+    # payload, and an exact copy of this epoch's message is the sender's
+    # local posterior, whose density is on hand. Under jitter every receiver
+    # holds its own noisy copy.
+    exact = cfg.clock.jitter_std == 0
+    received = {}
     posteriors = {}
     for k in clouds:
-        received = [decode_fed(msg) for msg in inboxes[k]]
-        counts = [local_mixtures[k].total_points] + [m.total_points for m in received]
-        posteriors[k] = federated_posterior(local_mixtures[k], received, alpha_weights(counts), cfg.grid)
-    return posteriors, likelihoods, local_mixtures
+        counts, members = [local_mixtures[k].total_points], [densities[k]]
+        for msg in inboxes[k]:
+            key = (msg.sender, msg.epoch) if exact else (k, msg.sender)
+            if key not in received:
+                mixture = decode_fed(msg)
+                density = densities[msg.sender] if exact and msg.epoch == epoch else grid_density(mixture, cfg.grid)
+                received[key] = mixture.total_points, density
+            counts.append(received[key][0])
+            members.append(received[key][1])
+        posteriors[k] = federated_posterior(members, alpha_weights(counts), cfg.grid)
+    return posteriors, supports, densities
 
 
 STEPS = {
@@ -251,7 +290,7 @@ STEPS = {
 }
 
 
-def _kl_reference(cfg, clouds, clusters, posteriors, local_mixtures, ref_prev):
+def _kl_reference(cfg, clouds, clusters, posteriors, local_densities, ref_prev):
     """Divergences of the federated and local posteriors from the pooled-cloud
     reference posterior of each radar's neighbourhood (the radar and its
     in-neighbours).
@@ -276,9 +315,9 @@ def _kl_reference(cfg, clouds, clusters, posteriors, local_mixtures, ref_prev):
             pool_cloud = replace(clouds[k], points=pool, truth_outlier=None)
             ref_mix = refit_posterior_mixture(pool_cloud, lik_mix, ref_prior, cfg.fit)
             ref_grids[ids] = eval_on_grid(ref_mix, cfg.grid)
-            ref_prev[ids] = reconstruct_scene(ref_grids[ids], grid_support(lik_grid, cfg.tau), cfg.tau)
+            ref_prev[ids] = reconstruct_scene(grid_support(ref_grids[ids], cfg.tau), grid_support(lik_grid, cfg.tau))
         kl_fed[k] = kl_divergence(ref_grids[ids], posteriors[k])
-        kl_local[k] = kl_divergence(ref_grids[ids], eval_on_grid(local_mixtures[k], cfg.grid))
+        kl_local[k] = kl_divergence(ref_grids[ids], normalized_density(local_densities[k], cfg.grid))
     return kl_fed, kl_local
 
 
@@ -292,10 +331,12 @@ def run_experiment(
     """Run one experiment; fully determined by (config, seed).
 
     ``grid_dump=(directory, every)`` writes each radar's posterior grid every
-    ``every`` epochs; ``every`` below 1 raises ValueError before the run.
+    ``every`` epochs; ``every`` below 1 raises ValueError before the run
+    creates anything. The directories of the grid dump and of the
+    ``message_log`` file are created as needed.
 
     With ``sensing``, a record of this seed (else ``ValueError``), the run
-    replays the clouds, clusters and likelihood mixtures recorded by earlier
+    replays the clouds, clusters and likelihoods recorded by earlier
     runs of the seed and records what it senses first. Its outputs are those
     of a run without the record.
     """
@@ -324,7 +365,10 @@ def run_experiment(
     ref_prev: dict[tuple[int, ...], np.ndarray] = {}
     records: list[EpochRecord] = []
 
-    log_fh = open(message_log, "w") if message_log else None
+    log_fh = None
+    if message_log:
+        Path(message_log).parent.mkdir(parents=True, exist_ok=True)
+        log_fh = open(message_log, "w")
     if grid_dump is not None:
         dump_dir, dump_every = Path(grid_dump[0]), grid_dump[1]
         dump_dir.mkdir(parents=True, exist_ok=True)
@@ -342,7 +386,7 @@ def run_experiment(
                     sensing.append(clouds, clusters)
             else:
                 clouds, clusters = sensing.clouds[epoch - 1], sensing.clusters[epoch - 1]
-            recorded = sensing.mixtures[epoch - 1] if sensing is not None else {}
+            recorded = sensing.likelihoods[epoch - 1] if sensing is not None else {}
             priors = {
                 k: motion_prior(prev_support[k], cfg.prior_speed, cfg.dt, cfg.grid)
                 for k in radar_ids
@@ -350,18 +394,19 @@ def run_experiment(
 
             tx_bits = {k: 0 for k in radar_ids}
             exchange = partial(_exchange, cfg, history, stats, link_rng, log_fh, epoch, tx_bits)
-            posteriors, likelihoods, local_mixtures = step(cfg, epoch, clouds, clusters, priors, exchange, recorded)
+            posteriors, fresh, local_densities = step(cfg, epoch, clouds, clusters, priors, exchange, recorded)
             kl_fed: dict[int, float] = {}
             kl_local: dict[int, float] = {}
-            if cfg.kl_reference and local_mixtures:
-                kl_fed, kl_local = _kl_reference(cfg, clouds, clusters, posteriors, local_mixtures, ref_prev)
+            if cfg.kl_reference and local_densities:
+                kl_fed, kl_local = _kl_reference(cfg, clouds, clusters, posteriors, local_densities, ref_prev)
 
             estimates: dict[int, np.ndarray] = {}
             matched: dict[int, dict[int, tuple[float, float] | None]] = {}
             resolved: dict[int, bool] = {}
             for k in radar_ids:
-                prev_support[k] = reconstruct_scene(posteriors[k], grid_support(likelihoods[k], cfg.tau), cfg.tau)
-                estimates[k] = extract_targets(posteriors[k], cfg.tau, cfg.min_separation)
+                support = grid_support(posteriors[k], cfg.tau)
+                prev_support[k] = reconstruct_scene(support, fresh[k])
+                estimates[k] = extract_targets(posteriors[k], support, cfg.min_separation)
                 matched[k] = _associate(scene.centers, estimates[k])
                 resolved[k] = len(estimates[k]) >= len(scene.centers)
 

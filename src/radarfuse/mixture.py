@@ -6,7 +6,10 @@ integer ``counts (m,)``, the points each component summarizes. The point
 total is ``counts.sum()``: EM apportions the counts so that they sum exactly
 to the number of fitted points. Probability grids are 2D, obtained by
 marginalizing z. All grids carry probability mass (not density) and are
-normalized to total mass 1.
+normalized to total mass 1. ``eval_on_grid`` is ``grid_density``, a
+mixture's unnormalized mass per cell, followed by ``normalized_density``;
+a weighted sum of mixtures is the normalized weighted sum of their
+densities, so each mixture is evaluated once however many sums it joins.
 
 EM works on quadratic point features. A fit centres the points on their
 mean and builds the (10, n) features ``[1, x, y, z, x², y², z², xy, xz, yz]``
@@ -366,15 +369,16 @@ def fit_em(
     return (mixture, trace) if return_trace else mixture
 
 
-def eval_on_grid(mixture: GaussianMixture, spec: GridSpec) -> DensityGrid:
-    """Mixture density marginalized over z, as normalized mass per cell.
+def grid_density(mixture: GaussianMixture, spec: GridSpec) -> np.ndarray | None:
+    """Unnormalized mass per cell ``(ny, nx)`` of the mixture marginalized
+    over z: its density times the cell area. None for an empty mixture,
+    which has no density.
 
     Each component is evaluated on a 6-sigma window (the truncated tail mass
-    is negligible). An empty mixture carries no information and maps to the
-    uniform grid.
+    is negligible).
     """
     if mixture.is_empty():
-        return DensityGrid.uniform(spec)
+        return None
     xc, yc = spec.x_centers(), spec.y_centers()
     dens = np.zeros((spec.ny, spec.nx))
     for weight, mu, cov in zip(mixture.weights, mixture.means[:, :2], mixture.covs[:, :2, :2]):
@@ -393,12 +397,26 @@ def eval_on_grid(mixture: GaussianMixture, spec: GridSpec) -> DensityGrid:
             + inv11 * (dy * dy)[:, None]
         )
         dens[iy0:iy1, ix0:ix1] += weight * np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-    mass = dens * spec.cell_area
+    return dens * spec.cell_area
+
+
+def normalized_density(mass: np.ndarray | None, spec: GridSpec) -> DensityGrid:
+    """The grid of a ``grid_density`` result. No density (an empty mixture)
+    carries no information and maps to the uniform grid, as does, with a
+    warning, a density with no mass on the grid."""
+    if mass is None:
+        return DensityGrid.uniform(spec)
     total = mass.sum()
     if total <= 0:
         log.warning("mixture mass entirely outside the grid; falling back to uniform")
         return DensityGrid.uniform(spec)
     return DensityGrid(spec, mass / total)
+
+
+def eval_on_grid(mixture: GaussianMixture, spec: GridSpec) -> DensityGrid:
+    """Mixture density marginalized over z, as normalized mass per cell; an
+    empty mixture maps to the uniform grid."""
+    return normalized_density(grid_density(mixture, spec), spec)
 
 
 def kl_divergence(p: DensityGrid, q: DensityGrid) -> float:

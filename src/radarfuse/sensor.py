@@ -76,11 +76,13 @@ class RadarModel:
     occlusion_attenuation: float = 0.1
 
     def __post_init__(self):
-        positive = (self.fov_azimuth, self.max_range, self.detection_range_ref, self.occlusion_width)
-        if not all(v > 0 for v in positive):
-            raise ValueError("radar model parameters must be strictly positive")
-        if self.noise_sigma < 0 or self.outlier_rate < 0:
-            raise ValueError("noise_sigma and outlier_rate must be >= 0")
+        # Written so that NaN fails each comparison.
+        for name in ("fov_azimuth", "max_range", "detection_range_ref", "occlusion_width"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("noise_sigma", "outlier_rate"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass

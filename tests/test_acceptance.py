@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from radarfuse.config import load_config
-from radarfuse.fusion import FitOptions, extract_targets, federated_posterior
+from radarfuse.fusion import FitOptions, extract_targets, federated_posterior, grid_support
 from radarfuse.harness import aggregate_sweep, export_csv, run_experiment, run_sweep
 from radarfuse.mixture import (
     GaussianMixture,
     GridSpec,
     eval_on_grid,
     fit_em,
+    grid_density,
     kl_divergence,
 )
 from radarfuse.sensor import GLOBAL, PointCloud, dbscan
@@ -183,7 +184,7 @@ def test_criterion_6_numerical_invariants():
 
     # lone-radar federation is an exact identity
     own = GaussianMixture([1.0], [[3, 4, 1.0]], [np.eye(3) * 0.1], [9])
-    fed = federated_posterior(own, [], np.array([1.0]), spec)
+    fed = federated_posterior([grid_density(own, spec)], np.array([1.0]), spec)
     identity_err = float(np.max(np.abs(fed.mass - eval_on_grid(own, spec).mass)))
 
     # codecs round-trip bit-exactly
@@ -224,7 +225,7 @@ def test_criterion_7_oracle_equivalence():
         m = int(rng.integers(1, 6))
         mix = random_mixture(rng, m, (0.4, 3.6), (0.01, 0.3))
         post = eval_on_grid(mix, spec)
-        got = extract_targets(post, 0.45, 0.5)
+        got = extract_targets(post, grid_support(post, 0.45), 0.5)
         expected = exhaustive_extract(post.mass, spec, 0.45, 0.5)
         if not np.array_equal(got, expected):
             extract_mismatches += 1

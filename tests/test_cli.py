@@ -125,6 +125,15 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data["mixture"].update(m_max=0), "mixture: m_max must be >= 1"),
         (lambda data: data["mixture"].update(em_max_iters=-1), "mixture: em_max_iters must be >= 0"),
         (lambda data: data["mixture"].update(em_tol=-1.0), "mixture: em_tol must be >= 0 and finite"),
+        (lambda data: data["radars"][1].setdefault("model", {}).update(max_range=-1),
+         "radar 2: model: max_range must be > 0"),
+        (lambda data: data["radars"][1].setdefault("model", {}).update(fov_azimuth_deg=0),
+         "radar 2: model: fov_azimuth must be > 0"),
+        (lambda data: data["radars"][1].setdefault("model", {}).update(noise_sigma=-0.1),
+         "radar 2: model: noise_sigma must be >= 0"),
+        (lambda data: data.update(grid_resolution=0), "area / grid_resolution: resolution must be > 0"),
+        (lambda data: data.update(area=[8, 0, 0, 8]), "area / grid_resolution: grid extent must be non-degenerate"),
+        (lambda data: data["clock"].update(jitter_std=-0.001), "clock: jitter_std must be finite and >= 0"),
     ],
     ids=[
         "no-radars", "target-without-speed", "no-area", "offset-of-undeployed-radar",
@@ -138,7 +147,8 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         "nan-min-separation", "nan-dbscan-eps", "infinite-prior-speed", "overflowing-area-bound",
         "overflowing-integer-area-bound", "repeated-topology-edge", "overflowing-update-period",
         "underflowing-update-period", "negative-update-period", "negative-prior-speed",
-        "zero-m-max", "negative-em-max-iters", "negative-em-tol",
+        "zero-m-max", "negative-em-max-iters", "negative-em-tol", "negative-max-range", "zero-fov",
+        "negative-noise-sigma", "zero-grid-resolution", "reversed-area", "negative-jitter",
     ],
 )
 def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reason):
@@ -183,7 +193,7 @@ def test_run_refuses_a_grid_dump_period_below_one(tmp_path, small_scenario, caps
     out = tmp_path / "out"
     assert main(["run", "--config", str(small_scenario), "--out", str(out), "--dump-grids", "-1"]) == 1
     assert capsys.readouterr().err == "error: grid dump period must be >= 1 epoch, got -1\n"
-    assert not (out / "grids").exists() and not (out / "epochs.csv").exists()
+    assert not out.exists()  # refused before anything is created
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from radarfuse.mixture import (
     GaussianMixture,
     GridSpec,
     eval_on_grid,
+    grid_density,
 )
 from radarfuse.sensor import GLOBAL, PointCloud, dbscan
 
@@ -72,6 +73,11 @@ def gaussian_posterior(mean, s2):
     return eval_on_grid(gaussian_mixture(mean, s2), SPEC)
 
 
+def targets(grid, tau, min_separation):
+    """``extract_targets`` within the grid's own support at ``tau``, as the runner calls it."""
+    return extract_targets(grid, grid_support(grid, tau), min_separation)
+
+
 # ------------------------------------------------------------- likelihood
 
 
@@ -91,7 +97,7 @@ def test_two_cluster_likelihood_is_bimodal():
     cloud, clusters = clustered_cloud(np.concatenate([a, b]))
     grid, mix = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
     assert mix.n_components == 2
-    est = extract_targets(grid, 0.2, 0.5)
+    est = targets(grid, 0.2, 0.5)
     assert len(est) == 2
     got = sorted(tuple(p) for p in est)
     assert np.linalg.norm(np.array(got[0]) - [2, 2]) < 0.15
@@ -246,7 +252,7 @@ def test_coop_posterior_with_flat_prior_is_pooled_likelihood():
     post = bayes_product(lik_grid, DensityGrid.uniform(SPEC))
     assert np.max(np.abs(post.mass - lik_grid.mass)) < 1e-12
     assert mixture.n_components == 2  # one per contributed cluster
-    est = extract_targets(post, 0.2, 0.5)
+    est = targets(post, 0.2, 0.5)
     assert len(est) == 2
 
 
@@ -266,7 +272,7 @@ def test_coop_posterior_merges_disjoint_views():
     prior = DensityGrid.uniform(SPEC)
     lik_grid, mixture = pooled_likelihood([radar1, radar2], SPEC, FIT)
     post = bayes_product(lik_grid, prior)
-    est = extract_targets(post, 0.2, 0.5)
+    est = targets(post, 0.2, 0.5)
     assert len(est) == 2
     # oracle: posterior grid is exactly the cell-wise product with the prior
     lik = eval_on_grid(mixture, SPEC)
@@ -301,23 +307,40 @@ def test_alpha_weights_all_zero_falls_back_to_uniform():
         alpha_weights([])
 
 
+def union_mixture_grid(mixtures, weights, spec=SPEC):
+    """The federated grid evaluated as the union mixture, its component
+    weights rescaled by the combination weights: ``federated_posterior``'s
+    reference."""
+    union = GaussianMixture(
+        np.concatenate([alpha * mix.weights for alpha, mix in zip(weights, mixtures)]),
+        np.concatenate([mix.means for mix in mixtures]),
+        np.concatenate([mix.covs for mix in mixtures]),
+        np.concatenate([mix.counts for mix in mixtures]),
+    )
+    return eval_on_grid(union, spec)
+
+
+def federate(mixtures, weights, spec=SPEC):
+    return federated_posterior([grid_density(mix, spec) for mix in mixtures], np.asarray(weights, float), spec)
+
+
 def test_single_radar_federation_is_identity():
     own = gaussian_mixture([3, 4], 0.1)
-    fed = federated_posterior(own, [], np.array([1.0]), SPEC)
+    fed = federate([own], [1.0])
     direct = eval_on_grid(own, SPEC)
     assert np.max(np.abs(fed.mass - direct.mass)) < 1e-12
 
 
 def test_identical_locals_federate_to_the_same_posterior():
     mix = gaussian_mixture([4, 4], 0.2)
-    fed = federated_posterior(mix, [mix, mix], np.full(3, 1 / 3), SPEC)
+    fed = federate([mix, mix, mix], np.full(3, 1 / 3))
     assert np.max(np.abs(fed.mass - eval_on_grid(mix, SPEC).mass)) < 1e-9
 
 
 def test_federated_weights_rescale():
     a = gaussian_mixture([2, 2], 0.1)
     b = gaussian_mixture([6, 6], 0.1)
-    fed = federated_posterior(a, [b], np.array([0.25, 0.75]), SPEC)
+    fed = federate([a, b], [0.25, 0.75])
     # Component weights are scaled by alpha, so the grid is the
     # alpha-weighted average of the local grids.
     expected = 0.25 * eval_on_grid(a, SPEC).mass + 0.75 * eval_on_grid(b, SPEC).mass
@@ -325,11 +348,32 @@ def test_federated_weights_rescale():
     assert abs(fed.mass.sum() - 1.0) <= 1e-9
 
 
-def test_all_empty_mixtures_federate_to_uniform():
-    fed = federated_posterior(
-        GaussianMixture.empty(), [GaussianMixture.empty()], np.array([0.5, 0.5]), SPEC
-    )
-    assert np.allclose(fed.mass, 1.0 / SPEC.n_cells)
+def test_all_empty_mixtures_federate_to_uniform(caplog):
+    fed = federate([GaussianMixture.empty(), GaussianMixture.empty()], [0.5, 0.5])
+    assert np.array_equal(fed.mass, DensityGrid.uniform(SPEC).mass)
+    assert not caplog.records  # no evidence, not a fallback
+
+
+def test_federated_posterior_is_the_union_mixture_grid():
+    rng = np.random.default_rng(12)
+    empty = GaussianMixture.empty()
+    for trial in range(30):
+        mixtures = [random_mixture(rng, int(rng.integers(1, 5)), (0.5, 7.5), (0.005, 0.3)) for _ in range(3)]
+        weights = alpha_weights(rng.integers(1, 200, 3))
+        if trial % 3 == 1:  # an empty own mixture: a zero point count gives it weight 0
+            mixtures[0], weights = empty, alpha_weights([0, *rng.integers(1, 200, 2)])
+        if trial % 3 == 2:  # a member weighted 0
+            weights = np.array([0.4, 0.0, 0.6])
+        fed, ref = federate(mixtures, weights), union_mixture_grid(mixtures, weights)
+        assert np.all(np.abs(fed.mass - ref.mass) <= 1e-12 * ref.mass)
+
+
+def test_federated_mass_off_the_grid_falls_back_to_uniform(caplog):
+    mixtures = [gaussian_mixture([4, 4], 0.1), gaussian_mixture([50, 50], 0.1)]
+    fed = federate(mixtures, [0.0, 1.0])
+    assert np.array_equal(fed.mass, union_mixture_grid(mixtures, [0.0, 1.0]).mass)
+    assert np.array_equal(fed.mass, DensityGrid.uniform(SPEC).mass)
+    assert [r.getMessage() for r in caplog.records] == ["mixture mass entirely outside the grid; falling back to uniform"] * 2
 
 
 # --------------------------------------------------------- reconstruction
@@ -337,7 +381,7 @@ def test_all_empty_mixtures_federate_to_uniform():
 
 def test_reconstruct_unimodal_blob():
     post = gaussian_posterior([4.05, 4.05], 0.04)
-    recon = centers_of(reconstruct_scene(post, NO_SUPPORT, 0.45))
+    recon = centers_of(reconstruct_scene(grid_support(post, 0.45), NO_SUPPORT))
     assert len(recon) > 0
     dists = np.linalg.norm(recon - [4.05, 4.05], axis=1)
     assert dists.max() < 0.5  # contiguous region around the peak
@@ -346,7 +390,7 @@ def test_reconstruct_unimodal_blob():
 
 def test_reconstruct_tau_near_one_keeps_argmax_only():
     post = gaussian_posterior([4.05, 4.05], 0.04)
-    recon = centers_of(reconstruct_scene(post, NO_SUPPORT, 0.999))
+    recon = centers_of(reconstruct_scene(grid_support(post, 0.999), NO_SUPPORT))
     assert 1 <= len(recon) <= 4
     assert np.all(np.linalg.norm(recon - [4.05, 4.05], axis=1) < 0.15)
 
@@ -354,30 +398,28 @@ def test_reconstruct_tau_near_one_keeps_argmax_only():
 def test_reconstruct_uniform_keeps_no_cell():
     # A flat posterior holds no evidence: no cell and no target stands out.
     post = DensityGrid.uniform(SPEC)
-    assert not reconstruct_scene(post, NO_SUPPORT, 0.45).any()
-    assert len(extract_targets(post, 0.45, 0.5)) == 0
+    assert not reconstruct_scene(grid_support(post, 0.45), NO_SUPPORT).any()
+    assert len(targets(post, 0.45, 0.5)) == 0
 
 
 def test_reconstruct_unites_posterior_and_fresh_support():
     post = gaussian_posterior([4.05, 4.05], 0.04)
     own = grid_support(post, 0.45)
     fresh = mask_at([[1.05, 1.05], centers_of(own)[0]])
-    recon = reconstruct_scene(post, fresh, 0.45)
+    recon = reconstruct_scene(own, fresh)
     expected = own.copy()
     expected[10, 10] = True  # the cell holding (1.05, 1.05)
     assert np.array_equal(recon, expected)
     # A flat posterior keeps only the fresh support, and vice versa.
-    assert np.array_equal(reconstruct_scene(DensityGrid.uniform(SPEC), fresh, 0.45), fresh)
-    assert np.array_equal(reconstruct_scene(post, NO_SUPPORT, 0.45), own)
+    assert np.array_equal(reconstruct_scene(grid_support(DensityGrid.uniform(SPEC), 0.45), fresh), fresh)
+    assert np.array_equal(reconstruct_scene(grid_support(post, 0.45), NO_SUPPORT), own)
 
 
-def test_reconstruct_rejects_bad_tau():
+def test_grid_support_rejects_bad_tau():
     post = gaussian_posterior([4, 4], 0.04)
     for tau in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            reconstruct_scene(post, NO_SUPPORT, tau)
-        with pytest.raises(ValueError):
-            extract_targets(post, tau, 0.5)
+            grid_support(post, tau)
 
 
 # ------------------------------------------------------------- extraction
@@ -385,14 +427,14 @@ def test_reconstruct_rejects_bad_tau():
 
 def test_extract_single_gaussian():
     post = gaussian_posterior([3.0, 6.0], 0.09)
-    est = extract_targets(post, 0.45, 0.5)
+    est = targets(post, 0.45, 0.5)
     assert len(est) == 1
     assert np.linalg.norm(est[0] - [3.0, 6.0]) <= 0.11
 
 
 def test_extract_two_separated_gaussians():
     mix = GaussianMixture([0.5, 0.5], [[3.0, 4.0, 1.0], [5.0, 4.0, 1.0]], [np.eye(3) * 0.04] * 2, [5, 5])
-    est = extract_targets(eval_on_grid(mix, SPEC), 0.45, 0.5)
+    est = targets(eval_on_grid(mix, SPEC), 0.45, 0.5)
     assert len(est) == 2
     xs = sorted(p[0] for p in est)
     assert abs(xs[0] - 3.0) < 0.11 and abs(xs[1] - 5.0) < 0.11
@@ -408,7 +450,7 @@ def test_extract_merged_peak_is_unresolved():
     )
     interior_maxima = np.sum((dens[1:-1] > dens[:-2]) & (dens[1:-1] >= dens[2:]))
     assert interior_maxima == 1
-    est = extract_targets(eval_on_grid(mix, SPEC), 0.45, 0.5)
+    est = targets(eval_on_grid(mix, SPEC), 0.45, 0.5)
     assert len(est) == 1
 
 
@@ -421,8 +463,8 @@ def test_extract_is_scale_invariant():
         [1, 1, 1],
     )
     grid = eval_on_grid(mix, SPEC)
-    a = extract_targets(grid, 0.45, 0.5)
-    b = extract_targets(DensityGrid(SPEC, grid.mass * 4.0), 0.45, 0.5)
+    a = targets(grid, 0.45, 0.5)
+    b = targets(DensityGrid(SPEC, grid.mass * 4.0), 0.45, 0.5)
     assert np.array_equal(a, b)
 
 
@@ -480,14 +522,14 @@ def test_extract_matches_exhaustive_enumeration():
         m = int(rng.integers(1, 5))
         mix = random_mixture(rng, m, (0.5, 3.5), (0.02, 0.2))
         post = eval_on_grid(mix, spec)
-        got = extract_targets(post, 0.45, 0.5)
+        got = targets(post, 0.45, 0.5)
         expected = exhaustive_extract(post.mass, spec, 0.45, 0.5)
         assert np.array_equal(got, expected)
     # Mass on the edges and in the corners, where the support meets the grid's edge.
     for _ in range(40):
         mix = edge_mixture(rng, int(rng.integers(1, 5)), spec, (0.002, 0.2))
         post = eval_on_grid(mix, spec)
-        got = extract_targets(post, 0.45, 0.5)
+        got = targets(post, 0.45, 0.5)
         expected = exhaustive_extract(post.mass, spec, 0.45, 0.5)
         assert np.array_equal(got, expected)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from radarfuse import harness
-from radarfuse.fusion import FitOptions
+from radarfuse.fusion import FitOptions, grid_support
 from radarfuse.config import MODES, ConfigError, config_from_dict, load_config, resolve_scenario
 from radarfuse.harness import (
     EpochRecord,
@@ -23,6 +23,7 @@ from radarfuse.harness import (
     run_sweep,
     unresolved_probability,
 )
+from radarfuse.mixture import eval_on_grid
 from radarfuse.sidelink import decode_coop, decode_fed, read_replay
 
 SMALL = {
@@ -515,7 +516,7 @@ def test_runs_on_a_shared_record_match_separate_runs(case, order):
             assert_same_fields(rec, expected)
         assert_same_fields(metrics, expected_metrics)
     assert len(sensing.clouds) == SENSING_EPOCHS
-    assert all(len(mixtures) == 3 for mixtures in sensing.mixtures)
+    assert all(len(likelihoods) == 3 for likelihoods in sensing.likelihoods)
 
 
 def test_a_run_longer_than_its_record_observes_where_the_record_ends():
@@ -538,12 +539,59 @@ def test_a_record_of_another_seed_is_refused():
 
 def test_recorded_arrays_are_read_only():
     sensing = SensingRecord(0)
-    run_experiment(small_config(mode="isolated", epochs=2), sensing=sensing)
-    cloud, clusters, mixture = sensing.clouds[0][1], sensing.clusters[0][1], sensing.mixtures[0][1]
+    cfg = small_config(mode="isolated", epochs=2)
+    run_experiment(cfg, sensing=sensing)
+    cloud, clusters, (mixture, bits) = sensing.clouds[0][1], sensing.clusters[0][1], sensing.likelihoods[0][1]
     assert len(cloud) and mixture.n_components
-    for array in (cloud.points, cloud.truth_outlier, clusters.labels, mixture.means, mixture.covs):
+    # The support is packed to one bit per cell.
+    support = grid_support(eval_on_grid(mixture, cfg.grid), cfg.tau)
+    assert support.any() and np.array_equal(bits, np.packbits(support))
+    for array in (cloud.points, cloud.truth_outlier, clusters.labels, mixture.means, mixture.covs, bits):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def count_calls(monkeypatch, bindings):
+    """Wrap each (module, name) binding to count its calls by name; returns the counts."""
+    calls = {name: 0 for _, name in bindings}
+    for module, name in bindings:
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("first, mode, grids", [("isolated", "federation", 0), ("federation", "isolated", 3 * 4)],
+                         ids=["federation", "isolated"])
+def test_a_replaying_run_evaluates_no_likelihood_grid_it_can_skip(monkeypatch, first, mode, grids):
+    sensing = SensingRecord(0)
+    run_experiment(small_config(mode=first, epochs=4, kl_reference=False), sensing=sensing)
+    calls = count_calls(monkeypatch, [(harness, "likelihood_from_cloud"), (harness, "eval_on_grid"),
+                                      (harness, "grid_support")])
+    records, metrics = run_experiment(small_config(mode=mode, epochs=4, kl_reference=False), sensing=sensing)
+    # Federation evaluates no likelihood grid; isolated rebuilds each one
+    # for the Bayes product. Only the posteriors are thresholded.
+    assert calls == {"likelihood_from_cloud": 0, "eval_on_grid": grids, "grid_support": 3 * 4}
+    monkeypatch.undo()
+    expected_records, expected_metrics = run_experiment(small_config(mode=mode, epochs=4, kl_reference=False))
+    for rec, expected in zip(records, expected_records, strict=True):
+        assert_same_fields(rec, expected)
+    assert_same_fields(metrics, expected_metrics)
+
+
+@pytest.mark.parametrize(
+    "clock, decodes",
+    [({"jitter_std": 0.0}, 3 * 6), ({"offsets": {"2": 0.010}}, 3 * 6 - 1), ({"jitter_std": 0.002}, 6 * 6)],
+    ids=["exact", "offset", "jitter"],
+)
+def test_each_delivered_fed_message_is_decoded_once(monkeypatch, clock, decodes):
+    # Full topology of 3 radars, 6 epochs: each epoch delivers 3 messages to
+    # 2 receivers each. Radar 2's clock offset leaves its epoch-0 message
+    # undelivered; under jitter each receiver decodes its own noisy copy.
+    calls = count_calls(monkeypatch, [(harness, "decode_fed")])
+    run_experiment(small_config(epochs=6, kl_reference=False, clock=clock))
+    assert calls["decode_fed"] == decodes
 
 
 # ---------------------------------------------------------------- config

@@ -28,6 +28,17 @@ refactor that must not move a byte is checked with
 
 The output directory must be new or empty. Runs are sequential, one
 process at a time; the whole matrix takes about a minute on two cores.
+
+A change that moves floating-point results is reported with
+
+    python3 tools/output_digest.py --compare /tmp/out-parent /tmp/out-change
+
+which lists, sorted by path, each file whose bytes differ between the two
+output directories, with the largest relative change of a number in it,
+``|a - b| / max(|a|, |b|)``. Numbers are compared in the order they
+appear; a file whose text around the numbers differs, or that exists on
+one side only, is listed with ``text`` or ``only in A`` / ``only in B``.
+The last line counts the moved files; the exit status is 1 if any moved.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -90,12 +102,54 @@ def digest(out: Path) -> list[str]:
     return lines
 
 
+# A decimal number as Python's repr and the CLI write it; NaN and infinities are compared as text.
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def worst_change(a: str, b: str) -> float | None:
+    """Largest relative change between the numbers of two texts, or None
+    when the texts differ elsewhere than in their numbers."""
+    parts_a, parts_b = NUMBER.split(a), NUMBER.split(b)
+    # Odd positions hold the numbers, even ones the text between them.
+    if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+        return None
+    worst = 0.0
+    for x, y in zip(map(float, parts_a[1::2]), map(float, parts_b[1::2])):
+        if x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print each file that differs between output directories ``a`` and ``b``; 1 if any does."""
+    files = {p.relative_to(root).as_posix() for root in (a, b) for p in root.rglob("*") if p.is_file()}
+    moved = 0
+    for rel in sorted(files):
+        if not (a / rel).is_file() or not (b / rel).is_file():
+            change = "only in A" if (a / rel).is_file() else "only in B"
+        elif (a / rel).read_bytes() == (b / rel).read_bytes():
+            continue
+        else:
+            worst = worst_change((a / rel).read_text(), (b / rel).read_text())
+            change = "text" if worst is None else f"{worst:.3g}"
+        moved += 1
+        print(f"{change:>10}  {rel}")
+    print(f"{moved} of {len(files)} files moved")
+    return 1 if moved else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="root of the source tree to run (default: this checkout)")
-    parser.add_argument("out", type=Path, help="output directory, new or empty")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="compare two output directories of this script instead of running the matrix")
+    parser.add_argument("out", type=Path, nargs="?", help="output directory, new or empty")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("the output directory is required without --compare")
 
     package = args.src.resolve() / "src"
     if not (package / "radarfuse").is_dir():
