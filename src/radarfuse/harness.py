@@ -21,10 +21,12 @@ In federation mode an observer can additionally run a pooled-cloud
 reference posterior per neighbourhood to sample divergences against; it
 never touches the sidelink accounting.
 
-Each grid quantity is computed once per epoch: a federation step
-evaluates each local posterior's density once and decodes each delivered
-message once, and receivers of one message share its decoded mixture and
-density; cooperation thresholds each shared pooled likelihood once.
+Work on a delivered message is done once per ``Message`` object; an outbox
+message is never decoded, as its sender's cloud and clustering, or local
+posterior and density, are on hand. Without clock jitter the link hands
+every receiver the object its sender pushed, so receivers share its
+decoding, clustering or density, and cooperation receivers holding the same
+member objects share one pooled likelihood and its support.
 
 Every mode of one seed senses the same clouds, so ``run_sweep`` runs a
 seed's modes on one ``SensingRecord`` and senses each seed once. The
@@ -221,33 +223,23 @@ def _isolated_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
 
 
 def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
-    inboxes = exchange({k: encode_coop(clouds[k]) for k in clouds})
-    # Receivers whose own cloud and inbox hold the same (sender, epoch)
-    # members share one pooled likelihood and its support. Under clock
-    # jitter every receiver holds its own noisy copies, so nothing is shared.
-    #
-    # An exact copy of a sender's cloud of this epoch keeps the sender's
-    # clustering: DBSCAN is idempotent on ``preprocess``'s output, because a
-    # noise point lies within eps of no core point, so dropping it changes no
-    # core degree or border anchor, and the filter keeps the input order.
-    # Older (offset) or jittered copies are clustered again.
-    exact = cfg.clock.jitter_std == 0
+    outbox = {k: encode_coop(clouds[k]) for k in clouds}
+    inboxes = exchange(outbox)
+    # A sender's own message keeps its clustering: DBSCAN is idempotent on
+    # ``preprocess``'s output, because a noise point lies within eps of no
+    # core point, so dropping it changes no core degree or border anchor, and
+    # the filter keeps the input order.
+    members = {outbox[k]: (clouds[k], clusters[k]) for k in clouds}
     pooled = {}
     posteriors, supports = {}, {}
     for k in clouds:
-        key = k
-        if exact:
-            key = tuple(sorted([(k, epoch), *((msg.sender, msg.epoch) for msg in inboxes[k])]))
+        key = tuple(sorted([outbox[k], *inboxes[k]], key=lambda msg: (msg.sender, msg.epoch)))
         if key not in pooled:
-            members = {(k, epoch): (clouds[k], clusters[k])}
-            for msg in inboxes[k]:
-                cloud = decode_coop(msg)
-                if exact and msg.epoch == epoch:
-                    clustering = clusters[msg.sender]
-                else:
-                    clustering = dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts)
-                members[msg.sender, msg.epoch] = (cloud, clustering)
-            grid, _ = pooled_likelihood([members[m] for m in sorted(members)], cfg.grid, cfg.fit)
+            for msg in key:
+                if msg not in members:
+                    cloud = decode_coop(msg)
+                    members[msg] = cloud, dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts)
+            grid, _ = pooled_likelihood([members[msg] for msg in key], cfg.grid, cfg.fit)
             pooled[key] = grid, grid_support(grid, cfg.tau)
         grid, supports[k] = pooled[key]
         posteriors[k] = bayes_product(grid, priors[k])
@@ -260,25 +252,16 @@ def _federation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
         _, lik_mix, supports[k] = _likelihood(cfg, k, clouds, clusters, recorded)
         local_mixtures[k] = refit_posterior_mixture(clouds[k], lik_mix, priors[k], cfg.fit)
         densities[k] = grid_density(local_mixtures[k], cfg.grid)
-    inboxes = exchange({k: encode_fed(local_mixtures[k], k, epoch) for k in clouds})
-    # Each delivered message is decoded, and its density evaluated, once.
-    # Without clock jitter every receiver of a (sender, epoch) holds the same
-    # payload, and an exact copy of this epoch's message is the sender's
-    # local posterior, whose density is on hand. Under jitter every receiver
-    # holds its own noisy copy.
-    exact = cfg.clock.jitter_std == 0
-    received = {}
+    outbox = {k: encode_fed(local_mixtures[k], k, epoch) for k in clouds}
+    inboxes = exchange(outbox)
+    received = {outbox[k]: (local_mixtures[k].total_points, densities[k]) for k in clouds}
     posteriors = {}
     for k in clouds:
-        counts, members = [local_mixtures[k].total_points], [densities[k]]
         for msg in inboxes[k]:
-            key = (msg.sender, msg.epoch) if exact else (k, msg.sender)
-            if key not in received:
+            if msg not in received:
                 mixture = decode_fed(msg)
-                density = densities[msg.sender] if exact and msg.epoch == epoch else grid_density(mixture, cfg.grid)
-                received[key] = mixture.total_points, density
-            counts.append(received[key][0])
-            members.append(received[key][1])
+                received[msg] = mixture.total_points, grid_density(mixture, cfg.grid)
+        counts, members = zip(*(received[msg] for msg in [outbox[k], *inboxes[k]]))
         posteriors[k] = federated_posterior(members, alpha_weights(counts), cfg.grid)
     return posteriors, supports, densities
 

@@ -126,10 +126,6 @@ class DensityGrid:
         iy, ix = self.spec.cell_index(xy)
         return self.mass[iy, ix]
 
-    def argmax_center(self) -> np.ndarray:
-        iy, ix = np.unravel_index(int(np.argmax(self.mass)), self.mass.shape)
-        return np.array([self.spec.x_centers()[ix], self.spec.y_centers()[iy]])
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:

@@ -83,6 +83,8 @@ class RadarModel:
         for name in ("noise_sigma", "outlier_rate"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
+        if not 0 <= self.occlusion_attenuation <= 1:
+            raise ValueError("occlusion_attenuation must be in [0, 1]")
 
 
 @dataclass

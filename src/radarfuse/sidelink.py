@@ -236,6 +236,12 @@ def deliver(
     Radar k receives exactly the messages of its in-neighbors; a sender
     whose clock is ahead by one period contributes its previous-epoch
     message. Messages from before epoch 0 do not exist and are skipped.
+
+    A delivered message is the very object pushed into ``history``, shared
+    by all its receivers, unless clock jitter moves its content: with
+    ``jitter_std > 0``, ``motion_speed > 0`` and an ``rng``, each receiver
+    gets its own noisy copy, a new object. Receivers may therefore share
+    work on a message by its identity.
     """
     inboxes: dict[int, list[Message]] = {k: [] for k in topology.ids}
     for k in topology.ids:

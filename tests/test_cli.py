@@ -131,6 +131,10 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
          "radar 2: model: fov_azimuth must be > 0"),
         (lambda data: data["radars"][1].setdefault("model", {}).update(noise_sigma=-0.1),
          "radar 2: model: noise_sigma must be >= 0"),
+        (lambda data: data["radars"][1].setdefault("model", {}).update(occlusion_attenuation=5.0),
+         "radar 2: model: occlusion_attenuation must be in [0, 1]"),
+        (lambda data: data["radars"][1].setdefault("model", {}).update(occlusion_attenuation=-2.0),
+         "radar 2: model: occlusion_attenuation must be in [0, 1]"),
         (lambda data: data.update(grid_resolution=0), "area / grid_resolution: resolution must be > 0"),
         (lambda data: data.update(area=[8, 0, 0, 8]), "area / grid_resolution: grid extent must be non-degenerate"),
         (lambda data: data["clock"].update(jitter_std=-0.001), "clock: jitter_std must be finite and >= 0"),
@@ -148,7 +152,8 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         "overflowing-integer-area-bound", "repeated-topology-edge", "overflowing-update-period",
         "underflowing-update-period", "negative-update-period", "negative-prior-speed",
         "zero-m-max", "negative-em-max-iters", "negative-em-tol", "negative-max-range", "zero-fov",
-        "negative-noise-sigma", "zero-grid-resolution", "reversed-area", "negative-jitter",
+        "negative-noise-sigma", "large-occlusion-attenuation", "negative-occlusion-attenuation",
+        "zero-grid-resolution", "reversed-area", "negative-jitter",
     ],
 )
 def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reason):

@@ -26,6 +26,7 @@ from radarfuse.mixture import (
     grid_density,
 )
 from radarfuse.sensor import GLOBAL, PointCloud, dbscan
+from test_mixture import argmax_center
 
 SPEC = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
 FIT = FitOptions()
@@ -87,7 +88,7 @@ def test_single_cluster_likelihood_peaks_at_centroid():
     cloud, clusters = clustered_cloud(pts)
     grid, mix = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
     assert mix.n_components == 1
-    assert np.linalg.norm(grid.argmax_center() - pts[:, :2].mean(axis=0)) < 0.11
+    assert np.linalg.norm(argmax_center(grid) - pts[:, :2].mean(axis=0)) < 0.11
 
 
 def test_two_cluster_likelihood_is_bimodal():
@@ -117,7 +118,7 @@ def test_empty_cloud_gives_uniform_likelihood():
 def test_single_point_prior_is_a_bump():
     prior = motion_prior(mask_at([[4.05, 4.05]]), 1.0, 0.01, SPEC)
     assert prior.mass.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(prior.argmax_center(), [4.05, 4.05])
+    assert np.allclose(argmax_center(prior), [4.05, 4.05])
 
 
 def test_step_size_rule():
@@ -237,8 +238,8 @@ def test_prior_pulls_posterior_toward_truth():
             continue
         lik_grid, _ = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
         post = bayes_product(lik_grid, prior)
-        lik_err.append(np.linalg.norm(lik_grid.argmax_center() - truth))
-        post_err.append(np.linalg.norm(DensityGrid(SPEC, post.mass).argmax_center() - truth))
+        lik_err.append(np.linalg.norm(argmax_center(lik_grid) - truth))
+        post_err.append(np.linalg.norm(argmax_center(post) - truth))
     assert np.mean(post_err) < np.mean(lik_err)
 
 

@@ -580,18 +580,21 @@ def test_a_replaying_run_evaluates_no_likelihood_grid_it_can_skip(monkeypatch, f
     assert_same_fields(metrics, expected_metrics)
 
 
-@pytest.mark.parametrize(
-    "clock, decodes",
-    [({"jitter_std": 0.0}, 3 * 6), ({"offsets": {"2": 0.010}}, 3 * 6 - 1), ({"jitter_std": 0.002}, 6 * 6)],
-    ids=["exact", "offset", "jitter"],
-)
-def test_each_delivered_fed_message_is_decoded_once(monkeypatch, clock, decodes):
+@pytest.mark.parametrize("clock, delivered", [({"jitter_std": 0.0}, 0), ({"offsets": {"2": 0.010}}, 6 - 1),
+                                             ({"jitter_std": 0.002}, 6 * 6)], ids=["exact", "offset", "jitter"])
+@pytest.mark.parametrize("mode, decoder", [("cooperation", "decode_coop"), ("federation", "decode_fed")],
+                         ids=["cooperation", "federation"])
+def test_each_delivered_message_is_decoded_once(monkeypatch, mode, decoder, clock, delivered):
     # Full topology of 3 radars, 6 epochs: each epoch delivers 3 messages to
-    # 2 receivers each. Radar 2's clock offset leaves its epoch-0 message
-    # undelivered; under jitter each receiver decodes its own noisy copy.
-    calls = count_calls(monkeypatch, [(harness, "decode_fed")])
-    run_experiment(small_config(epochs=6, kl_reference=False, clock=clock))
-    assert calls["decode_fed"] == decodes
+    # 2 receivers each. Without jitter every receiver gets the sent object,
+    # and a message of this epoch is its sender's own, never decoded; radar
+    # 2's clock offset makes its message a previous epoch's, decoded once for
+    # both receivers (its epoch-0 message does not exist). Under jitter each
+    # receiver decodes and clusters its own noisy copy.
+    calls = count_calls(monkeypatch, [(harness, "decode_coop"), (harness, "decode_fed"), (harness, "dbscan")])
+    run_experiment(small_config(mode=mode, epochs=6, kl_reference=False, clock=clock))
+    clustered = delivered if mode == "cooperation" else 0
+    assert calls == {"decode_coop": 0, "decode_fed": 0, decoder: delivered, "dbscan": clustered}
 
 
 # ---------------------------------------------------------------- config

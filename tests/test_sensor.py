@@ -67,6 +67,16 @@ def test_every_model_key_changes_the_observation(key):
     assert not np.array_equal(observed({key: 0.5 * loader_default(key)}), observed({}))
 
 
+@pytest.mark.parametrize("value", [5.0, -2.0, float("nan")])
+def test_model_refuses_an_occlusion_attenuation_outside_zero_to_one(value):
+    # The attenuation multiplies a detection probability; the library refuses
+    # NaN as well as the loader does.
+    with pytest.raises(ValueError, match=r"occlusion_attenuation must be in \[0, 1\]"):
+        RadarModel(occlusion_attenuation=value)
+    for bound in (0.0, 1.0):
+        RadarModel(occlusion_attenuation=bound)
+
+
 def test_noiseless_boresight_point_is_identity():
     pose = RadarPose(np.zeros(3), 0.0)
     scene = make_scene([[2.0, 0.0, 0.0]])

@@ -148,6 +148,22 @@ def test_offsets_before_start_are_skipped():
     assert deliver(topo, history, 3, clock, 0.010)[1] == []
 
 
+@pytest.mark.parametrize("jitter_std, motion_speed, shared", [(0.0, 2.0, True), (0.01, 2.0, False), (0.01, 0.0, True)],
+                         ids=["exact", "jitter", "jitter-at-rest"])
+def test_receivers_get_the_pushed_object_unless_jitter_moves_it(jitter_std, motion_speed, shared):
+    # Radar 2 is one period late, so its receivers get its previous message.
+    topo = Topology.fully_connected((1, 2, 3))
+    history = fill_history(topo, 3)
+    clock = ClockModel({2: 0.010}, jitter_std=jitter_std)
+    inboxes = deliver(topo, history, 3, clock, 0.010, np.random.default_rng(0), motion_speed)
+    delivered = [msg for k in topo.ids for msg in inboxes[k]]
+    assert len(delivered) == 6
+    for msg in delivered:
+        assert (msg is history.get(msg.epoch, msg.sender)) == shared
+    if not shared:  # every receiver holds its own copy
+        assert len({id(msg) for msg in delivered}) == 6
+
+
 # -------------------------------------------------------------- accounting
 
 

@@ -15,7 +15,14 @@ The matrix covers every output the CLI writes:
   ``converging`` stripped to its required keys, so that every other
   setting (the top-level keys, ``dbscan``, ``mixture``, ``clock``, each
   radar's ``model`` and each target's ``center_height``) takes the
-  loader's default. No shipped scenario leaves these out.
+  loader's default. No shipped scenario leaves these out;
+* ``run`` in cooperation and federation, seed 3, on two more copies of
+  ``converging``: one whose radar 2 messages arrive one period late over a
+  partial topology (radars 1 and 3 receive from each other and from radar
+  2, radar 2 only from radar 3), and one with clock jitter
+  (``jitter_std`` 0.002). There receivers get older or noisy copies of a
+  message and pool different member sets, which the shipped scenarios,
+  exact and fully connected, never do.
 
 Each output line is ``sha256  relative/path``, sorted by path. Two source
 trees produce the same outputs exactly when their digests are equal, so a
@@ -27,7 +34,8 @@ refactor that must not move a byte is checked with
     diff parent.txt change.txt
 
 The output directory must be new or empty. Runs are sequential, one
-process at a time; the whole matrix takes about a minute on two cores.
+process at a time; the whole matrix writes 294 files in about a minute on
+two cores.
 
 A change that moves floating-point results is reported with
 
@@ -57,6 +65,8 @@ SCENARIOS = ("default", "converging")
 MODES = ("isolated", "cooperation", "federation")
 SEEDS = (3, 5)
 EPOCHS = 40
+# The topology of the late-radar copy: edges (h, k), k receives from h.
+PARTIAL = [[2, 1], [3, 1], [1, 3], [2, 3], [3, 2]]
 # The keys a scenario, a target and a radar must have.
 REQUIRED = {"": ("area", "grid_resolution", "landmarks", "targets", "radars"),
             "targets": ("id", "waypoints", "speed", "body_extent", "points_per_frame"),
@@ -71,14 +81,25 @@ def required_only(scenario: dict) -> dict:
     return kept
 
 
+def variants(converging: dict) -> dict[str, tuple[dict, tuple[str, ...]]]:
+    """The copies of ``converging`` the matrix runs, by output directory,
+    each with the modes run on it."""
+    late = {**converging, "clock": {**converging["clock"], "offsets": {"2": 0.010}}, "topology": PARTIAL}
+    jitter = {**converging, "clock": {**converging["clock"], "jitter_std": 0.002}}
+    return {"defaults": (required_only(converging), MODES),
+            "late-partial": (late, ("cooperation", "federation")),
+            "jitter": (jitter, ("cooperation", "federation"))}
+
+
 def run_command(scenario: str, mode: str, seed: int, out: str) -> list[str]:
     return ["run", "--config", scenario, "--mode", mode, "--seed", str(seed), "--epochs", str(EPOCHS),
             "--out", out, "--dump-grids", "10", "--messages-out", f"{out}/messages.jsonl"]
 
 
-def commands(defaults_scenario: Path) -> list[list[str]]:
+def commands(copies: dict[str, tuple[Path, tuple[str, ...]]]) -> list[list[str]]:
     """CLI argument lists of the matrix, relative to the output directory;
-    ``defaults_scenario`` is the stripped copy of ``converging``."""
+    ``copies`` maps each output directory of ``variants`` to its scenario
+    file and modes."""
     cmds = []
     for scenario in SCENARIOS:
         for mode in MODES:
@@ -90,8 +111,9 @@ def commands(defaults_scenario: Path) -> list[list[str]]:
     cmds.append(["report", "--out", "sweep"])
     cmds.append(["sweep", "--config", "converging", "--seeds", "3", "--modes", "federation,isolated,cooperation",
                  "--workers", "2", "--out", "sweep-reordered"])
-    for mode in MODES:
-        cmds.append(run_command(str(defaults_scenario), mode, 3, f"defaults/converging-{mode}-s3"))
+    for name, (path, modes) in copies.items():
+        for mode in modes:
+            cmds.append(run_command(str(path), mode, 3, f"{name}/converging-{mode}-s3"))
     return cmds
 
 
@@ -162,9 +184,12 @@ def main(argv=None) -> int:
     env = {**os.environ, "PYTHONPATH": str(package)}
     converging = json.loads((package / "radarfuse" / "scenarios" / "converging.json").read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        defaults_scenario = Path(tmp) / "converging-required.json"
-        defaults_scenario.write_text(json.dumps(required_only(converging)))
-        for cmd in commands(defaults_scenario):
+        copies = {}
+        for name, (scenario, modes) in variants(converging).items():
+            path = Path(tmp) / f"converging-{name}.json"
+            path.write_text(json.dumps(scenario))
+            copies[name] = path, modes
+        for cmd in commands(copies):
             result = subprocess.run([sys.executable, "-m", "radarfuse.cli", *cmd], cwd=args.out, env=env,
                                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
             if result.returncode != 0:
