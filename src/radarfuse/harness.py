@@ -21,12 +21,17 @@ In federation mode an observer can additionally run a pooled-cloud
 reference posterior per neighbourhood to sample divergences against; it
 never touches the sidelink accounting.
 
-Work on a delivered message is done once per ``Message`` object; an outbox
-message is never decoded, as its sender's cloud and clustering, or local
-posterior and density, are on hand. Without clock jitter the link hands
-every receiver the object its sender pushed, so receivers share its
-decoding, clustering or density, and cooperation receivers holding the same
-member objects share one pooled likelihood and its support.
+Per-epoch work is done once per distinct input object. An outbox message
+is never decoded (its sender's cloud and clustering, or local posterior and
+density, are on hand); a delivered ``Message`` is decoded once. Radars that
+fuse the same member messages, taken in the canonical order of
+``_member_key``, share one pooled likelihood, and one Bayes product per
+prior, or one federated posterior. Every radar starts from one empty
+support; one motion prior is diffused per support object, each posterior
+object is thresholded, searched and matched once (its estimates are
+read-only) and one next support is made per (support, fresh) pair. Without
+clock jitter the link hands every receiver the object its sender pushed, so
+under a full topology with exact clocks all radars hold one posterior.
 
 Every mode of one seed senses the same clouds, so ``run_sweep`` runs a
 seed's modes on one ``SensingRecord`` and senses each seed once. The
@@ -89,6 +94,7 @@ class EpochRecord:
     epoch: int
     truth: dict[int, tuple[float, float]]  # target id -> true center
     target_landmark: dict[int, str]  # target id -> nearest route waypoint
+    # Read-only, and one array for radars that hold one posterior.
     estimates: dict[int, np.ndarray]  # radar -> (m, 2) estimated positions
     matched: dict[int, dict[int, tuple[float, float] | None]]  # radar -> target -> estimate
     resolved: dict[int, bool]
@@ -212,6 +218,12 @@ def _likelihood(cfg, k, clouds, clusters, recorded):
     return grid, mixture, support
 
 
+def _member_key(own, inbox):
+    """The messages a radar fuses, its own outbox message included, in their
+    canonical order: sorted by ``(sender, epoch)``, whoever receives them."""
+    return tuple(sorted([own, *inbox], key=lambda msg: (msg.sender, msg.epoch)))
+
+
 def _isolated_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
     posteriors, supports = {}, {}
     for k in clouds:
@@ -230,10 +242,10 @@ def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
     # core point, so dropping it changes no core degree or border anchor, and
     # the filter keeps the input order.
     members = {outbox[k]: (clouds[k], clusters[k]) for k in clouds}
-    pooled = {}
+    pooled, fused = {}, {}
     posteriors, supports = {}, {}
     for k in clouds:
-        key = tuple(sorted([outbox[k], *inboxes[k]], key=lambda msg: (msg.sender, msg.epoch)))
+        key = _member_key(outbox[k], inboxes[k])
         if key not in pooled:
             for msg in key:
                 if msg not in members:
@@ -242,7 +254,9 @@ def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
             grid, _ = pooled_likelihood([members[msg] for msg in key], cfg.grid, cfg.fit)
             pooled[key] = grid, grid_support(grid, cfg.tau)
         grid, supports[k] = pooled[key]
-        posteriors[k] = bayes_product(grid, priors[k])
+        if (key, id(priors[k])) not in fused:
+            fused[key, id(priors[k])] = bayes_product(grid, priors[k])
+        posteriors[k] = fused[key, id(priors[k])]
     return posteriors, supports, {}
 
 
@@ -255,14 +269,17 @@ def _federation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
     outbox = {k: encode_fed(local_mixtures[k], k, epoch) for k in clouds}
     inboxes = exchange(outbox)
     received = {outbox[k]: (local_mixtures[k].total_points, densities[k]) for k in clouds}
-    posteriors = {}
+    fused, posteriors = {}, {}
     for k in clouds:
-        for msg in inboxes[k]:
-            if msg not in received:
-                mixture = decode_fed(msg)
-                received[msg] = mixture.total_points, grid_density(mixture, cfg.grid)
-        counts, members = zip(*(received[msg] for msg in [outbox[k], *inboxes[k]]))
-        posteriors[k] = federated_posterior(members, alpha_weights(counts), cfg.grid)
+        key = _member_key(outbox[k], inboxes[k])
+        if key not in fused:
+            for msg in key:
+                if msg not in received:
+                    mixture = decode_fed(msg)
+                    received[msg] = mixture.total_points, grid_density(mixture, cfg.grid)
+            counts, members = zip(*(received[msg] for msg in key))
+            fused[key] = federated_posterior(members, alpha_weights(counts), cfg.grid)
+        posteriors[k] = fused[key]
     return posteriors, supports, densities
 
 
@@ -285,7 +302,7 @@ def _kl_reference(cfg, clouds, clusters, posteriors, local_densities, ref_prev):
     representations, so a lone radar's federated, local and reference
     posteriors coincide exactly.
     """
-    ref_grids = {}
+    ref_grids, kl_of = {}, {}
     kl_fed, kl_local = {}, {}
     for k in clouds:
         ids = tuple(sorted({k, *cfg.topology.neighbors(k)}))
@@ -299,7 +316,9 @@ def _kl_reference(cfg, clouds, clusters, posteriors, local_densities, ref_prev):
             ref_mix = refit_posterior_mixture(pool_cloud, lik_mix, ref_prior, cfg.fit)
             ref_grids[ids] = eval_on_grid(ref_mix, cfg.grid)
             ref_prev[ids] = reconstruct_scene(grid_support(ref_grids[ids], cfg.tau), grid_support(lik_grid, cfg.tau))
-        kl_fed[k] = kl_divergence(ref_grids[ids], posteriors[k])
+        if (ids, id(posteriors[k])) not in kl_of:
+            kl_of[ids, id(posteriors[k])] = kl_divergence(ref_grids[ids], posteriors[k])
+        kl_fed[k] = kl_of[ids, id(posteriors[k])]
         kl_local[k] = kl_divergence(ref_grids[ids], normalized_density(local_densities[k], cfg.grid))
     return kl_fed, kl_local
 
@@ -344,7 +363,7 @@ def run_experiment(
     stats = LinkStats(update_period=cfg.update_period)
     # Deep enough for the most-delayed sender: nothing sent is dropped unseen.
     history = OutboxHistory(max(cfg.clock.offset_periods(k, cfg.dt) for k in radar_ids))
-    prev_support = {k: np.zeros((cfg.grid.ny, cfg.grid.nx), dtype=bool) for k in radar_ids}
+    prev_support = dict.fromkeys(radar_ids, np.zeros((cfg.grid.ny, cfg.grid.nx), dtype=bool))
     ref_prev: dict[tuple[int, ...], np.ndarray] = {}
     records: list[EpochRecord] = []
 
@@ -370,10 +389,9 @@ def run_experiment(
             else:
                 clouds, clusters = sensing.clouds[epoch - 1], sensing.clusters[epoch - 1]
             recorded = sensing.likelihoods[epoch - 1] if sensing is not None else {}
-            priors = {
-                k: motion_prior(prev_support[k], cfg.prior_speed, cfg.dt, cfg.grid)
-                for k in radar_ids
-            }
+            distinct = {id(support): support for support in prev_support.values()}
+            prior_of = {i: motion_prior(s, cfg.prior_speed, cfg.dt, cfg.grid) for i, s in distinct.items()}
+            priors = {k: prior_of[id(prev_support[k])] for k in radar_ids}
 
             tx_bits = {k: 0 for k in radar_ids}
             exchange = partial(_exchange, cfg, history, stats, link_rng, log_fh, epoch, tx_bits)
@@ -386,12 +404,20 @@ def run_experiment(
             estimates: dict[int, np.ndarray] = {}
             matched: dict[int, dict[int, tuple[float, float] | None]] = {}
             resolved: dict[int, bool] = {}
+            read, joined = {}, {}
             for k in radar_ids:
-                support = grid_support(posteriors[k], cfg.tau)
-                prev_support[k] = reconstruct_scene(support, fresh[k])
-                estimates[k] = extract_targets(posteriors[k], support, cfg.min_separation)
-                matched[k] = _associate(scene.centers, estimates[k])
+                posterior = posteriors[k]
+                if id(posterior) not in read:
+                    support = grid_support(posterior, cfg.tau)
+                    found = extract_targets(posterior, support, cfg.min_separation)
+                    _freeze(found)
+                    read[id(posterior)] = support, found, _associate(scene.centers, found)
+                support, estimates[k], matches = read[id(posterior)]
+                matched[k] = dict(matches)
                 resolved[k] = len(estimates[k]) >= len(scene.centers)
+                if (id(support), id(fresh[k])) not in joined:
+                    joined[id(support), id(fresh[k])] = reconstruct_scene(support, fresh[k])
+                prev_support[k] = joined[id(support), id(fresh[k])]
 
             if grid_dump is not None and epoch % dump_every == 0:
                 for k in radar_ids:

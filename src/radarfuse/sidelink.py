@@ -213,13 +213,16 @@ class OutboxHistory:
 
 
 def _jittered(msg: Message, noise_std: float, rng: np.random.Generator) -> Message:
-    """Extra position noise from sub-period clock jitter on moving content."""
+    """Extra position noise from sub-period clock jitter on moving content:
+    added to a copy of the payload's point coordinates or component means,
+    which leaves every other value of the payload as it was."""
+    values = msg.values.copy()
     if msg.kind == COOP_KIND:
-        noise = rng.normal(0.0, noise_std, (len(msg.values) // 3, 3))
-        return replace(msg, values=msg.values + noise.ravel())
-    mix = decode_fed(msg)
-    means = mix.means + rng.normal(0.0, noise_std, mix.means.shape)
-    return encode_fed(replace(mix, means=means), msg.sender, msg.epoch)
+        points = values.reshape(-1, 3)
+    else:
+        points = values[2:].reshape(-1, FED_VALUES_PER_COMPONENT)[:, 1:4]
+    points += rng.normal(0.0, noise_std, points.shape)
+    return replace(msg, values=values)
 
 
 def deliver(

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from radarfuse import harness
-from radarfuse.fusion import FitOptions, grid_support
+from radarfuse.fusion import FitOptions, alpha_weights, federated_posterior, grid_support
 from radarfuse.config import MODES, ConfigError, config_from_dict, load_config, resolve_scenario
 from radarfuse.harness import (
     EpochRecord,
@@ -24,7 +25,7 @@ from radarfuse.harness import (
     unresolved_probability,
 )
 from radarfuse.mixture import eval_on_grid
-from radarfuse.sidelink import decode_coop, decode_fed, read_replay
+from radarfuse.sidelink import Message, decode_coop, decode_fed, read_replay
 
 SMALL = {
     "name": "small",
@@ -562,17 +563,19 @@ def count_calls(monkeypatch, bindings):
     return calls
 
 
-@pytest.mark.parametrize("first, mode, grids", [("isolated", "federation", 0), ("federation", "isolated", 3 * 4)],
+@pytest.mark.parametrize("first, mode, grids, posteriors",
+                         [("isolated", "federation", 0, 4), ("federation", "isolated", 3 * 4, 3 * 4)],
                          ids=["federation", "isolated"])
-def test_a_replaying_run_evaluates_no_likelihood_grid_it_can_skip(monkeypatch, first, mode, grids):
+def test_a_replaying_run_evaluates_no_likelihood_grid_it_can_skip(monkeypatch, first, mode, grids, posteriors):
     sensing = SensingRecord(0)
     run_experiment(small_config(mode=first, epochs=4, kl_reference=False), sensing=sensing)
     calls = count_calls(monkeypatch, [(harness, "likelihood_from_cloud"), (harness, "eval_on_grid"),
                                       (harness, "grid_support")])
     records, metrics = run_experiment(small_config(mode=mode, epochs=4, kl_reference=False), sensing=sensing)
     # Federation evaluates no likelihood grid; isolated rebuilds each one
-    # for the Bayes product. Only the posteriors are thresholded.
-    assert calls == {"likelihood_from_cloud": 0, "eval_on_grid": grids, "grid_support": 3 * 4}
+    # for the Bayes product. Only the posteriors are thresholded, once per
+    # posterior object: the three federating radars share one per epoch.
+    assert calls == {"likelihood_from_cloud": 0, "eval_on_grid": grids, "grid_support": posteriors}
     monkeypatch.undo()
     expected_records, expected_metrics = run_experiment(small_config(mode=mode, epochs=4, kl_reference=False))
     for rec, expected in zip(records, expected_records, strict=True):
@@ -595,6 +598,92 @@ def test_each_delivered_message_is_decoded_once(monkeypatch, mode, decoder, cloc
     run_experiment(small_config(mode=mode, epochs=6, kl_reference=False, clock=clock))
     clustered = delivered if mode == "cooperation" else 0
     assert calls == {"decode_coop": 0, "decode_fed": 0, decoder: delivered, "dbscan": clustered}
+
+
+def capture_posteriors(monkeypatch, mode):
+    """Wrap the mode's step; returns the list its posterior dicts are appended to, one per epoch."""
+    seen, step = [], harness.STEPS[mode]
+
+    def spy(*args):
+        result = step(*args)
+        seen.append(result[0])
+        return result
+
+    monkeypatch.setitem(harness.STEPS, mode, spy)
+    return seen
+
+
+FUSING = ("motion_prior", "bayes_product", "federated_posterior", "extract_targets")
+
+
+RING = [[2, 1], [3, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("clock, topology, shared",
+                         [({"jitter_std": 0.0}, "full", True), ({"offsets": {"2": 0.010}}, RING, False),
+                          ({"jitter_std": 0.002}, "full", False)], ids=["exact", "late-partial", "jitter"])
+@pytest.mark.parametrize("mode", ["cooperation", "federation"])
+def test_radars_share_one_posterior_when_they_fuse_the_same_inputs(monkeypatch, mode, clock, topology, shared):
+    # Full topology, exact clocks: every radar fuses the same member
+    # messages, so each epoch has one posterior, thresholded and searched
+    # once. Radar 2 one period late on a ring (each radar fuses its own
+    # message with one other, a different pair each), or each receiver
+    # holding its own jittered copies: no two radars fuse the same members,
+    # so each computes its own. The first epoch's empty supports are one
+    # object, so one prior. Cooperation radars that share a posterior share
+    # the next support, so its prior; a federating radar unites the shared
+    # support with its own fresh likelihood support.
+    posteriors = capture_posteriors(monkeypatch, mode)
+    calls = count_calls(monkeypatch, [(harness, name) for name in FUSING])
+    records, _ = run_experiment(small_config(mode=mode, epochs=6, kl_reference=False, clock=clock, topology=topology))
+    assert len(posteriors) == 6
+    for post, rec in zip(posteriors, records, strict=True):
+        if shared:
+            assert post[1] is post[2] is post[3] and rec.estimates[1] is rec.estimates[2] is rec.estimates[3]
+        else:
+            for a, b in ((1, 2), (1, 3), (2, 3)):
+                assert post[a] is not post[b] and not np.array_equal(post[a].mass, post[b].mass)
+    per_epoch = 1 if shared else 3
+    fused = "bayes_product" if mode == "cooperation" else "federated_posterior"
+    priors = 6 if shared and mode == "cooperation" else 1 + 3 * 5
+    assert calls == {"motion_prior": priors, "bayes_product": 0, "federated_posterior": 0, fused: per_epoch * 6,
+                     "extract_targets": per_epoch * 6}
+
+
+def test_canonical_members_federate_bit_exactly_in_any_order():
+    # Whichever member a receiver holds as its own and in whatever order its
+    # inbox lists the others, the canonical order gives one alpha weight
+    # vector and one sum, so one grid bit for bit. Taken as given, the orders
+    # do not all agree in the last bit.
+    spec = small_config().grid
+    rng = np.random.default_rng(0)
+    messages = [Message(sender, epoch, "fed", np.empty(0))
+                for sender, epoch in ((1, 6), (2, 5), (3, 6), (4, 6), (5, 6))]
+    members = {msg: (int(rng.integers(1, 200)), rng.random((spec.ny, spec.nx)) * 10.0 ** rng.uniform(-3, 3))
+               for msg in messages}
+    members[messages[3]] = 0, None  # an empty mixture
+    canonical, given = set(), set()
+    for order in itertools.permutations(messages):
+        for key, grids in ((harness._member_key(order[0], order[1:]), canonical), (order, given)):
+            counts, densities = zip(*(members[msg] for msg in key))
+            grids.add(federated_posterior(densities, alpha_weights(counts), spec).mass.tobytes())
+    assert len(canonical) == 1 and len(given) > 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_estimates_are_read_only(mode):
+    # Radars with one posterior share its estimate array, so no caller may
+    # edit it; each radar's matches are its own dict.
+    records, _ = run_experiment(small_config(mode=mode, epochs=4, kl_reference=False))
+    estimates = [est for rec in records for est in rec.estimates.values()]
+    assert any(len(est) for est in estimates)
+    for est in estimates:
+        assert not est.flags.writeable
+        if len(est):
+            with pytest.raises(ValueError, match="read-only"):
+                est[0, 0] = 0.0
+    rec = records[-1]
+    assert rec.matched[1] is not rec.matched[2]
 
 
 # ---------------------------------------------------------------- config

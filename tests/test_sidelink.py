@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from radarfuse.sidelink import (
     Message,
     OutboxHistory,
     Topology,
+    _jittered,
     account,
     account_delivery,
     account_undelivered,
@@ -387,6 +389,24 @@ def test_jitter_moves_only_the_means():
     for field in ("weights", "covs", "counts"):
         assert np.array_equal(getattr(got, field), getattr(mix, field))
     assert msg.payload_bits == encode_fed(mix, 2, 1).payload_bits
+
+
+@pytest.mark.parametrize("n_components", [0, 1, 3, 8])
+def test_jittered_fed_payload_is_the_decoded_noisy_mixture_re_encoded(n_components):
+    # The link adds the noise to the payload's mean entries; decoding the
+    # mixture, moving its means by the same draw and encoding it again gives
+    # the same payload bit for bit, and leaves the generator in the same state.
+    sent = mixture_of(n_components, total=90, seed=n_components) if n_components else GaussianMixture.empty()
+    msg = encode_fed(sent, 2, 5)
+    for seed in range(5):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _jittered(msg, 0.02, got_rng)
+        mix = decode_fed(msg)
+        want = encode_fed(replace(mix, means=mix.means + want_rng.normal(0.0, 0.02, mix.means.shape)), 2, 5)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.sender, got.epoch, got.kind) == (2, 5, "fed")
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert msg.values.tobytes() == encode_fed(sent, 2, 5).values.tobytes()  # the sent payload is untouched
 
 
 # ------------------------------------------------------ codec properties

@@ -46,13 +46,20 @@ output directories, with the largest relative change of a number in it,
 ``|a - b| / max(|a|, |b|)``. Numbers are compared in the order they
 appear; a file whose text around the numbers differs, or that exists on
 one side only, is listed with ``text`` or ``only in A`` / ``only in B``.
-The last line counts the moved files; the exit status is 1 if any moved.
+A moved CSV table is followed, in parentheses, by each column whose cells
+moved and the worst relative change in it; ``summary.csv`` and
+``kl_summary.csv`` name their moved rows by ``metric`` or ``comparison``
+instead, and grid dumps, which are matrices, name nothing. The last line
+counts the moved files; the exit status is 1 if any moved. Closing the
+output early (``| head``) ends the comparison without an error message.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -142,20 +149,52 @@ def worst_change(a: str, b: str) -> float | None:
     return worst
 
 
+# A table whose first column is one of these names each row, and a moved cell is named by its row.
+ROW_NAMES = ("metric", "comparison")
+
+
+def moved_cells(a: str, b: str) -> dict[str, float | None]:
+    """Worst relative change per column of two CSV texts, None for a column
+    that moved other than in its numbers. A row-named table (``ROW_NAMES``)
+    is reported per row name instead. Empty unless both texts have the same
+    header and the header's width in every row; a grid dump has neither."""
+    rows_a, rows_b = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
+    header = rows_a[0] if rows_a else []
+    if not header or rows_b[:1] != [header] or len(rows_a) != len(rows_b) \
+            or any(len(row) != len(header) for row in rows_a + rows_b):
+        return {}
+    worst: dict[str, float | None] = {}
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for name, x, y in zip(header, row_a, row_b):
+            if x != y:
+                label = row_a[0] if header[0] in ROW_NAMES else name
+                change, before = worst_change(x, y), worst.get(label, 0.0)
+                worst[label] = None if change is None or before is None else max(before, change)
+    return worst
+
+
+def _change(worst: float | None) -> str:
+    return "text" if worst is None else f"{worst:.3g}"
+
+
 def compare(a: Path, b: Path) -> int:
     """Print each file that differs between output directories ``a`` and ``b``; 1 if any does."""
     files = {p.relative_to(root).as_posix() for root in (a, b) for p in root.rglob("*") if p.is_file()}
     moved = 0
     for rel in sorted(files):
+        cells = {}
         if not (a / rel).is_file() or not (b / rel).is_file():
             change = "only in A" if (a / rel).is_file() else "only in B"
         elif (a / rel).read_bytes() == (b / rel).read_bytes():
             continue
         else:
-            worst = worst_change((a / rel).read_text(), (b / rel).read_text())
-            change = "text" if worst is None else f"{worst:.3g}"
+            text_a, text_b = (a / rel).read_text(), (b / rel).read_text()
+            change = _change(worst_change(text_a, text_b))
+            if rel.endswith(".csv"):
+                cells = moved_cells(text_a, text_b)
         moved += 1
-        print(f"{change:>10}  {rel}")
+        columns = ", ".join(f"{label} {_change(worst)}" for label, worst in cells.items())
+        print(f"{change:>10}  {rel}" + (f"  ({columns})" if columns else ""))
     print(f"{moved} of {len(files)} files moved")
     return 1 if moved else 0
 
@@ -201,4 +240,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # stdout was closed early (``--compare A B | head``): stop quietly,
+        # without a second error when Python flushes stdout at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
