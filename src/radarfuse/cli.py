@@ -84,6 +84,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    for option, value in (("--seeds", args.seeds), ("--workers", args.workers)):
+        if value < 1:
+            raise ConfigError(f"{option} must be >= 1, got {value}")
     cfg = load_config(args.config, epochs=args.epochs)
     seeds = range(args.seed_start, args.seed_start + args.seeds)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]

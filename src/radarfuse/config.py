@@ -73,6 +73,8 @@ class ExperimentConfig:
         # The float period must neither overflow nor round to 0.
         if not (self.update_period <= sys.float_info.max and self.dt > 0):
             raise ConfigError("update period must be > 0 and finite as a double")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.n_epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if not self.radars:

@@ -80,29 +80,19 @@ def pooled_likelihood(
 ) -> tuple[DensityGrid, GaussianMixture]:
     """Likelihood of the pooled ensemble, fitted with one component per
     contributing cluster (component count sums over the member clouds)."""
-    pools, means, covs, counts = [], [], [], []
+    pools, moments = [], []
     for cloud, clusters in ensemble:
         _require_global(cloud)
         m = choose_components(clusters, fit.m_max)
         if len(cloud) == 0 or m == 0:
             continue
         pools.append(cloud.points)
-        mu, cv, ct = cluster_moments(cloud.points, clusters.labels, clusters.n_clusters, keep=m)
-        means.append(mu)
-        covs.append(cv)
-        counts.append(ct)
+        moments.append(cluster_moments(cloud.points, clusters.labels, clusters.n_clusters, keep=m))
     if not pools:
         return DensityGrid.uniform(spec), GaussianMixture.empty()
-    points = np.concatenate(pools)
-    mixture = fit_em(
-        points,
-        sum(len(mu) for mu in means),
-        np.concatenate(means),
-        init_covs=np.concatenate(covs),
-        init_weights=np.concatenate(counts),
-        max_iters=fit.max_iters,
-        tol=fit.tol,
-    )
+    means, covs, counts = (np.concatenate(column) for column in zip(*moments))
+    start = GaussianMixture(counts, means, covs, counts)  # weighted by cluster size
+    mixture = fit_em(np.concatenate(pools), start, max_iters=fit.max_iters, tol=fit.tol)
     return eval_on_grid(mixture, spec), mixture
 
 
@@ -154,7 +144,7 @@ def motion_prior(
     )
     mass = np.zeros((spec.ny, spec.nx))
     mass[win] = gaussian_filter(support[win].astype(float), sigma_px, mode="constant", truncate=6.0)
-    return DensityGrid(spec, mass).normalized()
+    return normalized_density(mass, spec)
 
 
 def refit_posterior_mixture(
@@ -173,16 +163,7 @@ def refit_posterior_mixture(
     if lik_mixture.is_empty():
         return GaussianMixture.empty()
     weights = prior.value_at(cloud.points[:, :2])
-    return fit_em(
-        cloud.points,
-        lik_mixture.n_components,
-        lik_mixture.means,
-        init_covs=lik_mixture.covs,
-        init_weights=lik_mixture.weights,
-        point_weights=weights,
-        max_iters=fit.max_iters,
-        tol=fit.tol,
-    )
+    return fit_em(cloud.points, lik_mixture, point_weights=weights, max_iters=fit.max_iters, tol=fit.tol)
 
 
 def alpha_weights(q_counts: Sequence[int]) -> np.ndarray:

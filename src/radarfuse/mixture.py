@@ -11,6 +11,10 @@ mixture's unnormalized mass per cell, followed by ``normalized_density``;
 a weighted sum of mixtures is the normalized weighted sum of their
 densities, so each mixture is evaluated once however many sums it joins.
 
+A fit starts from a mixture. Cooperation's pooled likelihood starts from the
+members' cluster moments; federation's posterior refit, the mixture a radar
+broadcasts, starts from the radar's likelihood mixture.
+
 EM works on quadratic point features. A fit centres the points on their
 mean and builds the (10, n) features ``[1, x, y, z, x², y², z², xy, xz, yz]``
 once. Every component's log-density ``log β − ½(x−μ)'P(x−μ) − ½ log|2πΣ|``
@@ -114,12 +118,6 @@ class DensityGrid:
     @classmethod
     def uniform(cls, spec: GridSpec) -> "DensityGrid":
         return cls(spec, np.full((spec.ny, spec.nx), 1.0 / spec.n_cells))
-
-    def normalized(self) -> "DensityGrid":
-        total = self.mass.sum()
-        if total <= 0:
-            return DensityGrid.uniform(self.spec)
-        return DensityGrid(self.spec, self.mass / total)
 
     def value_at(self, xy: np.ndarray) -> np.ndarray:
         """Mass of the cells containing the given (m, 2) positions."""
@@ -235,24 +233,25 @@ def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
 
 def fit_em(
     points: np.ndarray,
-    n_components: int,
-    init_means: np.ndarray,
+    start: GaussianMixture,
     *,
-    init_covs: np.ndarray | None = None,
-    init_weights: np.ndarray | None = None,
     point_weights: np.ndarray | None = None,
     max_iters: int,
     tol: float,
     return_trace: bool = False,
 ):
-    """Fit a Gaussian mixture by EM from a deterministic initialization.
+    """Fit a Gaussian mixture by EM from the ``start`` mixture.
 
-    ``point_weights`` gives weighted EM (used to represent a posterior
-    rather than a bare likelihood). The (weighted) log-likelihood is
-    nondecreasing over iterations; an iteration that would decrease it
-    (possible when the covariance floor engages) reverts to the previous
-    parameters and stops. Component point counts are apportioned from the
-    responsibilities so they sum exactly to the number of points.
+    The fit keeps ``start``'s components (its first n when there are only
+    n < m points) and begins at their means, floored covariances and
+    weights, normalized to sum to 1; ``start.counts`` is not read. An empty
+    start raises ValueError. ``point_weights`` gives weighted EM (used to
+    represent a posterior rather than a bare likelihood). The (weighted)
+    log-likelihood is nondecreasing over iterations; an iteration that
+    would decrease it (possible when the covariance floor engages) reverts
+    to the previous parameters and stops. Component point counts are
+    apportioned from the responsibilities so they sum exactly to the number
+    of points.
 
     Each iteration is two small matrix products over the centred quadratic
     features (see the module docstring) and one ``eigh``: the E-step takes
@@ -275,25 +274,17 @@ def fit_em(
     n = len(points)
     if n == 0:
         return (GaussianMixture.empty(), []) if return_trace else GaussianMixture.empty()
-    if n_components < 1:
-        raise ValueError("n_components must be >= 1")
-    m = n_components
+    if start.is_empty():
+        raise ValueError("the start mixture must have at least one component")
+    m = start.n_components
     if m > n:
         log.warning("reducing components from %d to %d (only %d points)", m, n, n)
         m = n
 
-    means = np.array(init_means, dtype=float)[:m].copy()
-    if init_covs is not None:
-        covs = np.array(init_covs, dtype=float)[:m].copy()
-    else:
-        base = np.cov(points.T, bias=True) if n > 1 else np.zeros((3, 3))
-        covs = np.tile(base, (m, 1, 1))
-    covs, prec, logdet = _floor_eigh(covs, COV_EIG_FLOOR, each=True)
-    if init_weights is not None:
-        beta = np.asarray(init_weights, dtype=float)[:m].copy()
-        beta = beta / beta.sum() if beta.sum() > 0 else np.full(m, 1.0 / m)
-    else:
-        beta = np.full(m, 1.0 / m)
+    # Every step below makes new arrays, so the start is never written.
+    covs, prec, logdet = _floor_eigh(start.covs[:m], COV_EIG_FLOOR, each=True)
+    beta = start.weights[:m]
+    beta = beta / beta.sum() if beta.sum() > 0 else np.full(m, 1.0 / m)
 
     if point_weights is None:
         w = np.ones(n)
@@ -304,7 +295,7 @@ def fit_em(
     # Work in coordinates centred on the points' mean, so the expanded
     # quadratic forms below cancel no large terms.
     feats, centre = _quad_features(points)
-    means = means - centre
+    means = start.means[:m] - centre
 
     def e_step(beta, means, prec, logdet):
         p_mu = np.einsum("mij,mj->mi", prec, means)

@@ -98,17 +98,21 @@ def _scatter(spec: TargetSpec, center: np.ndarray, rng: np.random.Generator) -> 
     return mean + rng.standard_normal((spec.points_per_frame, 3)) * spec.body_extent
 
 
+def _routes(specs: Sequence[TargetSpec], landmarks: Mapping[str, np.ndarray]) -> list[tuple]:
+    """Each target's route: its (m, 2) polyline and cumulative segment lengths."""
+    polylines = [route_vertices(landmarks, spec.waypoints) for spec in specs]
+    return [(vertices, _cumulative_lengths(vertices)) for vertices in polylines]
+
+
 def _build_scene(
     epoch: int,
     specs: Sequence[TargetSpec],
-    landmarks: Mapping[str, np.ndarray],
+    routes: Sequence[tuple[np.ndarray, np.ndarray]],
     progress: dict[int, float],
     rng: np.random.Generator,
 ) -> Scene:
     ids, chunks, centers = [], [], {}
-    for spec in specs:
-        vertices = route_vertices(landmarks, spec.waypoints)
-        cum = _cumulative_lengths(vertices)
+    for spec, (vertices, cum) in zip(specs, routes):
         center = _point_at(vertices, cum, progress[spec.id])
         centers[spec.id] = center
         chunks.append(_scatter(spec, center, rng))
@@ -129,7 +133,7 @@ def initial_scene(
 ) -> Scene:
     """Scene at epoch 0: every target at its first waypoint."""
     progress = {spec.id: 0.0 for spec in specs}
-    return _build_scene(0, specs, landmarks, progress, rng)
+    return _build_scene(0, specs, _routes(specs, landmarks), progress, rng)
 
 
 def advance_scene(
@@ -146,9 +150,7 @@ def advance_scene(
     """
     if dt <= 0:
         raise ConfigError("dt must be > 0")
-    progress = {}
-    for spec in specs:
-        vertices = route_vertices(landmarks, spec.waypoints)
-        total = _cumulative_lengths(vertices)[-1]
-        progress[spec.id] = min(scene.progress[spec.id] + spec.speed * dt, total)
-    return _build_scene(scene.epoch + 1, specs, landmarks, progress, rng)
+    routes = _routes(specs, landmarks)
+    progress = {spec.id: min(scene.progress[spec.id] + spec.speed * dt, cum[-1])
+                for spec, (_, cum) in zip(specs, routes)}
+    return _build_scene(scene.epoch + 1, specs, routes, progress, rng)

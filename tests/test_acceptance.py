@@ -25,6 +25,7 @@ from radarfuse.sensor import GLOBAL, PointCloud, dbscan
 from radarfuse.sidelink import decode_coop, decode_fed, encode_coop, encode_fed
 
 from test_fusion import exhaustive_extract, random_mixture
+from test_mixture import em_start
 from test_sensor import brute_force_dbscan
 
 UPDATES_PER_SECOND = Fraction(100)  # one localization update every 10 ms
@@ -160,7 +161,7 @@ def test_criterion_6_numerical_invariants():
         n = int(rng.integers(m + 4, 60))
         pts = rng.normal(rng.uniform(-1, 1, 3), rng.uniform(0.1, 1.0), (n, 3))
         init = pts[rng.choice(n, m, replace=False)]
-        _, trace = fit_em(pts, m, init, max_iters=FIT.max_iters, tol=FIT.tol, return_trace=True)
+        _, trace = fit_em(pts, em_start(pts, init), max_iters=FIT.max_iters, tol=FIT.tol, return_trace=True)
         if len(trace) > 1:
             steps = np.diff(trace) / np.maximum(1.0, np.abs(trace[:-1]))
             worst = min(worst, float(steps.min()))

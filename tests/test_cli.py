@@ -122,6 +122,7 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data.update(update_period_s="1e-400"), "update period must be > 0 and finite as a double"),
         (lambda data: data.update(update_period_s="-0.01"), "update period must be > 0 and finite as a double"),
         (lambda data: data.update(prior_speed=-1.0), "prior_speed must be >= 0 and finite"),
+        (lambda data: data.update(seed=-1), "seed must be >= 0"),
         (lambda data: data["mixture"].update(m_max=0), "mixture: m_max must be >= 1"),
         (lambda data: data["mixture"].update(em_max_iters=-1), "mixture: em_max_iters must be >= 0"),
         (lambda data: data["mixture"].update(em_tol=-1.0), "mixture: em_tol must be >= 0 and finite"),
@@ -150,7 +151,7 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         "string-body-extent", "string-landmark-coordinate", "two-coordinate-radar-position",
         "nan-min-separation", "nan-dbscan-eps", "infinite-prior-speed", "overflowing-area-bound",
         "overflowing-integer-area-bound", "repeated-topology-edge", "overflowing-update-period",
-        "underflowing-update-period", "negative-update-period", "negative-prior-speed",
+        "underflowing-update-period", "negative-update-period", "negative-prior-speed", "negative-seed",
         "zero-m-max", "negative-em-max-iters", "negative-em-tol", "negative-max-range", "zero-fov",
         "negative-noise-sigma", "large-occlusion-attenuation", "negative-occlusion-attenuation",
         "zero-grid-resolution", "reversed-area", "negative-jitter",
@@ -252,6 +253,24 @@ def test_sweep_rejects_an_unknown_mode_before_any_run(tmp_path, capsys, monkeypa
         "error: mode must be one of ('isolated', 'cooperation', 'federation'), got 'bogus'\n"
     )
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [(["run", "--seed", "-1"], "seed must be >= 0"),
+     (["sweep", "--seed-start", "-1", "--workers", "2"], "seed must be >= 0"),
+     (["sweep", "--seeds", "-3"], "--seeds must be >= 1, got -3"),
+     (["sweep", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+     (["sweep", "--workers", "-2"], "--workers must be >= 1, got -2"),
+     (["sweep", "--workers", "0"], "--workers must be >= 1, got 0")],
+    ids=["run-negative-seed", "sweep-negative-seed-start", "sweep-negative-seeds", "sweep-zero-seeds",
+         "sweep-negative-workers", "sweep-zero-workers"],
+)
+def test_seed_and_sweep_options_are_refused_in_one_line(tmp_path, small_scenario, capsys, argv, reason):
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(small_scenario), "--epochs", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()  # refused before any run
 
 
 @pytest.mark.parametrize("epochs", [6, 0], ids=["floats", "empty-cells"])

@@ -24,6 +24,7 @@ from radarfuse.mixture import (
     GridSpec,
     eval_on_grid,
     grid_density,
+    normalized_density,
 )
 from radarfuse.sensor import GLOBAL, PointCloud, dbscan
 from test_mixture import argmax_center
@@ -186,9 +187,9 @@ def test_windowed_prior_equals_full_grid_blur(spec_mask, speed, dt):
     # for masks on the grid's edges and corners and for the empty mask.
     spec, mask = spec_mask
     sigma = speed * dt + 0.042
-    oracle = DensityGrid(
-        spec, gaussian_filter(mask.astype(float), sigma / spec.resolution, mode="constant", truncate=6.0)
-    ).normalized()
+    oracle = normalized_density(
+        gaussian_filter(mask.astype(float), sigma / spec.resolution, mode="constant", truncate=6.0), spec
+    )
     prior = motion_prior(mask, speed, dt, spec)
     assert np.array_equal(prior.mass, oracle.mass)
 

@@ -713,10 +713,10 @@ def test_config_validation_errors():
     [{"mode": "telepathy"}, {"ego_radar": 99}, {"prior_speed": -1.0}, {"prior_speed": float("nan")},
      {"prior_speed": float("inf")}, {"min_separation": float("nan")}, {"dbscan_eps": float("nan")},
      {"fit": FitOptions(m_max=0)}, {"fit": FitOptions(max_iters=-1)}, {"fit": FitOptions(tol=-1.0)},
-     {"fit": FitOptions(tol=float("nan"))}, {"fit": FitOptions(tol=float("inf"))}],
+     {"fit": FitOptions(tol=float("nan"))}, {"fit": FitOptions(tol=float("inf"))}, {"seed": -1}],
     ids=["unknown-mode", "undeployed-ego", "negative-prior-speed", "nan-prior-speed", "infinite-prior-speed",
          "nan-min-separation", "nan-dbscan-eps", "zero-m-max", "negative-max-iters", "negative-tol", "nan-tol",
-         "infinite-tol"],
+         "infinite-tol", "negative-seed"],
 )
 def test_replaced_config_is_checked(change):
     with pytest.raises(ConfigError):

@@ -22,6 +22,7 @@ from radarfuse.mixture import (
     grid_from_csv,
     grid_to_csv,
     kl_divergence,
+    normalized_density,
 )
 from radarfuse.sensor import ClusterResult
 
@@ -40,6 +41,16 @@ def argmax_center(grid):
 
 def iso_cov(s2):
     return np.eye(3) * s2
+
+
+def em_start(points, means, covs=None, weights=None):
+    """A start mixture for ``fit_em`` at ``means``. Covariances default to the
+    points' biased sample covariance for every component, weights to equal
+    ones; the counts are zero, as ``fit_em`` does not read them."""
+    m = len(means)
+    if covs is None:
+        covs = np.tile(np.cov(points.T, bias=True) if len(points) > 1 else np.zeros((3, 3)), (m, 1, 1))
+    return GaussianMixture(np.ones(m) if weights is None else weights, means, covs, np.zeros(m, dtype=int))
 
 
 def test_grid_spec_refuses_nan():
@@ -65,7 +76,7 @@ def test_choose_components():
 def test_single_component_is_moment_matching():
     rng = np.random.default_rng(0)
     pts = rng.normal([1.0, 2.0, 0.5], [0.3, 0.2, 0.4], (500, 3))
-    mix = fit_em(pts, 1, pts.mean(axis=0, keepdims=True), **EM)
+    mix = fit_em(pts, em_start(pts, pts.mean(axis=0, keepdims=True)), **EM)
     assert mix.weights[0] == pytest.approx(1.0)
     assert np.allclose(mix.means[0], pts.mean(axis=0), atol=1e-9)
     sample_cov = np.cov(pts.T, bias=True)
@@ -81,7 +92,7 @@ def test_two_blob_fit_matches_membership_oracle():
     b = rng.normal([10, 0, 0], 0.1, (200, 3))
     pts = np.concatenate([a, b])
     init = np.array([a.mean(axis=0), b.mean(axis=0)])
-    mix = fit_em(pts, 2, init, **EM)
+    mix = fit_em(pts, em_start(pts, init), **EM)
     for i, blob in zip(np.argsort(mix.means[:, 0]), (a, b)):
         assert np.linalg.norm(mix.means[i] - blob.mean(axis=0)) < 0.05
     weights = sorted(mix.weights)
@@ -94,7 +105,7 @@ def test_weights_sum_to_one_and_counts_close():
         m = int(rng.integers(1, 5))
         centers = rng.uniform(0, 8, (m, 3))
         pts = np.concatenate([rng.normal(c, 0.2, (rng.integers(20, 80), 3)) for c in centers])
-        mix = fit_em(pts, m, centers, **EM)
+        mix = fit_em(pts, em_start(pts, centers), **EM)
         assert abs(mix.weights.sum() - 1.0) <= 1e-9
         assert mix.counts.sum() == mix.total_points == len(pts)
 
@@ -105,7 +116,7 @@ def test_log_likelihood_nondecreasing():
         m = int(rng.integers(1, 4))
         pts = rng.normal(0, 1.0, (100, 3)) + rng.uniform(-2, 2, 3)
         init = pts[rng.choice(100, m, replace=False)]
-        _, trace = fit_em(pts, m, init, return_trace=True, **EM)
+        _, trace = fit_em(pts, em_start(pts, init), return_trace=True, **EM)
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
 
@@ -137,7 +148,7 @@ def test_initial_log_likelihood_matches_direct_evaluation(problem):
     logpdf = np.array([np.atleast_1d(multivariate_normal.logpdf(points, mu, cov)) for mu, cov in zip(means, covs)])
     per_point = logsumexp(logpdf, axis=0, b=(weights / weights.sum())[:, None])
     for w in (None, point_weights):
-        _, trace = fit_em(points, len(means), means, init_covs=covs, init_weights=weights,
+        _, trace = fit_em(points, em_start(points, means, covs, weights),
                           point_weights=w, max_iters=1, tol=EM["tol"], return_trace=True)
         expected = float(np.dot(np.ones(n) if w is None else w * (n / w.sum()), per_point))
         assert abs(trace[0] - expected) <= 1e-9 * max(1.0, abs(expected))
@@ -148,7 +159,7 @@ def test_initial_log_likelihood_matches_direct_evaluation(problem):
 def test_log_likelihood_trace_never_steps_down(problem):
     points, means, covs, weights, point_weights = problem
     for w in (None, point_weights):
-        _, trace = fit_em(points, len(means), means, init_covs=covs, init_weights=weights,
+        _, trace = fit_em(points, em_start(points, means, covs, weights),
                           point_weights=w, max_iters=40, tol=1e-10, return_trace=True)
         steps = np.diff(trace)
         assert np.all(steps >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
@@ -230,7 +241,7 @@ def test_em_step_with_underflowing_responsibilities(problem):
     n = len(points)
     for w in (None, point_weights):
         ll, ref_weights, ref_means, ref_covs = reference_em_step(points, logp, np.ones(n) if w is None else w * (n / w.sum()))
-        mix, trace = fit_em(points, len(means), means, init_covs=covs, init_weights=weights,
+        mix, trace = fit_em(points, em_start(points, means, covs, weights),
                             point_weights=w, max_iters=1, tol=EM["tol"], return_trace=True)
         assert abs(trace[0] - ll) <= 1e-9 * max(1.0, abs(ll))
         assert np.all(np.abs(mix.weights - ref_weights) <= 1e-9 * ref_weights)
@@ -276,11 +287,11 @@ def test_component_far_from_every_point_keeps_its_start():
     assert np.array_equal(pts.mean(axis=0), pts.sum(axis=0) / 64)
     init = np.array([pts.mean(axis=0), [1002.0, 3.0, 1.0]])
     covs = np.array([iso_cov(0.5), np.diag([0.25, 0.5, 0.125])])
-    mix = fit_em(pts, 2, init, init_covs=covs, **EM)
+    mix = fit_em(pts, em_start(pts, init, covs), **EM)
     assert mix.weights[1] == 0.0 and mix.counts[1] == 0 and mix.counts[0] == 64
     assert np.array_equal(mix.means[1], init[1])
     assert np.array_equal(mix.covs[1], covs[1])
-    alone = fit_em(pts, 1, init[:1], init_covs=covs[:1], **EM)
+    alone = fit_em(pts, em_start(pts, init[:1], covs[:1]), **EM)
     assert np.allclose(mix.means[0], alone.means[0], rtol=1e-12, atol=0)
     assert np.allclose(mix.covs[0], alone.covs[0], rtol=1e-12, atol=1e-15)
 
@@ -292,7 +303,7 @@ def test_em_reverts_an_m_step_that_lowers_the_log_likelihood(monkeypatch):
     rng = np.random.default_rng(9)
     pts = np.concatenate([rng.normal([1, 1, 1], 0.2, (60, 3)), rng.normal([3, 1, 1], 0.3, (40, 3))])
     init = np.array([[1.5, 1.2, 1.0], [2.5, 0.8, 1.0]])
-    good, good_trace = fit_em(pts, 2, init, max_iters=1, tol=EM["tol"], return_trace=True)
+    good, good_trace = fit_em(pts, em_start(pts, init), max_iters=1, tol=EM["tol"], return_trace=True)
 
     floor_eigh = mixture._floor_eigh
     m_steps = []
@@ -305,7 +316,7 @@ def test_em_reverts_an_m_step_that_lowers_the_log_likelihood(monkeypatch):
         return floor_eigh(covs, floor, each)
 
     monkeypatch.setattr(mixture, "_floor_eigh", overshooting)
-    mix, trace = fit_em(pts, 2, init, return_trace=True, **EM)
+    mix, trace = fit_em(pts, em_start(pts, init), return_trace=True, **EM)
     assert len(m_steps) == 2 and trace[:1] == good_trace and len(trace) == 2
     for name in ("weights", "means", "covs", "counts"):
         assert np.array_equal(getattr(mix, name), getattr(good, name)), name
@@ -324,10 +335,25 @@ def test_mixture_arrays_must_agree_in_shape():
 
 def test_component_reduction_and_empty_input():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    mix = fit_em(pts, 5, np.tile(pts.mean(axis=0), (5, 1)), **EM)
+    mix = fit_em(pts, em_start(pts, np.tile(pts.mean(axis=0), (5, 1))), **EM)
     assert mix.n_components <= 2
-    empty = fit_em(np.empty((0, 3)), 1, np.zeros((1, 3)), **EM)
+    empty = fit_em(np.empty((0, 3)), em_start(np.empty((0, 3)), np.zeros((1, 3))), **EM)
     assert empty.is_empty() and empty.total_points == 0
+    with pytest.raises(ValueError, match="at least one component"):
+        fit_em(pts, GaussianMixture.empty(), **EM)
+
+
+def test_start_weights_are_normalized_and_its_counts_and_arrays_left_alone():
+    rng = np.random.default_rng(10)
+    pts = np.concatenate([rng.normal([1, 1, 1], 0.2, (50, 3)), rng.normal([2, 1, 1], 0.3, (30, 3))])
+    covs = np.array([iso_cov(0.1), iso_cov(0.2)])
+    start = GaussianMixture([2.0, 6.0], [[1.2, 1.0, 1.0], [1.8, 1.0, 1.0]], covs, [7, 9])
+    for value in (start.weights, start.means, start.covs, start.counts):
+        value.flags.writeable = False  # a recorded mixture is read-only
+    mix = fit_em(pts, start, **EM)
+    same = fit_em(pts, GaussianMixture([0.25, 0.75], start.means, covs, [0, 0]), **EM)
+    for name in ("weights", "means", "covs", "counts"):
+        assert np.array_equal(getattr(mix, name), getattr(same, name)), name
 
 
 def test_covariances_stay_floored_and_pd():
@@ -335,7 +361,7 @@ def test_covariances_stay_floored_and_pd():
     # nearly coplanar points would collapse an eigenvalue without the floor
     pts = rng.normal(0, 0.5, (100, 3))
     pts[:, 2] = 0.0
-    mix = fit_em(pts, 2, pts[:2], **EM)
+    mix = fit_em(pts, em_start(pts, pts[:2]), **EM)
     for cov in mix.covs:
         vals = np.linalg.eigvalsh(cov)
         assert vals[0] >= COV_EIG_FLOOR - 1e-12
@@ -346,8 +372,8 @@ def test_weighted_fit_with_equal_weights_matches_unweighted():
     rng = np.random.default_rng(5)
     pts = rng.normal([2, 2, 1], 0.3, (150, 3))
     init = pts[:2]
-    plain = fit_em(pts, 2, init, **EM)
-    weighted = fit_em(pts, 2, init, point_weights=np.full(150, 0.37), **EM)
+    plain = fit_em(pts, em_start(pts, init), **EM)
+    weighted = fit_em(pts, em_start(pts, init), point_weights=np.full(150, 0.37), **EM)
     assert np.allclose(plain.means, weighted.means)
     assert np.allclose(plain.covs, weighted.covs)
     assert plain.weights == pytest.approx(weighted.weights)
@@ -439,7 +465,7 @@ def test_bimodal_grid_matches_density_oracle():
 def test_density_integrates_to_one_on_enlarged_grid():
     rng = np.random.default_rng(7)
     pts = np.concatenate([rng.normal([3, 3, 1], 0.3, (80, 3)), rng.normal([5, 5, 1], 0.2, (80, 3))])
-    mix = fit_em(pts, 2, np.array([[3, 3, 1.0], [5, 5, 1.0]]), **EM)
+    mix = fit_em(pts, em_start(pts, [[3, 3, 1.0], [5, 5, 1.0]]), **EM)
     big = GridSpec(-4.0, 12.0, -4.0, 12.0, 0.05)
     total = 0.0
     cells = np.column_stack([g.ravel() for g in np.meshgrid(big.x_centers(), big.y_centers())])
@@ -480,8 +506,8 @@ def test_kl_nonnegative_on_random_grids():
     rng = np.random.default_rng(8)
     spec = GridSpec(0.0, 2.0, 0.0, 2.0, 0.1)
     for _ in range(50):
-        p = DensityGrid(spec, rng.random((spec.ny, spec.nx))).normalized()
-        q = DensityGrid(spec, rng.random((spec.ny, spec.nx))).normalized()
+        p = normalized_density(rng.random((spec.ny, spec.nx)), spec)
+        q = normalized_density(rng.random((spec.ny, spec.nx)), spec)
         assert kl_divergence(p, q) >= 0.0
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from radarfuse import scene as scene_module
 from radarfuse.scene import (
     ConfigError,
     TargetSpec,
@@ -105,6 +106,17 @@ def test_advancing_is_markovian():
     b = advance_scene(scene, [spec], LANDMARKS, 0.01, np.random.default_rng(7))
     assert np.array_equal(a.points, b.points)
     assert a.progress == b.progress
+
+
+def test_advance_resolves_each_route_once(monkeypatch):
+    specs = [make_spec(), make_spec(id=2, waypoints=("A", "B", "C"))]
+    scene = initial_scene(specs, LANDMARKS, np.random.default_rng(5))
+    calls = []
+    cumulative_lengths = scene_module._cumulative_lengths
+    monkeypatch.setattr(scene_module, "_cumulative_lengths", lambda v: calls.append(len(v)) or cumulative_lengths(v))
+    for _ in range(3):
+        scene = advance_scene(scene, specs, LANDMARKS, 0.01, np.random.default_rng(6))
+    assert calls == [2, 3] * 3
 
 
 def test_speed_bound_on_centers():
