@@ -46,7 +46,6 @@ from .sensor import (
     dbscan,
     observe,
     preprocess,
-    to_global_frame,
 )
 from .sidelink import (
     ClockModel,

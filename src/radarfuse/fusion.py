@@ -36,7 +36,7 @@ from .mixture import (
     fit_em,
     normalized_density,
 )
-from .sensor import GLOBAL, RANGE_RESOLUTION, ClusterResult, PointCloud
+from .sensor import RANGE_RESOLUTION, ClusterResult, PointCloud
 
 log = logging.getLogger(__name__)
 
@@ -52,11 +52,6 @@ class FitOptions:
     m_max: int = 8
     max_iters: int = 60
     tol: float = 1e-5
-
-
-def _require_global(cloud: PointCloud) -> None:
-    if cloud.frame != GLOBAL:
-        raise ValueError(f"fusion consumes {GLOBAL}-frame clouds, got {cloud.frame!r}")
 
 
 def likelihood_from_cloud(
@@ -82,7 +77,6 @@ def pooled_likelihood(
     contributing cluster (component count sums over the member clouds)."""
     pools, moments = [], []
     for cloud, clusters in ensemble:
-        _require_global(cloud)
         m = choose_components(clusters, fit.m_max)
         if len(cloud) == 0 or m == 0:
             continue

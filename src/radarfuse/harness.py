@@ -383,7 +383,7 @@ def run_experiment(
                 clouds, clusters = {}, {}
                 for k in radar_ids:
                     raw = observe(scene, setups[k].pose, setups[k].model, obs_rngs[k], radar_id=k)
-                    clouds[k], clusters[k] = preprocess(raw, setups[k].pose, cfg.dbscan_eps, cfg.dbscan_min_pts)
+                    clouds[k], clusters[k] = preprocess(raw, cfg.dbscan_eps, cfg.dbscan_min_pts)
                 if sensing is not None:
                     sensing.append(clouds, clusters)
             else:
@@ -678,16 +678,23 @@ def run_sweep(
     (``SWEEP_COLUMNS``) in mode-major order.
 
     A sweep never computes the KL reference, whatever ``cfg.kl_reference``
-    says: no sweep row holds a divergence. ``kl_reference=True`` raises
-    ValueError before any run. Every run's config is built, and so checked,
-    before the first run. Each seed is one task: its modes run in the given
-    order on one ``SensingRecord``, so the seed is sensed once. With
-    ``workers > 1`` the seeds are spread over a process pool, and fewer
-    seeds than workers leave a worker idle. Each run is still fully
-    determined by its (config, seed).
+    says: no sweep row holds a divergence. ``kl_reference=True``, ``workers``
+    below 1, no mode or a mode listed twice raise ValueError before any run.
+    Every run's config is built, and so checked, before the first run. Each
+    seed is one task: its modes run in the given order on one
+    ``SensingRecord``, so the seed is sensed once. With ``workers > 1`` the
+    seeds are spread over a process pool, and fewer seeds than workers leave
+    a worker idle. Each run is still fully determined by its (config, seed).
     """
     if kl_reference:
         raise ValueError("a sweep never computes the KL reference; no sweep row holds a divergence")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not modes:
+        raise ValueError("a sweep needs at least one mode")
+    repeated = [mode for i, mode in enumerate(modes) if mode in modes[:i]]
+    if repeated:
+        raise ValueError(f"mode {repeated[0]!r} is listed twice")
     seeds = [int(seed) for seed in seeds]
     tasks = [(seed, [replace(cfg, mode=mode, seed=seed, kl_reference=False) for mode in modes])
              for seed in seeds]

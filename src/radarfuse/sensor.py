@@ -2,11 +2,12 @@
 
 Observation: true scene points are censored by field of view, range and a
 distance/occlusion detection model, then perturbed by sensor noise; spurious
-outlier points are appended. Preprocessing transforms the local cloud to the
-global frame and removes outliers via density clustering (DBSCAN). DBSCAN
-finds its neighbour pairs with a k-d tree and labels the connected core
-points by min-label propagation over those pairs, in plain numpy; it needs
-no sparse-graph library.
+outlier points are appended, all in the radar's own coordinates. The cloud
+it returns is in the global frame, the only frame clouds are exchanged or
+fused in. Preprocessing removes outliers via density clustering (DBSCAN).
+DBSCAN finds its neighbour pairs with a k-d tree and labels the connected
+core points by min-label propagation over those pairs, in plain numpy; it
+needs no sparse-graph library.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .scene import Scene
 
 log = logging.getLogger(__name__)
 
-LOCAL = "local"
-GLOBAL = "global"
 OUTLIER = -1
 
 # The radars' resolvable scale; it floors EM covariances and the prior's step.
@@ -89,13 +88,12 @@ class RadarModel:
 
 @dataclass
 class PointCloud:
-    """One frame of radar detections.
+    """One frame of radar detections, in the global frame.
 
     ``truth_outlier`` tags the injected spurious points; it is simulator
     ground truth carried along for diagnostics, never transmitted.
     """
 
-    frame: str
     points: np.ndarray  # (n, 3)
     epoch: int
     radar_id: int
@@ -140,10 +138,12 @@ def observe(
     pose: RadarPose,
     model: RadarModel,
     rng: np.random.Generator,
-    radar_id: int = -1,
+    radar_id: int,
 ) -> PointCloud:
-    """Form the raw local-frame cloud for one radar at the scene's epoch.
+    """Form the raw cloud of one radar at the scene's epoch, in the global frame.
 
+    Censoring, noise and outliers are drawn in the radar's coordinates; the
+    detections are then rotated by its yaw and translated by its position.
     Per-point randomness is drawn for every scene point before censoring, so
     shrinking the FOV or range under the same seed only removes points.
     """
@@ -167,17 +167,9 @@ def observe(
     out_z = rng.uniform(0.0, OUTLIER_Z_MAX, n_out)
     outliers = np.column_stack([out_rho * np.cos(out_az), out_rho * np.sin(out_az), out_z])
 
-    points = np.concatenate([measured, outliers]) if n_out else measured.copy()
+    points = np.concatenate([measured, outliers])
     truth = np.concatenate([np.zeros(len(measured), bool), np.ones(n_out, bool)])
-    return PointCloud(LOCAL, points, scene.epoch, radar_id, truth)
-
-
-def to_global_frame(cloud: PointCloud, pose: RadarPose) -> PointCloud:
-    """Rotate by the radar yaw and translate by its position."""
-    if cloud.frame != LOCAL:
-        raise ValueError(f"expected a {LOCAL}-frame cloud, got {cloud.frame!r}")
-    points = cloud.points @ rot_z(pose.yaw).T + pose.position
-    return replace(cloud, frame=GLOBAL, points=points)
+    return PointCloud(points @ rot_z(pose.yaw).T + pose.position, scene.epoch, radar_id, truth)
 
 
 def dbscan(cloud: PointCloud, eps: float, min_pts: int) -> ClusterResult:
@@ -248,23 +240,17 @@ def dbscan(cloud: PointCloud, eps: float, min_pts: int) -> ClusterResult:
     return ClusterResult(labels, n_clusters)
 
 
-def preprocess(
-    cloud: PointCloud,
-    pose: RadarPose,
-    eps: float,
-    min_pts: int,
-) -> tuple[PointCloud, ClusterResult]:
-    """Displacement correction plus outlier removal.
+def preprocess(cloud: PointCloud, eps: float, min_pts: int) -> tuple[PointCloud, ClusterResult]:
+    """Outlier removal by DBSCAN.
 
-    Returns the surviving global-frame points and their clustering (labels
-    re-indexed to the survivors, so every label is a valid cluster id).
+    Returns the surviving points and their clustering (labels re-indexed to
+    the survivors, so every label is a valid cluster id).
     """
-    global_cloud = to_global_frame(cloud, pose)
-    clusters = dbscan(global_cloud, eps, min_pts)
+    clusters = dbscan(cloud, eps, min_pts)
     keep = clusters.labels != OUTLIER
     filtered = replace(
-        global_cloud,
-        points=global_cloud.points[keep],
+        cloud,
+        points=cloud.points[keep],
         truth_outlier=None if cloud.truth_outlier is None else cloud.truth_outlier[keep],
     )
     return filtered, ClusterResult(clusters.labels[keep], clusters.n_clusters)

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .mixture import GaussianMixture
-from .sensor import GLOBAL, PointCloud
+from .sensor import PointCloud
 
 log = logging.getLogger(__name__)
 
@@ -95,16 +95,17 @@ class ClockModel:
 
 
 def encode_coop(cloud: PointCloud) -> Message:
-    if cloud.frame != GLOBAL:
-        raise ValueError("only global-frame clouds are exchanged")
     return Message(cloud.radar_id, cloud.epoch, COOP_KIND, np.array(cloud.points, dtype=np.float64).ravel())
 
 
 def decode_coop(msg: Message) -> PointCloud:
-    """The global-frame cloud of a coop payload; a malformed payload raises ValueError."""
+    """The cloud of a coop payload; a payload that is not a list of finite 3D
+    points raises ValueError."""
     if len(msg.values) % 3:
         raise ValueError(f"coop payload of {len(msg.values)} values is not a list of 3D points")
-    return PointCloud(GLOBAL, msg.values.reshape(-1, 3).copy(), msg.epoch, msg.sender)
+    if not np.isfinite(msg.values).all():
+        raise ValueError("coop point coordinates must be finite")
+    return PointCloud(msg.values.reshape(-1, 3).copy(), msg.epoch, msg.sender)
 
 
 def _require_positive_definite(covs: np.ndarray) -> None:
@@ -296,6 +297,9 @@ def read_replay(path) -> list[Message]:
                 missing = [key for key in ("sender", "epoch", "kind", "values") if key not in rec]
                 if missing:
                     raise ValueError(f"record has no {missing[0]!r}")
+                for key in ("sender", "epoch"):
+                    if type(rec[key]) is not int:  # a JSON true or false is a bool, not an int
+                        raise ValueError(f"{key} must be an integer, got {json_kind(rec[key])}")
                 decode = {COOP_KIND: decode_coop, FED_KIND: decode_fed}.get(rec["kind"])
                 if decode is None:
                     raise ValueError(f"unknown message kind {rec['kind']!r}")

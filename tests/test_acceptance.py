@@ -21,7 +21,7 @@ from radarfuse.mixture import (
     grid_density,
     kl_divergence,
 )
-from radarfuse.sensor import GLOBAL, PointCloud, dbscan
+from radarfuse.sensor import PointCloud, dbscan
 from radarfuse.sidelink import decode_coop, decode_fed, encode_coop, encode_fed
 
 from test_fusion import exhaustive_extract, random_mixture
@@ -58,8 +58,8 @@ def kl_run():
 
 
 def test_criterion_1_bandwidth_reproduction():
-    coop_625 = encode_coop(PointCloud(GLOBAL, np.zeros((625, 3)), 0, 1))
-    coop_815 = encode_coop(PointCloud(GLOBAL, np.zeros((815, 3)), 0, 1))
+    coop_625 = encode_coop(PointCloud(np.zeros((625, 3)), 0, 1))
+    coop_815 = encode_coop(PointCloud(np.zeros((815, 3)), 0, 1))
     rate_625 = coop_625.payload_bits * UPDATES_PER_SECOND
     rate_815 = coop_815.payload_bits * UPDATES_PER_SECOND
 
@@ -190,7 +190,7 @@ def test_criterion_6_numerical_invariants():
 
     # codecs round-trip bit-exactly
     pts = rng.normal(0, 50, (200, 3)) * 10.0 ** rng.integers(-8, 8, (200, 1))
-    codec_ok = np.array_equal(decode_coop(encode_coop(PointCloud(GLOBAL, pts, 0, 1))).points, pts)
+    codec_ok = np.array_equal(decode_coop(encode_coop(PointCloud(pts, 0, 1))).points, pts)
     chol = rng.normal(0, 0.3, (3, 3))
     mix = GaussianMixture([1.0], [rng.normal(0, 2, 3)], [chol @ chol.T + np.eye(3) * 0.01], [7])
     back = decode_fed(encode_fed(mix, 1, 0))
@@ -215,7 +215,7 @@ def test_criterion_7_oracle_equivalence():
         pts = rng.uniform(0, scale, (n, 3))
         eps = float(rng.uniform(0.1, 0.8))
         min_pts = int(rng.integers(1, 8))
-        res = dbscan(PointCloud(GLOBAL, pts, 0, 1), eps, min_pts)
+        res = dbscan(PointCloud(pts, 0, 1), eps, min_pts)
         labels, n_clusters = brute_force_dbscan(pts, eps, min_pts)
         if list(res.labels) != labels or res.n_clusters != n_clusters:
             mismatches += 1

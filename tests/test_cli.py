@@ -262,9 +262,11 @@ def test_sweep_rejects_an_unknown_mode_before_any_run(tmp_path, capsys, monkeypa
      (["sweep", "--seeds", "-3"], "--seeds must be >= 1, got -3"),
      (["sweep", "--seeds", "0"], "--seeds must be >= 1, got 0"),
      (["sweep", "--workers", "-2"], "--workers must be >= 1, got -2"),
-     (["sweep", "--workers", "0"], "--workers must be >= 1, got 0")],
+     (["sweep", "--workers", "0"], "--workers must be >= 1, got 0"),
+     (["sweep", "--modes", ","], "a sweep needs at least one mode"),
+     (["sweep", "--modes", "isolated, isolated"], "mode 'isolated' is listed twice")],
     ids=["run-negative-seed", "sweep-negative-seed-start", "sweep-negative-seeds", "sweep-zero-seeds",
-         "sweep-negative-workers", "sweep-zero-workers"],
+         "sweep-negative-workers", "sweep-zero-workers", "sweep-no-mode", "sweep-repeated-mode"],
 )
 def test_seed_and_sweep_options_are_refused_in_one_line(tmp_path, small_scenario, capsys, argv, reason):
     out = tmp_path / "out"

@@ -26,7 +26,7 @@ from radarfuse.mixture import (
     grid_density,
     normalized_density,
 )
-from radarfuse.sensor import GLOBAL, PointCloud, dbscan
+from radarfuse.sensor import PointCloud, dbscan
 from test_mixture import argmax_center
 
 SPEC = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
@@ -48,7 +48,7 @@ def centers_of(mask, spec=SPEC):
 
 
 def cloud_of(points):
-    return PointCloud(GLOBAL, np.asarray(points, dtype=float).reshape(-1, 3), 0, 1)
+    return PointCloud(np.asarray(points, dtype=float).reshape(-1, 3), 0, 1)
 
 
 def clustered_cloud(points, eps=0.3, min_pts=5):

@@ -462,6 +462,23 @@ def test_sweep_never_computes_the_kl_reference(monkeypatch):
     assert seen == [False]
 
 
+@pytest.mark.parametrize(
+    "kwargs, reason",
+    [({"workers": 0}, "workers must be >= 1, got 0"),
+     ({"workers": -2}, "workers must be >= 1, got -2"),
+     ({"modes": []}, "a sweep needs at least one mode"),
+     ({"modes": ("isolated", "federation", "isolated")}, "mode 'isolated' is listed twice")],
+    ids=["zero-workers", "negative-workers", "no-mode", "repeated-mode"],
+)
+def test_sweep_refuses_what_it_cannot_run_before_any_run(monkeypatch, kwargs, reason):
+    def no_run(cfg, **_):
+        raise AssertionError(f"ran {cfg.mode}")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        run_sweep(small_config(epochs=2), **{"seeds": [0], "modes": ("isolated",), **kwargs})
+
+
 def test_cooperation_beats_isolated_on_average():
     # Scaled-down analog of the accuracy comparison; the full version with
     # 100 seeds runs in the acceptance suite.

@@ -8,8 +8,6 @@ from hypothesis.extra import numpy as hnp
 from radarfuse import config
 from radarfuse.scene import Scene
 from radarfuse.sensor import (
-    GLOBAL,
-    LOCAL,
     OUTLIER,
     PointCloud,
     RadarModel,
@@ -17,7 +15,7 @@ from radarfuse.sensor import (
     dbscan,
     observe,
     preprocess,
-    to_global_frame,
+    rot_z,
 )
 
 
@@ -35,8 +33,8 @@ def quiet_model(**kw):
     return RadarModel(**base)
 
 
-def cloud_of(points, frame=LOCAL):
-    return PointCloud(frame, np.asarray(points, dtype=float).reshape(-1, 3), 0, 1)
+def cloud_of(points):
+    return PointCloud(np.asarray(points, dtype=float).reshape(-1, 3), 0, 1)
 
 
 # ---------------------------------------------------------------- observe
@@ -62,7 +60,7 @@ def test_every_model_key_changes_the_observation(key):
 
     def observed(model):
         radar = config._radar_from({"id": 1, "position": [0.0, 0.0, 0.0], "yaw_deg": 0.0, "model": model})
-        return observe(scene, radar.pose, radar.model, np.random.default_rng(4)).points
+        return observe(scene, radar.pose, radar.model, np.random.default_rng(4), radar.id).points
 
     assert not np.array_equal(observed({key: 0.5 * loader_default(key)}), observed({}))
 
@@ -80,8 +78,7 @@ def test_model_refuses_an_occlusion_attenuation_outside_zero_to_one(value):
 def test_noiseless_boresight_point_is_identity():
     pose = RadarPose(np.zeros(3), 0.0)
     scene = make_scene([[2.0, 0.0, 0.0]])
-    cloud = observe(scene, pose, quiet_model(), np.random.default_rng(0))
-    assert cloud.frame == LOCAL
+    cloud = observe(scene, pose, quiet_model(), np.random.default_rng(0), 1)
     assert len(cloud) == 1
     assert np.allclose(cloud.points[0], [2.0, 0.0, 0.0])
 
@@ -89,14 +86,14 @@ def test_noiseless_boresight_point_is_identity():
 def test_point_outside_fov_is_dropped():
     pose = RadarPose(np.zeros(3), 0.0)
     scene = make_scene([[0.0, 2.0, 0.0]])  # azimuth 90 degrees
-    cloud = observe(scene, pose, quiet_model(), np.random.default_rng(0))
+    cloud = observe(scene, pose, quiet_model(), np.random.default_rng(0), 1)
     assert len(cloud) == 0
 
 
 def test_point_beyond_max_range_is_dropped():
     pose = RadarPose(np.zeros(3), 0.0)
     scene = make_scene([[20.0, 0.0, 0.0]])
-    cloud = observe(scene, pose, quiet_model(max_range=12.0), np.random.default_rng(0))
+    cloud = observe(scene, pose, quiet_model(max_range=12.0), np.random.default_rng(0), 1)
     assert len(cloud) == 0
 
 
@@ -106,7 +103,7 @@ def test_mean_outlier_count_matches_rate():
     scene = make_scene(np.empty((0, 3)), target_ids=[], centers={})
     model = quiet_model(outlier_rate=5.0)
     rng = np.random.default_rng(42)
-    sizes = [len(observe(scene, pose, model, rng)) for _ in range(10_000)]
+    sizes = [len(observe(scene, pose, model, rng, 1)) for _ in range(10_000)]
     assert abs(np.mean(sizes) - 5.0) <= 0.15
 
 
@@ -116,7 +113,7 @@ def test_detection_probability_follows_range_law():
     model = quiet_model(detection_range_ref=4.0)
     scene = make_scene([[8.0, 0.0, 0.0]])
     rng = np.random.default_rng(3)
-    hits = sum(len(observe(scene, pose, model, rng)) for _ in range(4000))
+    hits = sum(len(observe(scene, pose, model, rng, 1)) for _ in range(4000))
     expected = (4.0 / 8.0) ** 2
     assert abs(hits / 4000 - expected) < 0.03
 
@@ -132,7 +129,7 @@ def test_occlusion_attenuates_shadowed_target():
     rng = np.random.default_rng(4)
     counts = np.zeros(2)
     for _ in range(200):
-        cloud = observe(scene, pose, model, rng)
+        cloud = observe(scene, pose, model, rng, 1)
         # nearer target keeps everything, the far one sits in its shadow
         counts[0] += np.sum(cloud.points[:, 0] < 4.0)
         counts[1] += np.sum(cloud.points[:, 0] > 4.0)
@@ -151,7 +148,7 @@ def test_censoring_monotonicity():
         model = quiet_model(
             fov_azimuth=math.radians(fov_deg), max_range=max_range, outlier_rate=2.0
         )
-        cloud = observe(scene, pose, model, np.random.default_rng(99))
+        cloud = observe(scene, pose, model, np.random.default_rng(99), 1)
         return int(np.sum(~cloud.truth_outlier))
 
     base = detected(60, 12.0)
@@ -164,35 +161,30 @@ def test_censoring_monotonicity():
 
 
 def test_null_pose_is_identity():
+    # At the origin with zero yaw the radar's coordinates are the global ones.
     pose = RadarPose(np.zeros(3), 0.0)
-    cloud = cloud_of([[1.0, 2.0, 3.0]])
-    out = to_global_frame(cloud, pose)
-    assert out.frame == GLOBAL
-    assert np.allclose(out.points, cloud.points)
+    pts = [[1.0, 0.5, 3.0], [4.0, -2.0, 0.5]]
+    cloud = observe(make_scene(pts), pose, quiet_model(), np.random.default_rng(0), 1)
+    assert np.allclose(cloud.points, pts)
 
 
 def test_rotation_translation_by_hand():
+    # 2 m along the boresight of a radar at (1, 0, 0) facing +y.
     pose = RadarPose(np.array([1.0, 0.0, 0.0]), math.pi / 2)
-    out = to_global_frame(cloud_of([[2.0, 0.0, 0.0]]), pose)
-    assert np.allclose(out.points[0], [1.0, 2.0, 0.0], atol=1e-12)
+    cloud = observe(make_scene([[1.0, 2.0, 0.0]]), pose, quiet_model(), np.random.default_rng(0), 1)
+    assert len(cloud) == 1
+    assert np.allclose(cloud.points[0], [1.0, 2.0, 0.0], atol=1e-12)
 
 
 def test_round_trip_is_identity():
-    # Noiseless observation followed by the global transform recovers the scene.
+    # A noiseless observation at a rotated, translated pose returns the scene.
     pose = RadarPose(np.array([0.7, -1.3, 0.9]), 2.1)
     rng = np.random.default_rng(6)
     rho, az = rng.uniform(0.5, 10.0, 50), rng.uniform(-1.0, 1.0, 50) + pose.yaw
     pts = np.column_stack([rho * np.cos(az), rho * np.sin(az), rng.normal(0, 1, 50)]) + pose.position
-    cloud = observe(make_scene(pts), pose, quiet_model(), np.random.default_rng(7))
-    assert cloud.frame == LOCAL and len(cloud) == len(pts)
-    back = to_global_frame(cloud, pose)
-    assert np.max(np.abs(back.points - pts)) < 1e-12
-
-
-def test_frame_mismatch_raises():
-    pose = RadarPose(np.zeros(3), 0.0)
-    with pytest.raises(ValueError):
-        to_global_frame(cloud_of([[0, 0, 0]], frame=GLOBAL), pose)
+    cloud = observe(make_scene(pts), pose, quiet_model(), np.random.default_rng(7), 1)
+    assert len(cloud) == len(pts)
+    assert np.max(np.abs(cloud.points - pts)) < 1e-12
 
 
 # ---------------------------------------------------------------- dbscan
@@ -338,17 +330,14 @@ def test_membership_is_permutation_invariant():
 def test_preprocess_keeps_clean_cloud():
     rng = np.random.default_rng(11)
     pts = rng.normal([3, 0, 1], 0.05, (50, 3))
-    pose = RadarPose(np.zeros(3), 0.0)
-    filtered, clusters = preprocess(cloud_of(pts), pose, eps=0.3, min_pts=5)
-    assert filtered.frame == GLOBAL
+    filtered, clusters = preprocess(cloud_of(pts), eps=0.3, min_pts=5)
     assert len(filtered) == 50
     assert clusters.n_clusters == 1
     assert np.all(clusters.labels == 0)
 
 
 def test_preprocess_drops_lone_point():
-    pose = RadarPose(np.zeros(3), 0.0)
-    filtered, clusters = preprocess(cloud_of([[2.0, 0.0, 0.0]]), pose, eps=0.3, min_pts=5)
+    filtered, clusters = preprocess(cloud_of([[2.0, 0.0, 0.0]]), eps=0.3, min_pts=5)
     assert len(filtered) == 0
     assert clusters.n_clusters == 0
 
@@ -364,8 +353,8 @@ def test_preprocess_removes_injected_outliers():
     model = quiet_model(noise_sigma=0.02, outlier_rate=5.0)
     rng = np.random.default_rng(13)
     for _ in range(20):
-        raw = observe(scene, pose, model, rng)
-        filtered, _ = preprocess(raw, pose, eps=0.3, min_pts=5)
+        raw = observe(scene, pose, model, rng, 1)
+        filtered, _ = preprocess(raw, eps=0.3, min_pts=5)
         # target points survive; far-flung spurious points are removed
         assert np.sum(~filtered.truth_outlier) == 200
         assert np.sum(filtered.truth_outlier) <= np.sum(raw.truth_outlier)
@@ -381,8 +370,9 @@ def test_preprocess_removes_injected_outliers():
 def test_dbscan_of_preprocessed_cloud_keeps_its_labels(points, yaw, eps, min_pts):
     # Cooperation reuses a sender's clustering for an exact copy of its
     # preprocessed cloud, which holds only if DBSCAN is idempotent there.
+    # The points are placed as observe places a radar's detections.
     pose = RadarPose(np.array([1.0, -2.0, 1.2]), yaw)
-    filtered, clusters = preprocess(cloud_of(points), pose, eps, min_pts)
+    filtered, clusters = preprocess(cloud_of(points @ rot_z(pose.yaw).T + pose.position), eps, min_pts)
     again = dbscan(filtered, eps, min_pts)
     assert again.n_clusters == clusters.n_clusters
     assert np.array_equal(again.labels, clusters.labels)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from radarfuse.mixture import GaussianMixture
-from radarfuse.sensor import GLOBAL, LOCAL, PointCloud
+from radarfuse.sensor import PointCloud
 from radarfuse.sidelink import (
     ClockModel,
     LinkStats,
@@ -30,7 +30,7 @@ from radarfuse.sidelink import (
 
 
 def cloud_of(points, radar_id=1, epoch=0):
-    return PointCloud(GLOBAL, np.asarray(points, dtype=float).reshape(-1, 3), epoch, radar_id)
+    return PointCloud(np.asarray(points, dtype=float).reshape(-1, 3), epoch, radar_id)
 
 
 def mixture_of(n_components, total=100, seed=0):
@@ -80,14 +80,8 @@ def test_coop_round_trip_is_bit_exact():
     pts = rng.normal(0, 100, (333, 3)) * 10.0 ** rng.integers(-12, 12, (333, 1))
     msg = encode_coop(cloud_of(pts, radar_id=2, epoch=7))
     back = decode_coop(msg)
-    assert back.frame == GLOBAL
     assert back.radar_id == 2 and back.epoch == 7
     assert np.array_equal(back.points, pts)
-
-
-def test_coop_requires_global_frame():
-    with pytest.raises(ValueError):
-        encode_coop(PointCloud(LOCAL, np.zeros((1, 3)), 0, 1))
 
 
 def test_fed_value_counts():
@@ -354,11 +348,20 @@ def test_malformed_fed_records_are_rejected(values, reason):
         (None, "[1, 2]\n", "record must be a JSON object, got array"),
         (None, "7\n", "record must be a JSON object, got number"),
         ('"values": [', '"values": {"x": 1}, "payload": [', "float"),
+        ('"sender": 1, ', '"sender": "a", ', "sender must be an integer, got string"),
+        ('"sender": 1, ', '"sender": true, ', "sender must be an integer, got true"),
+        ('"epoch": 0, ', '"epoch": null, ', "epoch must be an integer, got null"),
+        ('"epoch": 0, ', '"epoch": 1.5, ', "epoch must be an integer, got number"),
+        (None, '{"sender": 1, "epoch": 0, "kind": "coop", "values": [NaN, 1.0, Infinity]}\n',
+         "coop point coordinates must be finite"),
+        (None, '{"sender": 1, "epoch": 0, "kind": "coop", "values": [0.0, -Infinity, 2.0]}\n',
+         "coop point coordinates must be finite"),
     ],
     ids=[
         "fed-payload-too-long", "unknown-kind", "coop-length-not-a-multiple-of-3", "values-not-a-list", "not-json",
         "missing-kind", "missing-sender", "missing-epoch", "missing-values", "list-record", "number-record",
-        "values-an-object",
+        "values-an-object", "string-sender", "boolean-sender", "null-epoch", "fractional-epoch", "coop-nan",
+        "coop-minus-infinity",
     ],
 )
 def test_replay_reader_names_the_malformed_line(tmp_path, old, new, reason):
