@@ -196,7 +196,9 @@ def _offsets(raw: Any, where: str) -> dict[int, float]:
         try:
             radar = int(key)
         except ValueError:
-            raise ConfigError(f"clock.offsets: key {json.dumps(key)} must be a radar id") from None
+            radar = None
+        if radar is None or str(radar) != key:  # " 2" and "02" would alias radar 2
+            raise ConfigError(f"clock.offsets: key {json.dumps(key)} must be a radar id")
         offsets[radar] = _typed(value, float, f"clock.offsets: {key}")
     return offsets
 
@@ -325,11 +327,21 @@ def resolve_scenario(name_or_path: str | Path) -> Path:
     raise ConfigError(f"no scenario file or builtin scenario named {name_or_path!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object whose keys are all distinct; json would keep the last of a repeated key."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ConfigError(f"key {json.dumps(key)} is repeated")
+        seen.add(key)
+    return dict(pairs)
+
+
 def load_config(name_or_path: str | Path, **overrides: Any) -> ExperimentConfig:
     path = resolve_scenario(name_or_path)
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON ({err})") from None
     return config_from_dict(data, **overrides)

@@ -65,7 +65,7 @@ from .fusion import (
     reconstruct_scene,
     refit_posterior_mixture,
 )
-from .mixture import GaussianMixture, eval_on_grid, grid_density, grid_to_csv, kl_divergence, normalized_density
+from .mixture import GaussianMixture, eval_on_grid, grid_density, kl_divergence, normalized_density
 from .scene import advance_scene, initial_scene
 from .sensor import ClusterResult, PointCloud, dbscan, observe, preprocess
 from .sidelink import (
@@ -85,6 +85,8 @@ from .sidelink import (
 log = logging.getLogger(__name__)
 
 DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# A grid dump: this header, the grid's extent and resolution, then its mass row by row.
+GRID_DUMP_HEADER = ("x_min", "x_max", "y_min", "y_max", "resolution")
 
 
 @dataclass
@@ -133,15 +135,13 @@ class SensingRecord:
     The scene and observation RNGs are seeded by the seed alone, so every
     mode senses the same clouds. Per epoch (index ``epoch - 1``) the record
     holds each radar's preprocessed cloud and clustering, appended by the
-    first run to reach the epoch, and each radar's likelihood, kept by the
-    first isolated or federation run: the ``likelihood_from_cloud`` mixture
-    and the likelihood's ``grid_support``, packed to one bit per cell
+    first run on the record, and each radar's likelihood, kept by the first
+    isolated or federation run: the ``likelihood_from_cloud`` mixture and
+    the likelihood's ``grid_support``, packed to one bit per cell
     (``np.packbits``). A run that reads a likelihood back evaluates no
     likelihood grid, except that isolated rebuilds it with ``eval_on_grid``
-    for the Bayes product. Recorded arrays are read-only. The observation
-    RNGs live with the record, so a run longer than the record draws its
-    extra epochs where the record left off. A record belongs to one seed of
-    one scenario; only the seed is checked.
+    for the Bayes product. Recorded arrays are read-only. A record belongs
+    to one seed of one scenario; only the seed is checked.
 
     A 190-epoch ``converging`` record holds about 4.2 MB of arrays: 2.4 MB
     of clouds, clusterings and mixtures and 1.8 MB of packed supports
@@ -153,20 +153,18 @@ class SensingRecord:
     clouds: list[dict[int, PointCloud]] = field(default_factory=list)
     clusters: list[dict[int, ClusterResult]] = field(default_factory=list)
     likelihoods: list[dict[int, tuple[GaussianMixture, np.ndarray]]] = field(default_factory=list)
-    obs_rngs: dict[int, np.random.Generator] | None = None
 
     def append(self, clouds: dict[int, PointCloud], clusters: dict[int, ClusterResult]) -> None:
         for k in clouds:
-            _freeze(clouds[k].points, clouds[k].truth_outlier, clusters[k].labels)
+            _freeze(clouds[k].points, clusters[k].labels)
         self.clouds.append(clouds)
         self.clusters.append(clusters)
         self.likelihoods.append({})
 
 
-def _freeze(*arrays: np.ndarray | None) -> None:
+def _freeze(*arrays: np.ndarray) -> None:
     for array in arrays:
-        if array is not None:
-            array.flags.writeable = False
+        array.flags.writeable = False
 
 
 def _associate(
@@ -235,7 +233,7 @@ def _isolated_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
 
 
 def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
-    outbox = {k: encode_coop(clouds[k]) for k in clouds}
+    outbox = {k: encode_coop(clouds[k], k, epoch) for k in clouds}
     inboxes = exchange(outbox)
     # A sender's own message keeps its clustering: DBSCAN is idempotent on
     # ``preprocess``'s output, because a noise point lies within eps of no
@@ -312,8 +310,7 @@ def _kl_reference(cfg, clouds, clusters, posteriors, local_densities, ref_prev):
             ref_prior = motion_prior(ref_prev.get(ids, no_support), cfg.prior_speed, cfg.dt, cfg.grid)
             member_pts = [clouds[i].points for i in ids if len(clouds[i])]
             pool = np.concatenate(member_pts) if member_pts else np.empty((0, 3))
-            pool_cloud = replace(clouds[k], points=pool, truth_outlier=None)
-            ref_mix = refit_posterior_mixture(pool_cloud, lik_mix, ref_prior, cfg.fit)
+            ref_mix = refit_posterior_mixture(PointCloud(pool), lik_mix, ref_prior, cfg.fit)
             ref_grids[ids] = eval_on_grid(ref_mix, cfg.grid)
             ref_prev[ids] = reconstruct_scene(grid_support(ref_grids[ids], cfg.tau), grid_support(lik_grid, cfg.tau))
         if (ids, id(posteriors[k])) not in kl_of:
@@ -337,10 +334,12 @@ def run_experiment(
     creates anything. The directories of the grid dump and of the
     ``message_log`` file are created as needed.
 
-    With ``sensing``, a record of this seed (else ``ValueError``), the run
-    replays the clouds, clusters and likelihoods recorded by earlier
-    runs of the seed and records what it senses first. Its outputs are those
-    of a run without the record.
+    With ``sensing``, a record of this seed, the first run on the record
+    senses and records its clouds, and a later run replays them. Every run
+    replays the likelihoods recorded by earlier runs and records those it
+    fits first. Its outputs are those of a run without the record. A record
+    of another seed, or a later run longer than the record, raises
+    ``ValueError`` before the first epoch.
     """
     if grid_dump is not None and grid_dump[1] < 1:
         raise ValueError(f"grid dump period must be >= 1 epoch, got {grid_dump[1]}")
@@ -350,13 +349,12 @@ def run_experiment(
     children = seq.spawn(2 + len(radar_ids))
     scene_rng = np.random.default_rng(children[0])
     link_rng = np.random.default_rng(children[1])
-    obs_rngs = {k: np.random.default_rng(children[2 + i]) for i, k in enumerate(radar_ids)}
-    if sensing is not None:
-        if sensing.seed != cfg.seed:
-            raise ValueError(f"sensing record of seed {sensing.seed} given to a run of seed {cfg.seed}")
-        if sensing.obs_rngs is None:
-            sensing.obs_rngs = obs_rngs
-        obs_rngs = sensing.obs_rngs
+    radar_rngs = {k: np.random.default_rng(children[2 + i]) for i, k in enumerate(radar_ids)}
+    replaying = sensing is not None and len(sensing.clouds) > 0
+    if sensing is not None and sensing.seed != cfg.seed:
+        raise ValueError(f"sensing record of seed {sensing.seed} given to a run of seed {cfg.seed}")
+    if replaying and cfg.n_epochs > len(sensing.clouds):
+        raise ValueError(f"sensing record of {len(sensing.clouds)} epochs given to a run of {cfg.n_epochs}")
 
     step = STEPS[cfg.mode]
     scene = initial_scene(cfg.targets, cfg.landmarks, scene_rng)
@@ -379,10 +377,10 @@ def run_experiment(
         for epoch in range(1, cfg.n_epochs + 1):
             scene = advance_scene(scene, cfg.targets, cfg.landmarks, cfg.dt, scene_rng)
 
-            if sensing is None or epoch > len(sensing.clouds):
+            if not replaying:
                 clouds, clusters = {}, {}
                 for k in radar_ids:
-                    raw = observe(scene, setups[k].pose, setups[k].model, obs_rngs[k], radar_id=k)
+                    raw = observe(scene, setups[k].pose, setups[k].model, radar_rngs[k])
                     clouds[k], clusters[k] = preprocess(raw, cfg.dbscan_eps, cfg.dbscan_min_pts)
                 if sensing is not None:
                     sensing.append(clouds, clusters)
@@ -421,7 +419,10 @@ def run_experiment(
 
             if grid_dump is not None and epoch % dump_every == 0:
                 for k in radar_ids:
-                    grid_to_csv(posteriors[k], dump_dir / f"epoch{epoch:05d}_radar{k}.csv")
+                    spec = posteriors[k].spec
+                    write_csv(dump_dir / f"epoch{epoch:05d}_radar{k}.csv", GRID_DUMP_HEADER,
+                              [[spec.x_min, spec.x_max, spec.y_min, spec.y_max, spec.resolution],
+                               *posteriors[k].mass.tolist()])
 
             records.append(
                 EpochRecord(

@@ -34,7 +34,6 @@ when components lie far apart.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -420,22 +419,3 @@ def kl_divergence(p: DensityGrid, q: DensityGrid) -> float:
     qf = qf / qf.sum()
     d = float(np.sum(pf * (np.log(pf) - np.log(qf))))
     return max(d, 0.0)
-
-
-def grid_to_csv(grid: DensityGrid, path) -> None:
-    """Write a grid as a row-major CSV matrix with an extent/resolution header."""
-    spec = grid.spec
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_min", "x_max", "y_min", "y_max", "resolution"])
-        writer.writerow([repr(v) for v in (spec.x_min, spec.x_max, spec.y_min, spec.y_max, spec.resolution)])
-        for row in grid.mass:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def grid_from_csv(path) -> DensityGrid:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    spec = GridSpec(*(float(v) for v in rows[1]))
-    mass = np.array([[float(v) for v in row] for row in rows[2:]])
-    return DensityGrid(spec, mass)

@@ -58,7 +58,6 @@ class Scene:
     only state needed to advance, which keeps the process Markovian.
     """
 
-    epoch: int
     target_ids: np.ndarray  # (n,) int, one entry per point
     points: np.ndarray  # (n, 3) true points, global frame
     centers: dict[int, np.ndarray]  # target id -> (2,) center
@@ -105,7 +104,6 @@ def _routes(specs: Sequence[TargetSpec], landmarks: Mapping[str, np.ndarray]) ->
 
 
 def _build_scene(
-    epoch: int,
     specs: Sequence[TargetSpec],
     routes: Sequence[tuple[np.ndarray, np.ndarray]],
     progress: dict[int, float],
@@ -123,7 +121,7 @@ def _build_scene(
     else:
         points = np.empty((0, 3))
         target_ids = np.empty(0, dtype=int)
-    return Scene(epoch, target_ids, points, centers, progress)
+    return Scene(target_ids, points, centers, progress)
 
 
 def initial_scene(
@@ -133,7 +131,7 @@ def initial_scene(
 ) -> Scene:
     """Scene at epoch 0: every target at its first waypoint."""
     progress = {spec.id: 0.0 for spec in specs}
-    return _build_scene(0, specs, _routes(specs, landmarks), progress, rng)
+    return _build_scene(specs, _routes(specs, landmarks), progress, rng)
 
 
 def advance_scene(
@@ -153,4 +151,4 @@ def advance_scene(
     routes = _routes(specs, landmarks)
     progress = {spec.id: min(scene.progress[spec.id] + spec.speed * dt, cum[-1])
                 for spec, (_, cum) in zip(specs, routes)}
-    return _build_scene(scene.epoch + 1, specs, routes, progress, rng)
+    return _build_scene(specs, routes, progress, rng)

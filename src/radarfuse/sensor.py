@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -88,16 +88,10 @@ class RadarModel:
 
 @dataclass
 class PointCloud:
-    """One frame of radar detections, in the global frame.
-
-    ``truth_outlier`` tags the injected spurious points; it is simulator
-    ground truth carried along for diagnostics, never transmitted.
-    """
+    """One frame of radar detections, in the global frame. Who sensed it and
+    when belongs to the message that carries it."""
 
     points: np.ndarray  # (n, 3)
-    epoch: int
-    radar_id: int
-    truth_outlier: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -138,9 +132,8 @@ def observe(
     pose: RadarPose,
     model: RadarModel,
     rng: np.random.Generator,
-    radar_id: int,
 ) -> PointCloud:
-    """Form the raw cloud of one radar at the scene's epoch, in the global frame.
+    """Form one radar's raw cloud of the scene, in the global frame.
 
     Censoring, noise and outliers are drawn in the radar's coordinates; the
     detections are then rotated by its yaw and translated by its position.
@@ -168,8 +161,7 @@ def observe(
     outliers = np.column_stack([out_rho * np.cos(out_az), out_rho * np.sin(out_az), out_z])
 
     points = np.concatenate([measured, outliers])
-    truth = np.concatenate([np.zeros(len(measured), bool), np.ones(n_out, bool)])
-    return PointCloud(points @ rot_z(pose.yaw).T + pose.position, scene.epoch, radar_id, truth)
+    return PointCloud(points @ rot_z(pose.yaw).T + pose.position)
 
 
 def dbscan(cloud: PointCloud, eps: float, min_pts: int) -> ClusterResult:
@@ -248,9 +240,4 @@ def preprocess(cloud: PointCloud, eps: float, min_pts: int) -> tuple[PointCloud,
     """
     clusters = dbscan(cloud, eps, min_pts)
     keep = clusters.labels != OUTLIER
-    filtered = replace(
-        cloud,
-        points=cloud.points[keep],
-        truth_outlier=None if cloud.truth_outlier is None else cloud.truth_outlier[keep],
-    )
-    return filtered, ClusterResult(clusters.labels[keep], clusters.n_clusters)
+    return PointCloud(cloud.points[keep]), ClusterResult(clusters.labels[keep], clusters.n_clusters)

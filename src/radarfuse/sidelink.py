@@ -94,18 +94,18 @@ class ClockModel:
         return int(round(self.offsets.get(radar, 0.0) / update_period))
 
 
-def encode_coop(cloud: PointCloud) -> Message:
-    return Message(cloud.radar_id, cloud.epoch, COOP_KIND, np.array(cloud.points, dtype=np.float64).ravel())
+def encode_coop(cloud: PointCloud, sender: int, epoch: int) -> Message:
+    return Message(sender, epoch, COOP_KIND, np.array(cloud.points, dtype=np.float64).ravel())
 
 
 def decode_coop(msg: Message) -> PointCloud:
-    """The cloud of a coop payload; a payload that is not a list of finite 3D
-    points raises ValueError."""
+    """The points of a coop payload; a payload that is not a list of finite
+    3D points raises ValueError."""
     if len(msg.values) % 3:
         raise ValueError(f"coop payload of {len(msg.values)} values is not a list of 3D points")
     if not np.isfinite(msg.values).all():
         raise ValueError("coop point coordinates must be finite")
-    return PointCloud(msg.values.reshape(-1, 3).copy(), msg.epoch, msg.sender)
+    return PointCloud(msg.values.reshape(-1, 3).copy())
 
 
 def _require_positive_definite(covs: np.ndarray) -> None:
@@ -284,7 +284,8 @@ def write_replay(messages: Iterable[Message], fh) -> None:
 
 def read_replay(path) -> list[Message]:
     """Messages of a replay log, each checked by the decoder for its kind; a
-    malformed record raises ValueError naming its line."""
+    malformed record raises ValueError naming its line. Run epochs start at
+    1, so an epoch below 1 is malformed."""
     messages = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -300,9 +301,17 @@ def read_replay(path) -> list[Message]:
                 for key in ("sender", "epoch"):
                     if type(rec[key]) is not int:  # a JSON true or false is a bool, not an int
                         raise ValueError(f"{key} must be an integer, got {json_kind(rec[key])}")
+                if rec["epoch"] < 1:
+                    raise ValueError(f"epoch must be >= 1, got {rec['epoch']}")
+                if type(rec["kind"]) is not str:
+                    raise ValueError(f"kind must be a string, got {json_kind(rec['kind'])}")
                 decode = {COOP_KIND: decode_coop, FED_KIND: decode_fed}.get(rec["kind"])
                 if decode is None:
                     raise ValueError(f"unknown message kind {rec['kind']!r}")
+                if isinstance(rec["values"], list):  # numpy would read "1.0" and true as numbers
+                    kinds = [json_kind(v) for v in rec["values"] if type(v) not in (int, float)]
+                    if kinds:
+                        raise ValueError(f"values must be a flat list of numbers, got {kinds[0]}")
                 values = np.asarray(rec["values"], dtype=np.float64)
                 if values.ndim != 1:
                     raise ValueError("values must be a flat list of numbers")

@@ -42,12 +42,13 @@ def test_run_rejects_bad_config(tmp_path, capsys):
 
 
 def run_edited_converging(tmp_path, edit):
-    """``radarfuse run`` on a 2-epoch copy of the converging scenario changed by ``edit``."""
+    """``radarfuse run`` on a 2-epoch copy of the converging scenario changed
+    by ``edit``, which edits the scenario in place or returns the file's text."""
     data = json.loads(resolve_scenario("converging").read_text())
     data["epochs"] = 2
-    edit(data)
+    text = edit(data)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    bad.write_text(text if isinstance(text, str) else json.dumps(data))
     return main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
 
 
@@ -139,6 +140,11 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data.update(grid_resolution=0), "area / grid_resolution: resolution must be > 0"),
         (lambda data: data.update(area=[8, 0, 0, 8]), "area / grid_resolution: grid extent must be non-degenerate"),
         (lambda data: data["clock"].update(jitter_std=-0.001), "clock: jitter_std must be finite and >= 0"),
+        (lambda data: json.dumps(data)[:-1] + ', "tau": 0.9}', 'key "tau" is repeated'),
+        (lambda data: json.dumps(data).replace('"offsets": {', '"offsets": {"2": 0.0, ', 1), 'key "2" is repeated'),
+        (lambda data: data["clock"]["offsets"].update({"01": 0.0}), 'clock.offsets: key "01" must be a radar id'),
+        (lambda data: data["clock"]["offsets"].update({" 2": 0.0}), 'clock.offsets: key " 2" must be a radar id'),
+        (lambda data: data["clock"]["offsets"].update({"+3": 0.0}), 'clock.offsets: key "+3" must be a radar id'),
     ],
     ids=[
         "no-radars", "target-without-speed", "no-area", "offset-of-undeployed-radar",
@@ -154,7 +160,8 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         "underflowing-update-period", "negative-update-period", "negative-prior-speed", "negative-seed",
         "zero-m-max", "negative-em-max-iters", "negative-em-tol", "negative-max-range", "zero-fov",
         "negative-noise-sigma", "large-occlusion-attenuation", "negative-occlusion-attenuation",
-        "zero-grid-resolution", "reversed-area", "negative-jitter",
+        "zero-grid-resolution", "reversed-area", "negative-jitter", "repeated-top-level-key",
+        "repeated-offset-key", "zero-padded-offset-key", "space-padded-offset-key", "plus-signed-offset-key",
     ],
 )
 def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reason):

@@ -48,7 +48,7 @@ def centers_of(mask, spec=SPEC):
 
 
 def cloud_of(points):
-    return PointCloud(np.asarray(points, dtype=float).reshape(-1, 3), 0, 1)
+    return PointCloud(np.asarray(points, dtype=float).reshape(-1, 3))
 
 
 def clustered_cloud(points, eps=0.3, min_pts=5):

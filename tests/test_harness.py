@@ -229,13 +229,19 @@ def test_cooperation_clusters_only_received_clouds_of_other_epochs(monkeypatch, 
     # pooled by radars 1 and 3, is clustered once per epoch from epoch 2 on.
     cfg = load_config("converging", mode="cooperation", epochs=5, seed=3,
                       clock={"offsets": offsets, "jitter_std": 0.0})
-    calls = []
-    dbscan = harness.dbscan
+    decoded, calls = [], []  # (cloud, its message); (sender, epoch) of each clustered cloud
+    decode_coop, dbscan = harness.decode_coop, harness.dbscan
+
+    def spy_decode_coop(msg):
+        decoded.append((decode_coop(msg), msg))
+        return decoded[-1][0]
 
     def spy_dbscan(cloud, *args):
-        calls.append((cloud.radar_id, cloud.epoch))
+        msg = next(msg for got, msg in decoded if got is cloud)
+        calls.append((msg.sender, msg.epoch))
         return dbscan(cloud, *args)
 
+    monkeypatch.setattr(harness, "decode_coop", spy_decode_coop)
     monkeypatch.setattr(harness, "dbscan", spy_dbscan)
     run_experiment(cfg)
     assert calls == clustered
@@ -537,15 +543,24 @@ def test_runs_on_a_shared_record_match_separate_runs(case, order):
     assert all(len(likelihoods) == 3 for likelihoods in sensing.likelihoods)
 
 
-def test_a_run_longer_than_its_record_observes_where_the_record_ends():
+def record_contents(sensing):
+    """The objects a sensing record holds, by identity, epoch by epoch."""
+    return [[{k: id(v) for k, v in held.items()} for held in epoch]
+            for epoch in zip(sensing.clouds, sensing.clusters, sensing.likelihoods)]
+
+
+def test_a_run_longer_than_its_record_is_refused_before_its_first_epoch(monkeypatch):
     sensing = SensingRecord(0)
     run_experiment(small_config(mode="isolated", epochs=4), sensing=sensing)
-    records, metrics = run_experiment(small_config(mode="federation", epochs=9), sensing=sensing)
-    expected_records, expected_metrics = run_experiment(small_config(mode="federation", epochs=9))
-    for rec, expected in zip(records, expected_records, strict=True):
-        assert_same_fields(rec, expected)
-    assert_same_fields(metrics, expected_metrics)
-    assert len(sensing.clouds) == 9
+    contents = record_contents(sensing)
+
+    def no_scene(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(harness, "initial_scene", no_scene)
+    with pytest.raises(ValueError, match="sensing record of 4 epochs given to a run of 9"):
+        run_experiment(small_config(mode="federation", epochs=9), sensing=sensing)
+    assert record_contents(sensing) == contents and len(contents) == 4
 
 
 def test_a_record_of_another_seed_is_refused():
@@ -564,7 +579,7 @@ def test_recorded_arrays_are_read_only():
     # The support is packed to one bit per cell.
     support = grid_support(eval_on_grid(mixture, cfg.grid), cfg.tau)
     assert support.any() and np.array_equal(bits, np.packbits(support))
-    for array in (cloud.points, cloud.truth_outlier, clusters.labels, mixture.means, mixture.covs, bits):
+    for array in (cloud.points, clusters.labels, mixture.means, mixture.covs, bits):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
@@ -636,33 +651,42 @@ FUSING = ("motion_prior", "bayes_product", "federated_posterior", "extract_targe
 RING = [[2, 1], [3, 2], [1, 3]]
 
 
-@pytest.mark.parametrize("clock, topology, shared",
-                         [({"jitter_std": 0.0}, "full", True), ({"offsets": {"2": 0.010}}, RING, False),
-                          ({"jitter_std": 0.002}, "full", False)], ids=["exact", "late-partial", "jitter"])
+ALL_SHARE, NONE_SHARE = [(1, 2, 3)], [(1,), (2,), (3,)]
+
+
+@pytest.mark.parametrize("clock, topology, groups",
+                         [({"jitter_std": 0.0}, "full", ALL_SHARE), ({"offsets": {"2": 0.010}}, RING, NONE_SHARE),
+                          ({"jitter_std": 0.002}, "full", NONE_SHARE),
+                          ({"offsets": {"2": 0.010}}, "full", [(1, 3), (2,)])],
+                         ids=["exact", "late-partial", "jitter", "late-full"])
 @pytest.mark.parametrize("mode", ["cooperation", "federation"])
-def test_radars_share_one_posterior_when_they_fuse_the_same_inputs(monkeypatch, mode, clock, topology, shared):
+def test_radars_share_one_posterior_when_they_fuse_the_same_inputs(monkeypatch, mode, clock, topology, groups):
     # Full topology, exact clocks: every radar fuses the same member
     # messages, so each epoch has one posterior, thresholded and searched
     # once. Radar 2 one period late on a ring (each radar fuses its own
     # message with one other, a different pair each), or each receiver
     # holding its own jittered copies: no two radars fuse the same members,
-    # so each computes its own. The first epoch's empty supports are one
-    # object, so one prior. Cooperation radars that share a posterior share
-    # the next support, so its prior; a federating radar unites the shared
-    # support with its own fresh likelihood support.
+    # so each computes its own. Radar 2 one period late on the full
+    # topology: radars 1 and 3 both fuse their own messages and radar 2's
+    # late one, and radar 2 fuses its fresh one, so radars 1 and 3 share.
+    # The first epoch's empty supports are one object, so one prior.
+    # Cooperation radars that share a posterior share the next support, so
+    # its prior; a federating radar unites the shared support with its own
+    # fresh likelihood support.
     posteriors = capture_posteriors(monkeypatch, mode)
     calls = count_calls(monkeypatch, [(harness, name) for name in FUSING])
     records, _ = run_experiment(small_config(mode=mode, epochs=6, kl_reference=False, clock=clock, topology=topology))
+    group_of = {k: group for group in groups for k in group}
     assert len(posteriors) == 6
     for post, rec in zip(posteriors, records, strict=True):
-        if shared:
-            assert post[1] is post[2] is post[3] and rec.estimates[1] is rec.estimates[2] is rec.estimates[3]
-        else:
-            for a, b in ((1, 2), (1, 3), (2, 3)):
+        for a, b in ((1, 2), (1, 3), (2, 3)):
+            if group_of[a] == group_of[b]:
+                assert post[a] is post[b] and rec.estimates[a] is rec.estimates[b]
+            else:
                 assert post[a] is not post[b] and not np.array_equal(post[a].mass, post[b].mass)
-    per_epoch = 1 if shared else 3
+    per_epoch = len(groups)
     fused = "bayes_product" if mode == "cooperation" else "federated_posterior"
-    priors = 6 if shared and mode == "cooperation" else 1 + 3 * 5
+    priors = 1 + 5 * (per_epoch if mode == "cooperation" else 3)
     assert calls == {"motion_prior": priors, "bayes_product": 0, "federated_posterior": 0, fused: per_epoch * 6,
                      "extract_targets": per_epoch * 6}
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from radarfuse import mixture
+from radarfuse.harness import GRID_DUMP_HEADER, write_csv
 from radarfuse.fusion import FitOptions
 from radarfuse.mixture import (
     COV_EIG_FLOOR,
@@ -19,8 +21,6 @@ from radarfuse.mixture import (
     cluster_moments,
     eval_on_grid,
     fit_em,
-    grid_from_csv,
-    grid_to_csv,
     kl_divergence,
     normalized_density,
 )
@@ -522,10 +522,14 @@ def test_mismatched_grids_raise():
 
 
 def test_grid_csv_round_trip(tmp_path):
+    # Written as the runner writes a grid dump.
     mix = GaussianMixture([1.0], [[2.5, 3.5, 1.0]], [iso_cov(0.2)], [5])
     grid = eval_on_grid(mix, SPEC)
-    path = tmp_path / "grid.csv"
-    grid_to_csv(grid, path)
-    back = grid_from_csv(path)
-    assert back.spec == grid.spec
-    assert np.array_equal(back.mass, grid.mass)
+    spec = grid.spec
+    path = write_csv(tmp_path / "grid.csv", GRID_DUMP_HEADER,
+                     [[spec.x_min, spec.x_max, spec.y_min, spec.y_max, spec.resolution], *grid.mass.tolist()])
+    with open(path, newline="") as fh:
+        header, spec_row, *rows = csv.reader(fh)
+    assert tuple(header) == GRID_DUMP_HEADER
+    assert GridSpec(*map(float, spec_row)) == spec
+    assert np.array_equal(np.array(rows, dtype=float), grid.mass)

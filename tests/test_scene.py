@@ -74,7 +74,7 @@ def test_empty_scene_advances():
     rng = np.random.default_rng(0)
     scene = initial_scene([], LANDMARKS, rng)
     nxt = advance_scene(scene, [], LANDMARKS, 0.01, rng)
-    assert nxt.epoch == 1
+    assert nxt.centers == {} and len(nxt.target_ids) == 0
     assert len(nxt.points) == 0
 
 

@@ -24,7 +24,7 @@ def make_scene(points, target_ids=None, centers=None):
     if target_ids is None:
         target_ids = np.ones(len(points), dtype=int)
     centers = centers or {1: points[:, :2].mean(axis=0) if len(points) else np.zeros(2)}
-    return Scene(0, np.asarray(target_ids), points, centers, {t: 0.0 for t in centers})
+    return Scene(np.asarray(target_ids), points, centers, {t: 0.0 for t in centers})
 
 
 def quiet_model(**kw):
@@ -34,7 +34,7 @@ def quiet_model(**kw):
 
 
 def cloud_of(points):
-    return PointCloud(np.asarray(points, dtype=float).reshape(-1, 3), 0, 1)
+    return PointCloud(np.asarray(points, dtype=float).reshape(-1, 3))
 
 
 # ---------------------------------------------------------------- observe
@@ -60,7 +60,7 @@ def test_every_model_key_changes_the_observation(key):
 
     def observed(model):
         radar = config._radar_from({"id": 1, "position": [0.0, 0.0, 0.0], "yaw_deg": 0.0, "model": model})
-        return observe(scene, radar.pose, radar.model, np.random.default_rng(4), radar.id).points
+        return observe(scene, radar.pose, radar.model, np.random.default_rng(4)).points
 
     assert not np.array_equal(observed({key: 0.5 * loader_default(key)}), observed({}))
 
@@ -78,7 +78,7 @@ def test_model_refuses_an_occlusion_attenuation_outside_zero_to_one(value):
 def test_noiseless_boresight_point_is_identity():
     pose = RadarPose(np.zeros(3), 0.0)
     scene = make_scene([[2.0, 0.0, 0.0]])
-    cloud = observe(scene, pose, quiet_model(), np.random.default_rng(0), 1)
+    cloud = observe(scene, pose, quiet_model(), np.random.default_rng(0))
     assert len(cloud) == 1
     assert np.allclose(cloud.points[0], [2.0, 0.0, 0.0])
 
@@ -86,14 +86,14 @@ def test_noiseless_boresight_point_is_identity():
 def test_point_outside_fov_is_dropped():
     pose = RadarPose(np.zeros(3), 0.0)
     scene = make_scene([[0.0, 2.0, 0.0]])  # azimuth 90 degrees
-    cloud = observe(scene, pose, quiet_model(), np.random.default_rng(0), 1)
+    cloud = observe(scene, pose, quiet_model(), np.random.default_rng(0))
     assert len(cloud) == 0
 
 
 def test_point_beyond_max_range_is_dropped():
     pose = RadarPose(np.zeros(3), 0.0)
     scene = make_scene([[20.0, 0.0, 0.0]])
-    cloud = observe(scene, pose, quiet_model(max_range=12.0), np.random.default_rng(0), 1)
+    cloud = observe(scene, pose, quiet_model(max_range=12.0), np.random.default_rng(0))
     assert len(cloud) == 0
 
 
@@ -103,7 +103,7 @@ def test_mean_outlier_count_matches_rate():
     scene = make_scene(np.empty((0, 3)), target_ids=[], centers={})
     model = quiet_model(outlier_rate=5.0)
     rng = np.random.default_rng(42)
-    sizes = [len(observe(scene, pose, model, rng, 1)) for _ in range(10_000)]
+    sizes = [len(observe(scene, pose, model, rng)) for _ in range(10_000)]
     assert abs(np.mean(sizes) - 5.0) <= 0.15
 
 
@@ -113,7 +113,7 @@ def test_detection_probability_follows_range_law():
     model = quiet_model(detection_range_ref=4.0)
     scene = make_scene([[8.0, 0.0, 0.0]])
     rng = np.random.default_rng(3)
-    hits = sum(len(observe(scene, pose, model, rng, 1)) for _ in range(4000))
+    hits = sum(len(observe(scene, pose, model, rng)) for _ in range(4000))
     expected = (4.0 / 8.0) ** 2
     assert abs(hits / 4000 - expected) < 0.03
 
@@ -129,7 +129,7 @@ def test_occlusion_attenuates_shadowed_target():
     rng = np.random.default_rng(4)
     counts = np.zeros(2)
     for _ in range(200):
-        cloud = observe(scene, pose, model, rng, 1)
+        cloud = observe(scene, pose, model, rng)
         # nearer target keeps everything, the far one sits in its shadow
         counts[0] += np.sum(cloud.points[:, 0] < 4.0)
         counts[1] += np.sum(cloud.points[:, 0] > 4.0)
@@ -145,11 +145,8 @@ def test_censoring_monotonicity():
     pose = RadarPose(np.zeros(3), 0.0)
 
     def detected(fov_deg, max_range):
-        model = quiet_model(
-            fov_azimuth=math.radians(fov_deg), max_range=max_range, outlier_rate=2.0
-        )
-        cloud = observe(scene, pose, model, np.random.default_rng(99), 1)
-        return int(np.sum(~cloud.truth_outlier))
+        model = quiet_model(fov_azimuth=math.radians(fov_deg), max_range=max_range, outlier_rate=0.0)
+        return len(observe(scene, pose, model, np.random.default_rng(99)))
 
     base = detected(60, 12.0)
     assert detected(40, 12.0) <= base
@@ -164,14 +161,14 @@ def test_null_pose_is_identity():
     # At the origin with zero yaw the radar's coordinates are the global ones.
     pose = RadarPose(np.zeros(3), 0.0)
     pts = [[1.0, 0.5, 3.0], [4.0, -2.0, 0.5]]
-    cloud = observe(make_scene(pts), pose, quiet_model(), np.random.default_rng(0), 1)
+    cloud = observe(make_scene(pts), pose, quiet_model(), np.random.default_rng(0))
     assert np.allclose(cloud.points, pts)
 
 
 def test_rotation_translation_by_hand():
     # 2 m along the boresight of a radar at (1, 0, 0) facing +y.
     pose = RadarPose(np.array([1.0, 0.0, 0.0]), math.pi / 2)
-    cloud = observe(make_scene([[1.0, 2.0, 0.0]]), pose, quiet_model(), np.random.default_rng(0), 1)
+    cloud = observe(make_scene([[1.0, 2.0, 0.0]]), pose, quiet_model(), np.random.default_rng(0))
     assert len(cloud) == 1
     assert np.allclose(cloud.points[0], [1.0, 2.0, 0.0], atol=1e-12)
 
@@ -182,7 +179,7 @@ def test_round_trip_is_identity():
     rng = np.random.default_rng(6)
     rho, az = rng.uniform(0.5, 10.0, 50), rng.uniform(-1.0, 1.0, 50) + pose.yaw
     pts = np.column_stack([rho * np.cos(az), rho * np.sin(az), rng.normal(0, 1, 50)]) + pose.position
-    cloud = observe(make_scene(pts), pose, quiet_model(), np.random.default_rng(7), 1)
+    cloud = observe(make_scene(pts), pose, quiet_model(), np.random.default_rng(7))
     assert len(cloud) == len(pts)
     assert np.max(np.abs(cloud.points - pts)) < 1e-12
 
@@ -343,21 +340,18 @@ def test_preprocess_drops_lone_point():
 
 
 def test_preprocess_removes_injected_outliers():
-    # Oracle: ground-truth outlier tags carried through the observation.
-    pose = RadarPose(np.zeros(3), 0.0)
-    scene = make_scene(
-        np.random.default_rng(12).normal([4, 0, 1], 0.1, (200, 3)),
-        np.ones(200, int),
-        {1: np.array([4.0, 0.0])},
-    )
-    model = quiet_model(noise_sigma=0.02, outlier_rate=5.0)
+    # Oracle: lone points 8 m around a dense target, shuffled in among its
+    # rows; preprocessing keeps exactly the target rows, in their order.
+    target = np.random.default_rng(12).normal([4, 0, 1], 0.1, (200, 3))
+    angles = np.radians(np.arange(0, 360, 45))
     rng = np.random.default_rng(13)
     for _ in range(20):
-        raw = observe(scene, pose, model, rng, 1)
-        filtered, _ = preprocess(raw, eps=0.3, min_pts=5)
-        # target points survive; far-flung spurious points are removed
-        assert np.sum(~filtered.truth_outlier) == 200
-        assert np.sum(filtered.truth_outlier) <= np.sum(raw.truth_outlier)
+        far = np.column_stack([4 + 8 * np.cos(angles), 8 * np.sin(angles), rng.uniform(0, 2, len(angles))])
+        is_target = rng.permutation(np.arange(len(target) + len(far)) < len(target))
+        points = np.empty((len(is_target), 3))
+        points[is_target], points[~is_target] = target, far
+        filtered, _ = preprocess(cloud_of(points), eps=0.3, min_pts=5)
+        assert np.array_equal(filtered.points, target)
 
 
 @settings(deadline=None)

@@ -29,8 +29,8 @@ from radarfuse.sidelink import (
 )
 
 
-def cloud_of(points, radar_id=1, epoch=0):
-    return PointCloud(np.asarray(points, dtype=float).reshape(-1, 3), epoch, radar_id)
+def cloud_of(points):
+    return PointCloud(np.asarray(points, dtype=float).reshape(-1, 3))
 
 
 def mixture_of(n_components, total=100, seed=0):
@@ -69,18 +69,18 @@ def test_topology_rejects_self_loops_and_unknown_ids():
 
 
 def test_coop_payload_bits():
-    assert encode_coop(cloud_of(np.empty((0, 3)))).payload_bits == 0
-    assert encode_coop(cloud_of([[1.0, 2.0, 3.0]])).payload_bits == 192
-    msg = encode_coop(cloud_of(np.zeros((625, 3))))
+    assert encode_coop(cloud_of(np.empty((0, 3))), 1, 0).payload_bits == 0
+    assert encode_coop(cloud_of([[1.0, 2.0, 3.0]]), 1, 0).payload_bits == 192
+    msg = encode_coop(cloud_of(np.zeros((625, 3))), 1, 0)
     assert msg.payload_bits == 120_000
 
 
 def test_coop_round_trip_is_bit_exact():
     rng = np.random.default_rng(1)
     pts = rng.normal(0, 100, (333, 3)) * 10.0 ** rng.integers(-12, 12, (333, 1))
-    msg = encode_coop(cloud_of(pts, radar_id=2, epoch=7))
+    msg = encode_coop(cloud_of(pts), 2, 7)
     back = decode_coop(msg)
-    assert back.radar_id == 2 and back.epoch == 7
+    assert msg.sender == 2 and msg.epoch == 7
     assert np.array_equal(back.points, pts)
 
 
@@ -113,7 +113,7 @@ def test_fed_rejects_non_positive_definite_covariance():
 def fill_history(topo, epochs):
     history = OutboxHistory(epochs)  # keeps every epoch pushed
     for e in range(1, epochs + 1):
-        history.push(e, {k: encode_coop(cloud_of([[float(k), float(e), 0.0]], radar_id=k, epoch=e)) for k in topo.ids})
+        history.push(e, {k: encode_coop(cloud_of([[float(k), float(e), 0.0]]), k, e) for k in topo.ids})
     return history
 
 
@@ -184,7 +184,7 @@ def test_link_accounting_conserves_bits(network, n_epochs, data):
     history = OutboxHistory(max(clock.offset_periods(k, 0.010) for k in topo.ids))
     sent, delivered = {}, []
     for epoch in range(1, n_epochs + 1):
-        outbox = {k: encode_coop(cloud_of(np.zeros((data.draw(st.integers(1, 6)), 3)), radar_id=k, epoch=epoch))
+        outbox = {k: encode_coop(cloud_of(np.zeros((data.draw(st.integers(1, 6)), 3))), k, epoch)
                   for k in topo.ids}
         history.push(epoch, outbox)
         for k, msg in outbox.items():
@@ -221,13 +221,13 @@ def test_link_accounting_conserves_bits(network, n_epochs, data):
 def test_rate_examples_are_exact():
     stats = LinkStats(update_period=Fraction(1, 100))
     for epoch in range(100):
-        account(stats, encode_coop(cloud_of(np.zeros((625, 3)), radar_id=1, epoch=epoch)))
+        account(stats, encode_coop(cloud_of(np.zeros((625, 3))), 1, epoch))
     stats.epochs = 100
     assert stats.tx_rate(1) == Fraction(12_000_000)
 
     stats = LinkStats(update_period=Fraction(1, 100))
     for epoch in range(100):
-        account(stats, encode_coop(cloud_of(np.zeros((815, 3)), radar_id=1, epoch=epoch)))
+        account(stats, encode_coop(cloud_of(np.zeros((815, 3))), 1, epoch))
     stats.epochs = 100
     assert stats.tx_rate(1) == Fraction(15_648_000)
 
@@ -236,8 +236,8 @@ def test_accounting_linearity_and_zero():
     stats = LinkStats(update_period=Fraction(1, 100))
     stats.epochs = 10
     assert stats.tx_rate(1) == 0
-    m1 = encode_coop(cloud_of(np.zeros((10, 3)), radar_id=1))
-    m2 = encode_coop(cloud_of(np.zeros((25, 3)), radar_id=1))
+    m1 = encode_coop(cloud_of(np.zeros((10, 3))), 1, 0)
+    m2 = encode_coop(cloud_of(np.zeros((25, 3))), 1, 0)
     account(stats, m1)
     only_m1 = stats.tx_bits[1]
     account(stats, m2)
@@ -246,7 +246,7 @@ def test_accounting_linearity_and_zero():
 
 def test_delivery_accounting_tracks_links():
     stats = LinkStats(update_period=Fraction(1, 100))
-    msg = encode_coop(cloud_of(np.zeros((5, 3)), radar_id=2))
+    msg = encode_coop(cloud_of(np.zeros((5, 3))), 2, 0)
     account_delivery(stats, msg, receiver=1)
     assert stats.link_bits[(2, 1)] == msg.payload_bits
     assert stats.rx_bits[1] == msg.payload_bits
@@ -255,8 +255,8 @@ def test_delivery_accounting_tracks_links():
 
 def test_overhead_scaling_laws():
     # cooperation payload grows with the cloud, federation stays constant
-    coop_small = encode_coop(cloud_of(np.zeros((100, 3))))
-    coop_big = encode_coop(cloud_of(np.zeros((200, 3))))
+    coop_small = encode_coop(cloud_of(np.zeros((100, 3))), 1, 0)
+    coop_big = encode_coop(cloud_of(np.zeros((200, 3))), 1, 0)
     assert coop_big.payload_bits == 2 * coop_small.payload_bits
     fed_a = encode_fed(mixture_of(3, total=100), 1, 0)
     fed_b = encode_fed(mixture_of(3, total=10_000), 1, 0)
@@ -269,7 +269,7 @@ def test_overhead_scaling_laws():
 def test_replay_round_trip_is_bit_exact():
     rng = np.random.default_rng(3)
     msgs = [
-        encode_coop(cloud_of(rng.normal(0, 5, (17, 3)), radar_id=1, epoch=4)),
+        encode_coop(cloud_of(rng.normal(0, 5, (17, 3))), 1, 4),
         encode_fed(mixture_of(2, total=50, seed=9), 2, 4),
         encode_fed(GaussianMixture.empty(), 3, 4),
     ]
@@ -300,7 +300,7 @@ def test_message_values_round_trip():
     assert len(values) == len(msg.values)
     back = decode_fed(Message(1, 2, "fed", np.array(values)))
     assert encode_fed(back, 1, 2).values.tolist() == values
-    coop = encode_coop(cloud_of([[1.5, -2.5, 3.25]]))
+    coop = encode_coop(cloud_of([[1.5, -2.5, 3.25]]), 1, 0)
     assert decode_coop(Message(1, 0, "coop", np.array(coop.values.tolist()))).points[0][2] == 3.25
 
 
@@ -343,25 +343,32 @@ def test_malformed_fed_records_are_rejected(values, reason):
         ('"sender": 1, ', '"sender": 1,, ', "Expecting property name"),
         ('"kind": "fed", ', "", "record has no 'kind'"),
         ('"sender": 1, ', "", "record has no 'sender'"),
-        ('"epoch": 0, ', "", "record has no 'epoch'"),
+        ('"epoch": 1, ', "", "record has no 'epoch'"),
         (', "values": [', ', "payload": [', "record has no 'values'"),
         (None, "[1, 2]\n", "record must be a JSON object, got array"),
         (None, "7\n", "record must be a JSON object, got number"),
         ('"values": [', '"values": {"x": 1}, "payload": [', "float"),
         ('"sender": 1, ', '"sender": "a", ', "sender must be an integer, got string"),
         ('"sender": 1, ', '"sender": true, ', "sender must be an integer, got true"),
-        ('"epoch": 0, ', '"epoch": null, ', "epoch must be an integer, got null"),
-        ('"epoch": 0, ', '"epoch": 1.5, ', "epoch must be an integer, got number"),
-        (None, '{"sender": 1, "epoch": 0, "kind": "coop", "values": [NaN, 1.0, Infinity]}\n',
+        ('"epoch": 1, ', '"epoch": null, ', "epoch must be an integer, got null"),
+        ('"epoch": 1, ', '"epoch": 1.5, ', "epoch must be an integer, got number"),
+        (None, '{"sender": 1, "epoch": 1, "kind": "coop", "values": [NaN, 1.0, Infinity]}\n',
          "coop point coordinates must be finite"),
-        (None, '{"sender": 1, "epoch": 0, "kind": "coop", "values": [0.0, -Infinity, 2.0]}\n',
+        (None, '{"sender": 1, "epoch": 1, "kind": "coop", "values": [0.0, -Infinity, 2.0]}\n',
          "coop point coordinates must be finite"),
+        (None, '{"sender": 1, "epoch": 1, "kind": "coop", "values": ["1.0", "2", "3"]}\n',
+         "values must be a flat list of numbers, got string"),
+        (None, '{"sender": 1, "epoch": 1, "kind": "coop", "values": [true, false, true]}\n',
+         "values must be a flat list of numbers, got true"),
+        ('"kind": "fed"', '"kind": ["coop"]', "kind must be a string, got array"),
+        ('"epoch": 1, ', '"epoch": 0, ', "epoch must be >= 1, got 0"),
+        ('"epoch": 1, ', '"epoch": -5, ', "epoch must be >= 1, got -5"),
     ],
     ids=[
         "fed-payload-too-long", "unknown-kind", "coop-length-not-a-multiple-of-3", "values-not-a-list", "not-json",
         "missing-kind", "missing-sender", "missing-epoch", "missing-values", "list-record", "number-record",
         "values-an-object", "string-sender", "boolean-sender", "null-epoch", "fractional-epoch", "coop-nan",
-        "coop-minus-infinity",
+        "coop-minus-infinity", "string-values", "boolean-values", "list-kind", "zero-epoch", "negative-epoch",
     ],
 )
 def test_replay_reader_names_the_malformed_line(tmp_path, old, new, reason):
@@ -369,7 +376,7 @@ def test_replay_reader_names_the_malformed_line(tmp_path, old, new, reason):
     # replaces the whole record.
     path = tmp_path / "replay.jsonl"
     buf = io.StringIO()
-    write_replay([encode_fed(mixture_of(1, total=5), 1, 0)], buf)
+    write_replay([encode_fed(mixture_of(1, total=5), 1, 1)], buf)
     good = buf.getvalue()
     bad = new if old is None else good.replace(old, new)
     assert bad != good
@@ -443,7 +450,7 @@ def replay_round_trip(msgs, path):
 
 
 @settings(deadline=None)
-@given(mix=mixtures(), sender=st.integers(1, 9), epoch=st.integers(0, 10**6))
+@given(mix=mixtures(), sender=st.integers(1, 9), epoch=st.integers(1, 10**6))
 def test_fed_codec_is_bit_exact(mix, sender, epoch, tmp_path_factory):
     msg = encode_fed(mix, sender, epoch)
     values = msg.values.tolist()
@@ -458,7 +465,7 @@ def test_fed_codec_is_bit_exact(mix, sender, epoch, tmp_path_factory):
 @settings(deadline=None)
 @given(points=hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)), elements=finite))
 def test_coop_codec_is_bit_exact(points, tmp_path_factory):
-    msg = encode_coop(cloud_of(points, radar_id=2, epoch=3))
+    msg = encode_coop(cloud_of(points), 2, 3)
     back = Message(2, 3, "coop", np.array(msg.values.tolist()))
     (replayed,) = replay_round_trip([msg], tmp_path_factory.getbasetemp() / "coop.jsonl")
     for got in (decode_coop(back), decode_coop(replayed)):
