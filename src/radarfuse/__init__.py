@@ -11,6 +11,7 @@ from .config import ExperimentConfig, load_config
 from .fusion import (
     FitOptions,
     alpha_weights,
+    cloud_start,
     extract_targets,
     federated_posterior,
     likelihood_from_cloud,
@@ -37,7 +38,7 @@ from .mixture import (
     fit_em,
     kl_divergence,
 )
-from .scene import ConfigError, Scene, TargetSpec, advance_scene, initial_scene
+from .scene import ConfigError, Scene, TargetSpec, advance_scene, initial_scene, target_routes
 from .sensor import (
     ClusterResult,
     PointCloud,

@@ -110,6 +110,10 @@ class ExperimentConfig:
                     f"radar {k}: clock offset {self.clock.offsets[k]} s is negative in whole update "
                     "periods; its receivers would need messages not yet sent"
                 )
+        target_ids = [spec.id for spec in self.targets]
+        repeated = [t for i, t in enumerate(target_ids) if t in target_ids[:i]]
+        if repeated:
+            raise ConfigError(f"duplicate target id {repeated[0]}")
         for spec in self.targets:
             for w in spec.waypoints:
                 if w not in self.landmarks:

@@ -12,6 +12,10 @@ support once; ``reconstruct_scene`` unites the posterior's support with the
 fresh likelihood's into the next prior's, and ``extract_targets`` finds the
 local maxima of the posterior within its support.
 
+A likelihood fit starts from its clouds' ``cloud_start``s, their kept
+cluster moments. The caller keeps a cloud's start for its later fits and
+its ``quad_features`` for its likelihood fit and posterior refit.
+
 A support covers a few small windows of the grid, so ``motion_prior`` and
 ``extract_targets`` work only in its bounding box (padded by the blur
 radius for the prior). Their results are bit-identical to the full grid's.
@@ -21,10 +25,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import correlate1d, gaussian_filter1d
 
 from .mixture import (
     DensityGrid,
@@ -35,6 +40,7 @@ from .mixture import (
     eval_on_grid,
     fit_em,
     normalized_density,
+    quad_features,
 )
 from .sensor import RANGE_RESOLUTION, ClusterResult, PointCloud
 
@@ -54,39 +60,59 @@ class FitOptions:
     tol: float = 1e-5
 
 
-def likelihood_from_cloud(
+def cloud_start(
     cloud: PointCloud,
     clusters: ClusterResult,
+    fit: FitOptions,
+) -> tuple[GaussianMixture, tuple[np.ndarray, np.ndarray] | None]:
+    """A cloud's EM start and its ``quad_features``.
+
+    The start has one component per cluster kept by ``choose_components``,
+    at the cluster's moments and weighted by its size. An empty cloud (or no
+    surviving cluster) has an empty start and no features. The features are
+    built once, for the moments, and serve every later fit of the cloud.
+    """
+    m = choose_components(clusters, fit.m_max)
+    if len(cloud) == 0 or m == 0:
+        return GaussianMixture.empty(), None
+    features = quad_features(cloud.points)
+    means, covs, counts = cluster_moments(cloud.points, clusters.labels, clusters.n_clusters, keep=m,
+                                          features=features)
+    return GaussianMixture(counts, means, covs, counts), features
+
+
+def likelihood_from_cloud(
+    cloud: PointCloud,
+    start: GaussianMixture,
     spec: GridSpec,
     fit: FitOptions,
+    features: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[DensityGrid, GaussianMixture]:
-    """Likelihood grid and mixture for one preprocessed cloud.
-
-    The component count comes from the cloud's clustering; an empty cloud
-    (or no surviving clusters) is uninformative and yields a uniform grid.
+    """Likelihood grid and mixture for one preprocessed cloud, fitted from
+    its ``cloud_start`` (with its features, if given). An empty start is
+    uninformative and yields a uniform grid.
     """
-    return pooled_likelihood([(cloud, clusters)], spec, fit)
+    return pooled_likelihood([(cloud, start)], spec, fit, features)
 
 
 def pooled_likelihood(
-    ensemble: Sequence[tuple[PointCloud, ClusterResult]],
+    ensemble: Sequence[tuple[PointCloud, GaussianMixture]],
     spec: GridSpec,
     fit: FitOptions,
+    features: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[DensityGrid, GaussianMixture]:
-    """Likelihood of the pooled ensemble, fitted with one component per
-    contributing cluster (component count sums over the member clouds)."""
-    pools, moments = [], []
-    for cloud, clusters in ensemble:
-        m = choose_components(clusters, fit.m_max)
-        if len(cloud) == 0 or m == 0:
-            continue
-        pools.append(cloud.points)
-        moments.append(cluster_moments(cloud.points, clusters.labels, clusters.n_clusters, keep=m))
-    if not pools:
+    """Likelihood of the pooled ensemble of ``(cloud, cloud_start)`` pairs,
+    fitted from the members' starts together: one component per
+    contributing cluster. Members with an empty start add no points;
+    ``features``, if given, are the ``quad_features`` of the others' pooled
+    points."""
+    members = [(cloud.points, start) for cloud, start in ensemble if not start.is_empty()]
+    if not members:
         return DensityGrid.uniform(spec), GaussianMixture.empty()
-    means, covs, counts = (np.concatenate(column) for column in zip(*moments))
-    start = GaussianMixture(counts, means, covs, counts)  # weighted by cluster size
-    mixture = fit_em(np.concatenate(pools), start, max_iters=fit.max_iters, tol=fit.tol)
+    pools, starts = zip(*members)
+    start = GaussianMixture(*(np.concatenate([getattr(s, name) for s in starts])
+                              for name in ("weights", "means", "covs", "counts")))
+    mixture = fit_em(np.concatenate(pools), start, features=features, max_iters=fit.max_iters, tol=fit.tol)
     return eval_on_grid(mixture, spec), mixture
 
 
@@ -113,12 +139,14 @@ def motion_prior(
     """Prior from the previous support mask, diffused by a random-walk step.
 
     Each cell of the boolean ``(ny, nx)`` support spreads as an isotropic
-    Gaussian with sigma = speed * dt + SIGMA_FLOOR, computed as a separable
-    Gaussian blur of the mask (truncated at 6 sigma). The blur runs on the
-    support's bounding box padded by the kernel radius: every cell outside
-    it is a sum of zeros, and where the box is clipped its edge is the
-    grid's, so the result equals the full-grid blur bit for bit. An empty
-    support means an uninformative uniform prior.
+    Gaussian with sigma = speed * dt + SIGMA_FLOOR: a separable Gaussian blur
+    of the mask (truncated at 6 sigma), ``gaussian_filter``'s two
+    ``correlate1d`` passes with its kernel, which ``_blur_kernel`` builds
+    once per sigma. The blur runs on the support's bounding box padded by
+    the kernel radius: every cell outside it is a sum of zeros, and where
+    the box is clipped its edge is the grid's, so the result equals the
+    full-grid ``gaussian_filter`` bit for bit. An empty support means an
+    uninformative uniform prior.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -130,15 +158,28 @@ def motion_prior(
     if len(rows) == 0:
         return DensityGrid.uniform(spec)
     cols = np.flatnonzero(support.any(axis=0))
-    sigma_px = (speed * dt + SIGMA_FLOOR) / spec.resolution
-    radius = int(6.0 * sigma_px + 0.5)  # gaussian_filter's kernel radius at truncate=6
+    kernel = _blur_kernel((speed * dt + SIGMA_FLOOR) / spec.resolution)
+    radius = len(kernel) // 2
     win = (
         slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
         slice(max(cols[0] - radius, 0), cols[-1] + radius + 1),
     )
     mass = np.zeros((spec.ny, spec.nx))
-    mass[win] = gaussian_filter(support[win].astype(float), sigma_px, mode="constant", truncate=6.0)
+    rows_blurred = correlate1d(support[win].astype(float), kernel, axis=0, mode="constant")
+    mass[win] = correlate1d(rows_blurred, kernel, axis=1, mode="constant")
     return normalized_density(mass, spec)
+
+
+@lru_cache(maxsize=16)
+def _blur_kernel(sigma_px: float) -> np.ndarray:
+    """``gaussian_filter``'s kernel at ``sigma_px`` and ``truncate=6``, bit
+    for bit: the filter's response to a unit impulse. Read-only."""
+    radius = int(6.0 * sigma_px + 0.5)  # gaussian_filter's kernel radius at truncate=6
+    impulse = np.zeros(2 * radius + 1)
+    impulse[radius] = 1.0
+    kernel = gaussian_filter1d(impulse, sigma_px, mode="constant", truncate=6.0)
+    kernel.flags.writeable = False
+    return kernel
 
 
 def refit_posterior_mixture(
@@ -146,10 +187,12 @@ def refit_posterior_mixture(
     lik_mixture: GaussianMixture,
     prior: DensityGrid,
     fit: FitOptions,
+    features: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GaussianMixture:
     """Re-fit a cloud mixture with points weighted by the prior mass at
     their location, so the parameters summarize the posterior rather than
-    the bare likelihood. With a flat prior the weights are equal and the
+    the bare likelihood. ``features`` are the cloud's ``quad_features``, if
+    already built. With a flat prior the weights are equal and the
     refit reproduces the likelihood fit. The refit is stable only while the
     prior covers the currently detected clusters; the runner ensures that by
     seeding each prior with the thresholded likelihood support as well as
@@ -157,7 +200,8 @@ def refit_posterior_mixture(
     if lik_mixture.is_empty():
         return GaussianMixture.empty()
     weights = prior.value_at(cloud.points[:, :2])
-    return fit_em(cloud.points, lik_mixture, point_weights=weights, max_iters=fit.max_iters, tol=fit.tol)
+    return fit_em(cloud.points, lik_mixture, point_weights=weights, features=features,
+                  max_iters=fit.max_iters, tol=fit.tol)
 
 
 def alpha_weights(q_counts: Sequence[int]) -> np.ndarray:

@@ -33,11 +33,19 @@ read-only) and one next support is made per (support, fresh) pair. Without
 clock jitter the link hands every receiver the object its sender pushed, so
 under a full topology with exact clocks all radars hold one posterior.
 
+A run that senses turns each cloud's clustering into its ``cloud_start``,
+the kept cluster moments its likelihood fits start from, and keeps the
+cloud's ``quad_features`` for the epoch: the cloud's likelihood fit and,
+in federation, its posterior refit reuse them. The target routes are
+resolved once per run.
+
 Every mode of one seed senses the same clouds, so ``run_sweep`` runs a
 seed's modes on one ``SensingRecord`` and senses each seed once. The
-record also keeps each radar's likelihood mixture and its support, packed
-to bits (about 4.2 MB for a 190-epoch ``converging`` seed), so a replaying
-federation run evaluates no likelihood grid.
+record keeps each cloud and its start, so a replaying cooperation run or
+KL reference computes no cluster moments of a sensed cloud, and each
+radar's likelihood mixture and its support, packed to bits (about 3.8 MB
+for a 190-epoch ``converging`` seed), so a replaying federation run
+evaluates no likelihood grid.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from .config import ExperimentConfig
 from .fusion import (
     alpha_weights,
     bayes_product,
+    cloud_start,
     extract_targets,
     federated_posterior,
     grid_support,
@@ -66,8 +75,8 @@ from .fusion import (
     refit_posterior_mixture,
 )
 from .mixture import GaussianMixture, eval_on_grid, grid_density, kl_divergence, normalized_density
-from .scene import advance_scene, initial_scene
-from .sensor import ClusterResult, PointCloud, dbscan, observe, preprocess
+from .scene import advance_scene, initial_scene, target_routes
+from .sensor import PointCloud, dbscan, observe, preprocess
 from .sidelink import (
     LinkStats,
     OutboxHistory,
@@ -134,37 +143,45 @@ class SensingRecord:
 
     The scene and observation RNGs are seeded by the seed alone, so every
     mode senses the same clouds. Per epoch (index ``epoch - 1``) the record
-    holds each radar's preprocessed cloud and clustering, appended by the
-    first run on the record, and each radar's likelihood, kept by the first
-    isolated or federation run: the ``likelihood_from_cloud`` mixture and
-    the likelihood's ``grid_support``, packed to one bit per cell
-    (``np.packbits``). A run that reads a likelihood back evaluates no
+    holds each radar's preprocessed cloud and its ``cloud_start``, the kept
+    cluster moments every likelihood fit of the cloud starts from, appended
+    by the first run on the record; a replaying run computes no cluster
+    moments of a recorded cloud. It also holds each radar's likelihood, kept
+    by the first isolated or federation run: the ``likelihood_from_cloud``
+    mixture and the likelihood's ``grid_support``, packed to one bit per
+    cell (``np.packbits``). A run that reads a likelihood back evaluates no
     likelihood grid, except that isolated rebuilds it with ``eval_on_grid``
     for the Bayes product. Recorded arrays are read-only. A record belongs
-    to one seed of one scenario; only the seed is checked.
+    to one seed of one scenario (the starts depend on its ``m_max``); only
+    the seed is checked.
 
-    A 190-epoch ``converging`` record holds about 4.2 MB of arrays: 2.4 MB
-    of clouds, clusterings and mixtures and 1.8 MB of packed supports
-    (3,200 bytes per radar and epoch on its 160 x 160 grid, an eighth of
-    the boolean mask).
+    A 190-epoch ``converging`` record holds about 3.8 MB of arrays: 1.9 MB
+    of clouds, starts and mixtures and 1.8 MB of packed supports (3,200
+    bytes per radar and epoch on its 160 x 160 grid, an eighth of the
+    boolean mask).
     """
 
     seed: int
     clouds: list[dict[int, PointCloud]] = field(default_factory=list)
-    clusters: list[dict[int, ClusterResult]] = field(default_factory=list)
+    starts: list[dict[int, GaussianMixture]] = field(default_factory=list)
     likelihoods: list[dict[int, tuple[GaussianMixture, np.ndarray]]] = field(default_factory=list)
 
-    def append(self, clouds: dict[int, PointCloud], clusters: dict[int, ClusterResult]) -> None:
+    def append(self, clouds: dict[int, PointCloud], starts: dict[int, GaussianMixture]) -> None:
         for k in clouds:
-            _freeze(clouds[k].points, clusters[k].labels)
+            _freeze(clouds[k].points)
+            _freeze_mixture(starts[k])
         self.clouds.append(clouds)
-        self.clusters.append(clusters)
+        self.starts.append(starts)
         self.likelihoods.append({})
 
 
 def _freeze(*arrays: np.ndarray) -> None:
     for array in arrays:
         array.flags.writeable = False
+
+
+def _freeze_mixture(mixture: GaussianMixture) -> None:
+    _freeze(mixture.weights, mixture.means, mixture.covs, mixture.counts)
 
 
 def _associate(
@@ -190,28 +207,31 @@ def _nearest_waypoint(cfg: ExperimentConfig, spec, center: np.ndarray) -> str:
 
 # --------------------------------------------------------------- mode steps
 #
-# Every step takes (cfg, epoch, clouds, clusters, priors, exchange,
-# recorded), where clouds, clusters and priors are per-radar dicts in
-# deployment order and ``recorded`` is the epoch's dict of recorded
-# likelihoods (without a sensing record, a fresh dict per epoch). It returns
-# (posterior grids, fresh supports, local densities). The fresh support is
-# each radar's thresholded likelihood, which ``reconstruct_scene`` unites
-# with the posterior's to seed the next prior. The local densities are the
-# ``grid_density`` of each radar's local-posterior mixture, which the KL
-# reference is compared against; only federation has them.
+# Every step takes (cfg, epoch, clouds, starts, features, priors, exchange,
+# recorded), where clouds, starts (each cloud's ``cloud_start``) and priors
+# are per-radar dicts in deployment order, ``features`` holds the
+# ``quad_features`` of the clouds sensed in this run (empty in a replaying
+# run, whose fits build their own), and ``recorded`` is the epoch's dict of
+# recorded likelihoods (without a sensing record, a fresh dict per epoch).
+# It returns (posterior grids, fresh supports, local densities). The fresh
+# support is each radar's thresholded likelihood, which ``reconstruct_scene``
+# unites with the posterior's to seed the next prior. The local densities
+# are the ``grid_density`` of each radar's local-posterior mixture, which
+# the KL reference is compared against; only federation has them.
 
 
-def _likelihood(cfg, k, clouds, clusters, recorded):
+def _likelihood(cfg, k, clouds, starts, features, recorded):
     """Radar k's likelihood grid, mixture and support. A likelihood in
     ``recorded`` is read back without its grid (None); else it is fitted,
     thresholded and recorded there, its support packed to bits."""
     if k in recorded:
         mixture, bits = recorded[k]
         return None, mixture, np.unpackbits(bits, count=cfg.grid.n_cells).view(bool).reshape(cfg.grid.ny, -1)
-    grid, mixture = likelihood_from_cloud(clouds[k], clusters[k], cfg.grid, cfg.fit)
+    grid, mixture = likelihood_from_cloud(clouds[k], starts[k], cfg.grid, cfg.fit, features.get(k))
     support = grid_support(grid, cfg.tau)
     bits = np.packbits(support)
-    _freeze(mixture.weights, mixture.means, mixture.covs, mixture.counts, bits)
+    _freeze(bits)
+    _freeze_mixture(mixture)
     recorded[k] = (mixture, bits)
     return grid, mixture, support
 
@@ -222,24 +242,24 @@ def _member_key(own, inbox):
     return tuple(sorted([own, *inbox], key=lambda msg: (msg.sender, msg.epoch)))
 
 
-def _isolated_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
+def _isolated_step(cfg, epoch, clouds, starts, features, priors, exchange, recorded):
     posteriors, supports = {}, {}
     for k in clouds:
-        grid, mixture, supports[k] = _likelihood(cfg, k, clouds, clusters, recorded)
+        grid, mixture, supports[k] = _likelihood(cfg, k, clouds, starts, features, recorded)
         if grid is None:  # read back: the product needs the grid
             grid = eval_on_grid(mixture, cfg.grid)
         posteriors[k] = bayes_product(grid, priors[k])
     return posteriors, supports, {}
 
 
-def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
+def _cooperation_step(cfg, epoch, clouds, starts, features, priors, exchange, recorded):
     outbox = {k: encode_coop(clouds[k], k, epoch) for k in clouds}
     inboxes = exchange(outbox)
-    # A sender's own message keeps its clustering: DBSCAN is idempotent on
-    # ``preprocess``'s output, because a noise point lies within eps of no
-    # core point, so dropping it changes no core degree or border anchor, and
-    # the filter keeps the input order.
-    members = {outbox[k]: (clouds[k], clusters[k]) for k in clouds}
+    # A sender's own message keeps the start of its clustering: DBSCAN is
+    # idempotent on ``preprocess``'s output, because a noise point lies within
+    # eps of no core point, so dropping it changes no core degree or border
+    # anchor, and the filter keeps the input order.
+    members = {outbox[k]: (clouds[k], starts[k]) for k in clouds}
     pooled, fused = {}, {}
     posteriors, supports = {}, {}
     for k in clouds:
@@ -248,7 +268,8 @@ def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
             for msg in key:
                 if msg not in members:
                     cloud = decode_coop(msg)
-                    members[msg] = cloud, dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts)
+                    clusters = dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts)
+                    members[msg] = cloud, cloud_start(cloud, clusters, cfg.fit)[0]
             grid, _ = pooled_likelihood([members[msg] for msg in key], cfg.grid, cfg.fit)
             pooled[key] = grid, grid_support(grid, cfg.tau)
         grid, supports[k] = pooled[key]
@@ -258,11 +279,11 @@ def _cooperation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
     return posteriors, supports, {}
 
 
-def _federation_step(cfg, epoch, clouds, clusters, priors, exchange, recorded):
+def _federation_step(cfg, epoch, clouds, starts, features, priors, exchange, recorded):
     local_mixtures, densities, supports = {}, {}, {}
     for k in clouds:
-        _, lik_mix, supports[k] = _likelihood(cfg, k, clouds, clusters, recorded)
-        local_mixtures[k] = refit_posterior_mixture(clouds[k], lik_mix, priors[k], cfg.fit)
+        _, lik_mix, supports[k] = _likelihood(cfg, k, clouds, starts, features, recorded)
+        local_mixtures[k] = refit_posterior_mixture(clouds[k], lik_mix, priors[k], cfg.fit, features.get(k))
         densities[k] = grid_density(local_mixtures[k], cfg.grid)
     outbox = {k: encode_fed(local_mixtures[k], k, epoch) for k in clouds}
     inboxes = exchange(outbox)
@@ -288,7 +309,7 @@ STEPS = {
 }
 
 
-def _kl_reference(cfg, clouds, clusters, posteriors, local_densities, ref_prev):
+def _kl_reference(cfg, clouds, starts, posteriors, local_densities, ref_prev):
     """Divergences of the federated and local posteriors from the pooled-cloud
     reference posterior of each radar's neighbourhood (the radar and its
     in-neighbours).
@@ -305,7 +326,7 @@ def _kl_reference(cfg, clouds, clusters, posteriors, local_densities, ref_prev):
     for k in clouds:
         ids = tuple(sorted({k, *cfg.topology.neighbors(k)}))
         if ids not in ref_grids:
-            lik_grid, lik_mix = pooled_likelihood([(clouds[i], clusters[i]) for i in ids], cfg.grid, cfg.fit)
+            lik_grid, lik_mix = pooled_likelihood([(clouds[i], starts[i]) for i in ids], cfg.grid, cfg.fit)
             no_support = np.zeros((cfg.grid.ny, cfg.grid.nx), dtype=bool)
             ref_prior = motion_prior(ref_prev.get(ids, no_support), cfg.prior_speed, cfg.dt, cfg.grid)
             member_pts = [clouds[i].points for i in ids if len(clouds[i])]
@@ -357,7 +378,8 @@ def run_experiment(
         raise ValueError(f"sensing record of {len(sensing.clouds)} epochs given to a run of {cfg.n_epochs}")
 
     step = STEPS[cfg.mode]
-    scene = initial_scene(cfg.targets, cfg.landmarks, scene_rng)
+    routes = target_routes(cfg.targets, cfg.landmarks)
+    scene = initial_scene(cfg.targets, routes, scene_rng)
     stats = LinkStats(update_period=cfg.update_period)
     # Deep enough for the most-delayed sender: nothing sent is dropped unseen.
     history = OutboxHistory(max(cfg.clock.offset_periods(k, cfg.dt) for k in radar_ids))
@@ -375,17 +397,18 @@ def run_experiment(
 
     try:
         for epoch in range(1, cfg.n_epochs + 1):
-            scene = advance_scene(scene, cfg.targets, cfg.landmarks, cfg.dt, scene_rng)
+            scene = advance_scene(scene, cfg.targets, routes, cfg.dt, scene_rng)
 
             if not replaying:
-                clouds, clusters = {}, {}
+                clouds, starts, features = {}, {}, {}
                 for k in radar_ids:
                     raw = observe(scene, setups[k].pose, setups[k].model, radar_rngs[k])
-                    clouds[k], clusters[k] = preprocess(raw, cfg.dbscan_eps, cfg.dbscan_min_pts)
+                    clouds[k], clusters = preprocess(raw, cfg.dbscan_eps, cfg.dbscan_min_pts)
+                    starts[k], features[k] = cloud_start(clouds[k], clusters, cfg.fit)
                 if sensing is not None:
-                    sensing.append(clouds, clusters)
+                    sensing.append(clouds, starts)
             else:
-                clouds, clusters = sensing.clouds[epoch - 1], sensing.clusters[epoch - 1]
+                clouds, starts, features = sensing.clouds[epoch - 1], sensing.starts[epoch - 1], {}
             recorded = sensing.likelihoods[epoch - 1] if sensing is not None else {}
             distinct = {id(support): support for support in prev_support.values()}
             prior_of = {i: motion_prior(s, cfg.prior_speed, cfg.dt, cfg.grid) for i, s in distinct.items()}
@@ -393,11 +416,12 @@ def run_experiment(
 
             tx_bits = {k: 0 for k in radar_ids}
             exchange = partial(_exchange, cfg, history, stats, link_rng, log_fh, epoch, tx_bits)
-            posteriors, fresh, local_densities = step(cfg, epoch, clouds, clusters, priors, exchange, recorded)
+            posteriors, fresh, local_densities = step(cfg, epoch, clouds, starts, features, priors, exchange,
+                                                      recorded)
             kl_fed: dict[int, float] = {}
             kl_local: dict[int, float] = {}
             if cfg.kl_reference and local_densities:
-                kl_fed, kl_local = _kl_reference(cfg, clouds, clusters, posteriors, local_densities, ref_prev)
+                kl_fed, kl_local = _kl_reference(cfg, clouds, starts, posteriors, local_densities, ref_prev)
 
             estimates: dict[int, np.ndarray] = {}
             matched: dict[int, dict[int, tuple[float, float] | None]] = {}

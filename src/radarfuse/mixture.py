@@ -15,10 +15,13 @@ A fit starts from a mixture. Cooperation's pooled likelihood starts from the
 members' cluster moments; federation's posterior refit, the mixture a radar
 broadcasts, starts from the radar's likelihood mixture.
 
-EM works on quadratic point features. A fit centres the points on their
-mean and builds the (10, n) features ``[1, x, y, z, x², y², z², xy, xz, yz]``
-once. Every component's log-density ``log β − ½(x−μ)'P(x−μ) − ½ log|2πΣ|``
-is linear in those features, with one (10,) coefficient row per component, so
+EM works on quadratic point features. ``quad_features`` centres the points
+on their mean and builds the (10, n) features ``[1, x, y, z, x², y², z², xy,
+xz, yz]``. A caller that fits the same points more than once (a cloud's
+cluster moments, its likelihood fit and its posterior refit) builds them once
+and hands them to ``cluster_moments`` and ``fit_em``. Every component's
+log-density ``log β − ½(x−μ)'P(x−μ) − ½ log|2πΣ|`` is linear in those
+features, with one (10,) coefficient row per component, so
 an E-step is one (m, 10) @ (10, n) product, and the M-step's weighted counts,
 first and second moments are one (m, n) @ (n, 10) product. Centring keeps the
 expanded quadratic forms free of cancellation between large terms. The
@@ -170,16 +173,18 @@ def cluster_moments(
     labels: np.ndarray,
     n_clusters: int,
     keep: int | None = None,
+    features: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cluster mean/covariance/count, optionally keeping the ``keep`` largest.
 
     Ties break toward the smaller cluster label; order is by label among the
     kept clusters, so the output is deterministic. Counts, sums and ``E[xx']``
-    come from one product of the label indicators with ``fit_em``'s features;
+    come from one product of the label indicators with the points'
+    ``quad_features`` (built here unless ``features`` passes them in);
     ``cov = E[xx'] − μμ'`` loses a few ulps of ``|μ − centre|²`` to
     cancellation, as in ``fit_em``'s M-step.
     """
-    feats, centre = _quad_features(points)
+    feats, centre = quad_features(points) if features is None else features
     moments = (labels == np.arange(n_clusters)[:, None]) @ feats.T  # (k, 10)
     order = np.argsort(-moments[:, 0], kind="stable")  # stable: ties keep the smaller label
     moments = moments[np.sort(order[:keep])]
@@ -191,7 +196,7 @@ def cluster_moments(
     return means + centre, covs, counts
 
 
-def _quad_features(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def quad_features(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (10, n) centred quadratic features of the points, and their centre."""
     centre = points.mean(axis=0)
     x, y, z = (points - centre).T
@@ -235,6 +240,7 @@ def fit_em(
     start: GaussianMixture,
     *,
     point_weights: np.ndarray | None = None,
+    features: tuple[np.ndarray, np.ndarray] | None = None,
     max_iters: int,
     tol: float,
     return_trace: bool = False,
@@ -245,12 +251,13 @@ def fit_em(
     n < m points) and begins at their means, floored covariances and
     weights, normalized to sum to 1; ``start.counts`` is not read. An empty
     start raises ValueError. ``point_weights`` gives weighted EM (used to
-    represent a posterior rather than a bare likelihood). The (weighted)
-    log-likelihood is nondecreasing over iterations; an iteration that
-    would decrease it (possible when the covariance floor engages) reverts
-    to the previous parameters and stops. Component point counts are
-    apportioned from the responsibilities so they sum exactly to the number
-    of points.
+    represent a posterior rather than a bare likelihood). ``features`` are
+    the points' ``quad_features`` when the caller has them already; the fit
+    is the same either way. The (weighted) log-likelihood is nondecreasing
+    over iterations; an iteration that would decrease it (possible when the
+    covariance floor engages) reverts to the previous parameters and stops.
+    Component point counts are apportioned from the responsibilities so
+    they sum exactly to the number of points.
 
     Each iteration is two small matrix products over the centred quadratic
     features (see the module docstring) and one ``eigh``: the E-step takes
@@ -293,7 +300,7 @@ def fit_em(
 
     # Work in coordinates centred on the points' mean, so the expanded
     # quadratic forms below cancel no large terms.
-    feats, centre = _quad_features(points)
+    feats, centre = quad_features(points) if features is None else features
     means = start.means[:m] - centre
 
     def e_step(beta, means, prec, logdet):

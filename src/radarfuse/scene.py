@@ -1,8 +1,10 @@
 """Ground-truth scene generation: targets moving along landmark routes.
 
 The scene at each epoch is a set of true 3D points scattered around the
-moving target centers. Advancing the scene depends only on the current
-scene state (memoryless), so a fixed seed reproduces a run exactly.
+moving target centers. Each target moves along its route, a polyline that
+``target_routes`` resolves from its waypoints once per run. Advancing the
+scene depends only on the current scene state and the routes (memoryless),
+so a fixed seed reproduces a run exactly.
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ def _scatter(spec: TargetSpec, center: np.ndarray, rng: np.random.Generator) -> 
     return mean + rng.standard_normal((spec.points_per_frame, 3)) * spec.body_extent
 
 
-def _routes(specs: Sequence[TargetSpec], landmarks: Mapping[str, np.ndarray]) -> list[tuple]:
-    """Each target's route: its (m, 2) polyline and cumulative segment lengths."""
+def target_routes(specs: Sequence[TargetSpec], landmarks: Mapping[str, np.ndarray]) -> list[tuple]:
+    """Each target's route, in ``specs`` order: its (m, 2) polyline and the
+    cumulative lengths of its segments."""
     polylines = [route_vertices(landmarks, spec.waypoints) for spec in specs]
     return [(vertices, _cumulative_lengths(vertices)) for vertices in polylines]
 
@@ -126,29 +129,29 @@ def _build_scene(
 
 def initial_scene(
     specs: Sequence[TargetSpec],
-    landmarks: Mapping[str, np.ndarray],
+    routes: Sequence[tuple[np.ndarray, np.ndarray]],
     rng: np.random.Generator,
 ) -> Scene:
-    """Scene at epoch 0: every target at its first waypoint."""
+    """Scene at epoch 0: every target at the start of its ``target_routes`` route."""
     progress = {spec.id: 0.0 for spec in specs}
-    return _build_scene(specs, _routes(specs, landmarks), progress, rng)
+    return _build_scene(specs, routes, progress, rng)
 
 
 def advance_scene(
     scene: Scene,
     specs: Sequence[TargetSpec],
-    landmarks: Mapping[str, np.ndarray],
+    routes: Sequence[tuple[np.ndarray, np.ndarray]],
     dt: float,
     rng: np.random.Generator,
 ) -> Scene:
-    """Advance every target by ``speed * dt`` along its route and re-scatter points.
+    """Advance every target by ``speed * dt`` along its ``target_routes``
+    route and re-scatter points.
 
     Targets clamp at their final landmark. Output depends only on the input
-    scene and the generator state.
+    scene, the routes and the generator state.
     """
     if dt <= 0:
         raise ConfigError("dt must be > 0")
-    routes = _routes(specs, landmarks)
     progress = {spec.id: min(scene.progress[spec.id] + spec.speed * dt, cum[-1])
                 for spec, (_, cum) in zip(specs, routes)}
     return _build_scene(specs, routes, progress, rng)

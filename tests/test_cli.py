@@ -145,6 +145,7 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data["clock"]["offsets"].update({"01": 0.0}), 'clock.offsets: key "01" must be a radar id'),
         (lambda data: data["clock"]["offsets"].update({" 2": 0.0}), 'clock.offsets: key " 2" must be a radar id'),
         (lambda data: data["clock"]["offsets"].update({"+3": 0.0}), 'clock.offsets: key "+3" must be a radar id'),
+        (lambda data: data["targets"][1].update(id=1), "duplicate target id 1"),
     ],
     ids=[
         "no-radars", "target-without-speed", "no-area", "offset-of-undeployed-radar",
@@ -162,6 +163,7 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         "negative-noise-sigma", "large-occlusion-attenuation", "negative-occlusion-attenuation",
         "zero-grid-resolution", "reversed-area", "negative-jitter", "repeated-top-level-key",
         "repeated-offset-key", "zero-padded-offset-key", "space-padded-offset-key", "plus-signed-offset-key",
+        "duplicate-target-id",
     ],
 )
 def test_run_rejects_bad_scenario_keys_in_one_line(tmp_path, capsys, edit, reason):

@@ -9,6 +9,7 @@ from radarfuse.fusion import (
     FitOptions,
     alpha_weights,
     bayes_product,
+    cloud_start,
     extract_targets,
     federated_posterior,
     grid_support,
@@ -22,12 +23,14 @@ from radarfuse.mixture import (
     DensityGrid,
     GaussianMixture,
     GridSpec,
+    cluster_moments,
     eval_on_grid,
+    fit_em,
     grid_density,
     normalized_density,
 )
 from radarfuse.sensor import PointCloud, dbscan
-from test_mixture import argmax_center
+from test_mixture import argmax_center, assert_same_mixture
 
 SPEC = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
 FIT = FitOptions()
@@ -51,9 +54,10 @@ def cloud_of(points):
     return PointCloud(np.asarray(points, dtype=float).reshape(-1, 3))
 
 
-def clustered_cloud(points, eps=0.3, min_pts=5):
+def started_cloud(points, eps=0.3, min_pts=5):
+    """The cloud of the points and its ``cloud_start`` after DBSCAN."""
     cloud = cloud_of(points)
-    return cloud, dbscan(cloud, eps, min_pts)
+    return cloud, cloud_start(cloud, dbscan(cloud, eps, min_pts), FIT)[0]
 
 
 def random_mixture(rng, m, xy_range, var_range):
@@ -86,8 +90,8 @@ def targets(grid, tau, min_separation):
 def test_single_cluster_likelihood_peaks_at_centroid():
     rng = np.random.default_rng(0)
     pts = rng.normal([3.0, 4.0, 1.0], 0.1, (100, 3))
-    cloud, clusters = clustered_cloud(pts)
-    grid, mix = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
+    cloud, start = started_cloud(pts)
+    grid, mix = likelihood_from_cloud(cloud, start, SPEC, FIT)
     assert mix.n_components == 1
     assert np.linalg.norm(argmax_center(grid) - pts[:, :2].mean(axis=0)) < 0.11
 
@@ -96,8 +100,8 @@ def test_two_cluster_likelihood_is_bimodal():
     rng = np.random.default_rng(1)
     a = rng.normal([2.0, 2.0, 1.0], 0.1, (80, 3))
     b = rng.normal([6.0, 6.0, 1.0], 0.1, (80, 3))
-    cloud, clusters = clustered_cloud(np.concatenate([a, b]))
-    grid, mix = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
+    cloud, start = started_cloud(np.concatenate([a, b]))
+    grid, mix = likelihood_from_cloud(cloud, start, SPEC, FIT)
     assert mix.n_components == 2
     est = targets(grid, 0.2, 0.5)
     assert len(est) == 2
@@ -107,10 +111,32 @@ def test_two_cluster_likelihood_is_bimodal():
 
 
 def test_empty_cloud_gives_uniform_likelihood():
-    cloud, clusters = clustered_cloud(np.empty((0, 3)))
-    grid, mix = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
+    cloud, start = started_cloud(np.empty((0, 3)))
+    grid, mix = likelihood_from_cloud(cloud, start, SPEC, FIT)
     assert mix.is_empty()
     assert np.allclose(grid.mass, 1.0 / SPEC.n_cells)
+
+
+def test_fits_from_a_clouds_start_and_features_equal_the_plain_fits():
+    # A cloud's start is its plain cluster moments weighted by size; its
+    # likelihood fit and posterior refit are the same with and without its
+    # prebuilt features, and equal to plain fit_em calls exactly.
+    rng = np.random.default_rng(7)
+    cloud = cloud_of(np.concatenate([rng.normal([2, 2, 1], 0.1, (70, 3)), rng.normal([6, 5, 1], 0.1, (50, 3))]))
+    clusters = dbscan(cloud, 0.3, 5)
+    start, features = cloud_start(cloud, clusters, FIT)
+    means, covs, counts = cluster_moments(cloud.points, clusters.labels, clusters.n_clusters, keep=2)
+    assert clusters.n_clusters == 2
+    assert_same_mixture(start, GaussianMixture(counts, means, covs, counts))
+    plain = fit_em(cloud.points, start, max_iters=FIT.max_iters, tol=FIT.tol)
+    prior = gaussian_posterior([2.1, 2.0], 0.5)
+    weights = prior.value_at(cloud.points[:, :2])
+    plain_refit = fit_em(cloud.points, plain, point_weights=weights, max_iters=FIT.max_iters, tol=FIT.tol)
+    for given in (None, features):
+        grid, mixture = likelihood_from_cloud(cloud, start, SPEC, FIT, given)
+        assert_same_mixture(mixture, plain)
+        assert np.array_equal(grid.mass, eval_on_grid(plain, SPEC).mass)
+        assert_same_mixture(refit_posterior_mixture(cloud, plain, prior, FIT, given), plain_refit)
 
 
 # ------------------------------------------------------------ motion prior
@@ -180,8 +206,20 @@ def support_masks(draw):
     return spec, mask
 
 
+# The grid of the converging scenario; SPEC is the default scenario's.
+CONVERGING_GRID = GridSpec(0.0, 8.0, 0.0, 8.0, 0.05)
+EDGE_AND_MIDDLE = [[0.01, 0.01], [4.0, 4.0], [7.99, 3.0], [2.0, 7.99]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(support_masks(), st.floats(0.0, 3.0), st.sampled_from([0.01, 0.05, 0.1]))
+# Each shipped scenario's own (speed, dt, resolution): sigma 1.28 cells
+# (radius 8) and 0.52 cells (radius 3).
+@example((CONVERGING_GRID, mask_at(EDGE_AND_MIDDLE, CONVERGING_GRID)), 2.2, 0.01)
+@example((SPEC, mask_at(EDGE_AND_MIDDLE)), 1.0, 0.01)
+# Sigma 0.47 cells has default's radius 3 but another kernel: a kernel kept
+# per radius instead of per sigma fails one of these two.
+@example((SPEC, mask_at(EDGE_AND_MIDDLE)), 0.5, 0.01)
 def test_windowed_prior_equals_full_grid_blur(spec_mask, speed, dt):
     # The full-grid blur is the oracle: the window must not move a single bit,
     # for masks on the grid's edges and corners and for the empty mask.
@@ -206,8 +244,8 @@ def test_prior_rejects_mask_of_wrong_shape():
 
 def test_flat_prior_returns_likelihood():
     rng = np.random.default_rng(3)
-    cloud, clusters = clustered_cloud(rng.normal([5, 3, 1], 0.1, (60, 3)))
-    lik_grid, lik_mix = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
+    cloud, start = started_cloud(rng.normal([5, 3, 1], 0.1, (60, 3)))
+    lik_grid, lik_mix = likelihood_from_cloud(cloud, start, SPEC, FIT)
     prior = DensityGrid.uniform(SPEC)
     grid = bayes_product(lik_grid, prior)
     assert np.max(np.abs(grid.mass - lik_grid.mass)) < 1e-12
@@ -218,9 +256,9 @@ def test_flat_prior_returns_likelihood():
 
 
 def test_flat_likelihood_returns_prior():
-    cloud, clusters = clustered_cloud(np.empty((0, 3)))
+    cloud, start = started_cloud(np.empty((0, 3)))
     prior = gaussian_posterior([3, 3], 0.3)
-    lik_grid, lik_mix = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
+    lik_grid, lik_mix = likelihood_from_cloud(cloud, start, SPEC, FIT)
     assert np.max(np.abs(bayes_product(lik_grid, prior).mass - prior.mass)) < 1e-12
     refit = refit_posterior_mixture(cloud, lik_mix, prior, FIT)
     assert refit.is_empty() and refit.total_points == 0
@@ -234,10 +272,10 @@ def test_prior_pulls_posterior_toward_truth():
     post_err, lik_err = [], []
     for _ in range(100):
         pts = rng.normal([*truth, 1.0], 0.5, (30, 3))
-        cloud, clusters = clustered_cloud(pts, eps=0.8, min_pts=3)
-        if clusters.n_clusters == 0:
+        cloud, start = started_cloud(pts, eps=0.8, min_pts=3)
+        if start.is_empty():
             continue
-        lik_grid, _ = likelihood_from_cloud(cloud, clusters, SPEC, FIT)
+        lik_grid, _ = likelihood_from_cloud(cloud, start, SPEC, FIT)
         post = bayes_product(lik_grid, prior)
         lik_err.append(np.linalg.norm(argmax_center(lik_grid) - truth))
         post_err.append(np.linalg.norm(argmax_center(post) - truth))
@@ -247,8 +285,8 @@ def test_prior_pulls_posterior_toward_truth():
 def test_coop_posterior_with_flat_prior_is_pooled_likelihood():
     rng = np.random.default_rng(5)
     ens = [
-        clustered_cloud(rng.normal([2, 2, 1], 0.1, (60, 3))),
-        clustered_cloud(rng.normal([6, 6, 1], 0.1, (60, 3))),
+        started_cloud(rng.normal([2, 2, 1], 0.1, (60, 3))),
+        started_cloud(rng.normal([6, 6, 1], 0.1, (60, 3))),
     ]
     lik_grid, mixture = pooled_likelihood(ens, SPEC, FIT)
     post = bayes_product(lik_grid, DensityGrid.uniform(SPEC))
@@ -260,7 +298,7 @@ def test_coop_posterior_with_flat_prior_is_pooled_likelihood():
 
 def test_coop_posterior_empty_ensemble_returns_prior():
     prior = gaussian_posterior([5, 5], 0.2)
-    ens = [clustered_cloud(np.empty((0, 3)))]
+    ens = [started_cloud(np.empty((0, 3)))]
     lik_grid, mixture = pooled_likelihood(ens, SPEC, FIT)
     assert mixture.is_empty()
     assert np.max(np.abs(bayes_product(lik_grid, prior).mass - prior.mass)) < 1e-12
@@ -269,8 +307,8 @@ def test_coop_posterior_empty_ensemble_returns_prior():
 def test_coop_posterior_merges_disjoint_views():
     # Two radars each seeing only one target still fuse to a bimodal scene.
     rng = np.random.default_rng(6)
-    radar1 = clustered_cloud(rng.normal([2, 2, 1], 0.1, (80, 3)))
-    radar2 = clustered_cloud(rng.normal([6, 6, 1], 0.1, (80, 3)))
+    radar1 = started_cloud(rng.normal([2, 2, 1], 0.1, (80, 3)))
+    radar2 = started_cloud(rng.normal([6, 6, 1], 0.1, (80, 3)))
     prior = DensityGrid.uniform(SPEC)
     lik_grid, mixture = pooled_likelihood([radar1, radar2], SPEC, FIT)
     post = bayes_product(lik_grid, prior)

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from radarfuse import harness
+from radarfuse import fusion, harness
 from radarfuse.fusion import FitOptions, alpha_weights, federated_posterior, grid_support
 from radarfuse.config import MODES, ConfigError, config_from_dict, load_config, resolve_scenario
 from radarfuse.harness import (
@@ -24,8 +24,11 @@ from radarfuse.harness import (
     run_sweep,
     unresolved_probability,
 )
-from radarfuse.mixture import eval_on_grid
+from radarfuse.mixture import GaussianMixture, choose_components, cluster_moments, eval_on_grid
+from radarfuse.sensor import dbscan
 from radarfuse.sidelink import Message, decode_coop, decode_fed, read_replay
+
+from test_mixture import assert_same_mixture
 
 SMALL = {
     "name": "small",
@@ -546,7 +549,7 @@ def test_runs_on_a_shared_record_match_separate_runs(case, order):
 def record_contents(sensing):
     """The objects a sensing record holds, by identity, epoch by epoch."""
     return [[{k: id(v) for k, v in held.items()} for held in epoch]
-            for epoch in zip(sensing.clouds, sensing.clusters, sensing.likelihoods)]
+            for epoch in zip(sensing.clouds, sensing.starts, sensing.likelihoods)]
 
 
 def test_a_run_longer_than_its_record_is_refused_before_its_first_epoch(monkeypatch):
@@ -574,12 +577,13 @@ def test_recorded_arrays_are_read_only():
     sensing = SensingRecord(0)
     cfg = small_config(mode="isolated", epochs=2)
     run_experiment(cfg, sensing=sensing)
-    cloud, clusters, (mixture, bits) = sensing.clouds[0][1], sensing.clusters[0][1], sensing.likelihoods[0][1]
-    assert len(cloud) and mixture.n_components
+    cloud, start, (mixture, bits) = sensing.clouds[0][1], sensing.starts[0][1], sensing.likelihoods[0][1]
+    assert len(cloud) and start.n_components and mixture.n_components
     # The support is packed to one bit per cell.
     support = grid_support(eval_on_grid(mixture, cfg.grid), cfg.tau)
     assert support.any() and np.array_equal(bits, np.packbits(support))
-    for array in (cloud.points, clusters.labels, mixture.means, mixture.covs, bits):
+    for array in (cloud.points, start.weights, start.means, start.covs, start.counts,
+                  mixture.weights, mixture.means, mixture.covs, mixture.counts, bits):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
@@ -630,6 +634,32 @@ def test_each_delivered_message_is_decoded_once(monkeypatch, mode, decoder, cloc
     run_experiment(small_config(mode=mode, epochs=6, kl_reference=False, clock=clock))
     clustered = delivered if mode == "cooperation" else 0
     assert calls == {"decode_coop": 0, "decode_fed": 0, decoder: delivered, "dbscan": clustered}
+
+
+@pytest.mark.parametrize("clock, decoded", [({"jitter_std": 0.0}, 0), ({"offsets": {"2": 0.010}}, 6 - 1),
+                                           ({"jitter_std": 0.002}, 6 * 6)], ids=["exact", "offset", "jitter"])
+def test_a_replaying_cooperation_run_computes_only_decoded_members_cluster_moments(monkeypatch, clock, decoded):
+    # Each recorded start is the plain cluster moments of its cloud (DBSCAN
+    # is idempotent on a preprocessed cloud), so a cooperation run that
+    # replays the record computes the moments of the clouds it decodes
+    # (see test_each_delivered_message_is_decoded_once) and of no other.
+    cfg = small_config(mode="isolated", epochs=6, kl_reference=False, clock=clock)
+    sensing = SensingRecord(0)
+    run_experiment(cfg, sensing=sensing)
+    for clouds, starts in zip(sensing.clouds, sensing.starts, strict=True):
+        for k, cloud in clouds.items():
+            clusters = dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts)
+            keep = choose_components(clusters, cfg.fit.m_max)
+            means, covs, counts = cluster_moments(cloud.points, clusters.labels, clusters.n_clusters, keep=keep)
+            assert_same_mixture(starts[k], GaussianMixture(counts, means, covs, counts))
+    calls = count_calls(monkeypatch, [(fusion, "cluster_moments"), (harness, "decode_coop")])
+    records, metrics = run_experiment(replace(cfg, mode="cooperation"), sensing=sensing)
+    assert calls == {"cluster_moments": decoded, "decode_coop": decoded}
+    monkeypatch.undo()
+    expected_records, expected_metrics = run_experiment(replace(cfg, mode="cooperation"))
+    for rec, expected in zip(records, expected_records, strict=True):
+        assert_same_fields(rec, expected)
+    assert_same_fields(metrics, expected_metrics)
 
 
 def capture_posteriors(monkeypatch, mode):

@@ -23,6 +23,7 @@ from radarfuse.mixture import (
     fit_em,
     kl_divergence,
     normalized_density,
+    quad_features,
 )
 from radarfuse.sensor import ClusterResult
 
@@ -430,6 +431,31 @@ def test_cluster_moments_match_per_cluster_reference(cloud):
         # few ulps of |mu - centre|^2 to cancellation.
         cancellation = 8 * np.finfo(float).eps * np.sum((ref_mu - centre) ** 2)
         assert np.linalg.norm(cov - ref_cov) <= 1e-12 * np.linalg.norm(ref_cov) + cancellation
+
+
+def assert_same_mixture(a, b):
+    for name in ("weights", "means", "covs", "counts"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@settings(deadline=None)
+@given(cloud=labelled_clouds(), weights=st.one_of(st.none(), st.floats(0.01, 10.0)))
+def test_prebuilt_features_change_no_bit(cloud, weights):
+    # The moments and the fit from a cloud's prebuilt features equal the
+    # plain calls exactly: parameters, counts and the likelihood trace, with
+    # and without point weights.
+    points, labels, k, keep = cloud
+    features = quad_features(points)
+    plain = cluster_moments(points, labels, k, keep=keep)
+    given_features = cluster_moments(points, labels, k, keep=keep, features=features)
+    assert all(np.array_equal(a, b) for a, b in zip(plain, given_features, strict=True))
+    means, covs, counts = plain
+    start = GaussianMixture(counts, means, covs, counts)
+    point_weights = None if weights is None else np.linspace(weights, 1.0, len(points))
+    fit, trace = fit_em(points, start, point_weights=point_weights, return_trace=True, **EM)
+    same, same_trace = fit_em(points, start, point_weights=point_weights, features=features, return_trace=True, **EM)
+    assert_same_mixture(fit, same)
+    assert trace == same_trace
 
 
 # ----------------------------------------------------------- eval_on_grid

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from radarfuse import scene as scene_module
+from radarfuse.config import load_config
+from radarfuse.harness import run_experiment
 from radarfuse.scene import (
     ConfigError,
     TargetSpec,
     advance_scene,
     initial_scene,
+    target_routes,
 )
 
 LANDMARKS = {
@@ -31,10 +34,11 @@ def make_spec(**kw):
 def route_centers(spec, dt, n_steps):
     """Target centers at epochs 0..n_steps, as the runner advances the scene."""
     rng = np.random.default_rng(0)
-    scene = initial_scene([spec], LANDMARKS, rng)
+    routes = target_routes([spec], LANDMARKS)
+    scene = initial_scene([spec], routes, rng)
     centers = [scene.centers[spec.id]]
     for _ in range(n_steps):
-        scene = advance_scene(scene, [spec], LANDMARKS, dt, rng)
+        scene = advance_scene(scene, [spec], routes, dt, rng)
         centers.append(scene.centers[spec.id])
     return np.array(centers)
 
@@ -62,18 +66,14 @@ def test_arc_length_parameterization():
 
 
 def test_unknown_label_raises():
-    spec = make_spec(waypoints=("A", "Z"))
-    with pytest.raises(ConfigError):
-        initial_scene([spec], LANDMARKS, np.random.default_rng(0))
-    scene = initial_scene([make_spec()], LANDMARKS, np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        advance_scene(scene, [spec], LANDMARKS, 0.1, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="unknown landmark label 'Z'"):
+        target_routes([make_spec(), make_spec(id=2, waypoints=("A", "Z"))], LANDMARKS)
 
 
 def test_empty_scene_advances():
     rng = np.random.default_rng(0)
-    scene = initial_scene([], LANDMARKS, rng)
-    nxt = advance_scene(scene, [], LANDMARKS, 0.01, rng)
+    scene = initial_scene([], [], rng)
+    nxt = advance_scene(scene, [], [], 0.01, rng)
     assert nxt.centers == {} and len(nxt.target_ids) == 0
     assert len(nxt.points) == 0
 
@@ -81,8 +81,9 @@ def test_empty_scene_advances():
 def test_degenerate_extent_pins_points_to_center():
     spec = make_spec(body_extent=np.array([1e-12, 1e-12, 1e-12]), center_height=0.9)
     rng = np.random.default_rng(1)
-    scene = initial_scene([spec], LANDMARKS, rng)
-    nxt = advance_scene(scene, [spec], LANDMARKS, 0.01, rng)
+    routes = target_routes([spec], LANDMARKS)
+    scene = initial_scene([spec], routes, rng)
+    nxt = advance_scene(scene, [spec], routes, 0.01, rng)
     center = np.array([*nxt.centers[1], 0.9])
     assert np.all(np.abs(nxt.points - center) < 1e-9)
 
@@ -92,8 +93,9 @@ def test_sample_mean_matches_center():
     extent = np.array([0.2, 0.2, 0.5])
     spec = make_spec(points_per_frame=1000, body_extent=extent)
     rng = np.random.default_rng(2)
-    scene = initial_scene([spec], LANDMARKS, rng)
-    scene = advance_scene(scene, [spec], LANDMARKS, 0.01, rng)
+    routes = target_routes([spec], LANDMARKS)
+    scene = initial_scene([spec], routes, rng)
+    scene = advance_scene(scene, [spec], routes, 0.01, rng)
     center = np.array([*scene.centers[1], spec.center_height])
     mean = scene.points.mean(axis=0)
     assert np.all(np.abs(mean - center) <= 3.0 * extent / np.sqrt(1000))
@@ -101,31 +103,39 @@ def test_sample_mean_matches_center():
 
 def test_advancing_is_markovian():
     spec = make_spec()
-    scene = initial_scene([spec], LANDMARKS, np.random.default_rng(3))
-    a = advance_scene(scene, [spec], LANDMARKS, 0.01, np.random.default_rng(7))
-    b = advance_scene(scene, [spec], LANDMARKS, 0.01, np.random.default_rng(7))
+    routes = target_routes([spec], LANDMARKS)
+    scene = initial_scene([spec], routes, np.random.default_rng(3))
+    a = advance_scene(scene, [spec], routes, 0.01, np.random.default_rng(7))
+    b = advance_scene(scene, [spec], routes, 0.01, np.random.default_rng(7))
     assert np.array_equal(a.points, b.points)
     assert a.progress == b.progress
 
 
 def test_advance_resolves_each_route_once(monkeypatch):
+    # The routes are resolved once, before the first scene; advancing
+    # resolves none, and a run resolves them once.
     specs = [make_spec(), make_spec(id=2, waypoints=("A", "B", "C"))]
-    scene = initial_scene(specs, LANDMARKS, np.random.default_rng(5))
     calls = []
     cumulative_lengths = scene_module._cumulative_lengths
     monkeypatch.setattr(scene_module, "_cumulative_lengths", lambda v: calls.append(len(v)) or cumulative_lengths(v))
+    routes = target_routes(specs, LANDMARKS)
+    scene = initial_scene(specs, routes, np.random.default_rng(5))
     for _ in range(3):
-        scene = advance_scene(scene, specs, LANDMARKS, 0.01, np.random.default_rng(6))
-    assert calls == [2, 3] * 3
+        scene = advance_scene(scene, specs, routes, 0.01, np.random.default_rng(6))
+    assert calls == [2, 3]
+    calls.clear()
+    run_experiment(load_config("converging", mode="isolated", epochs=5, seed=1))
+    assert calls == [2, 2]
 
 
 def test_speed_bound_on_centers():
     spec = make_spec(waypoints=("A", "B", "C"), speed=1.3)
     rng = np.random.default_rng(4)
-    scene = initial_scene([spec], LANDMARKS, rng)
+    routes = target_routes([spec], LANDMARKS)
+    scene = initial_scene([spec], routes, rng)
     dt = 0.05
     for _ in range(200):
-        nxt = advance_scene(scene, [spec], LANDMARKS, dt, rng)
+        nxt = advance_scene(scene, [spec], routes, dt, rng)
         step = np.linalg.norm(nxt.centers[1] - scene.centers[1])
         assert step <= spec.speed * dt + 1e-9
         scene = nxt
@@ -138,10 +148,11 @@ def test_seeded_runs_are_identical():
 
     def run(seed):
         rng = np.random.default_rng(seed)
-        scene = initial_scene([spec], LANDMARKS, rng)
+        routes = target_routes([spec], LANDMARKS)
+        scene = initial_scene([spec], routes, rng)
         out = []
         for _ in range(10):
-            scene = advance_scene(scene, [spec], LANDMARKS, 0.01, rng)
+            scene = advance_scene(scene, [spec], routes, 0.01, rng)
             out.append(scene.points.copy())
         return out
 

@@ -13,8 +13,17 @@ change first in odd pairs, so drift on the machine falls on both sides.
 
 The JSON written to ``--out`` holds every run's result and, per workload
 and end-to-end metric, the median and quartiles of each side, the relative
-change of the medians and the number of pairs the change won (a strictly
-better value in that pair, by the metric's direction in ``BENCHMARK.json``).
+change of the medians, the number of pairs the change won (a strictly
+better value in that pair, by the metric's direction in ``BENCHMARK.json``)
+and a verdict, which is also printed:
+
+* ``gain``: the change won at least 9 in 10 of the pairs, and its median
+  is better than the parent's by more than the parent's interquartile
+  range;
+* ``worse than bound``: the change's median is worse than the parent's by
+  more than the metric's relative bound in ``BENCHMARK.json``;
+* ``no change`` otherwise.
+
 It also records the machine, the library versions and the ``src/`` line
 count of both trees. The exit status is 1 unless every run ended
 ``correct`` with 0 failed operations.
@@ -58,8 +67,22 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
-    """Per workload and metric: both sides' spread, the median change and the pairs won."""
+def verdict(stats: dict, better: str, bound: float | None) -> str:
+    """``gain``, ``worse than bound`` or ``no change`` for one metric's
+    ``summarize`` entry (see the module docstring); ``better`` is ``lower``
+    or ``higher``, and ``bound`` is relative (None: no bound)."""
+    sign = -1.0 if better == "lower" else 1.0
+    parent, change = stats["parent"], stats["change"]
+    gained = sign * (change["median"] - parent["median"])
+    if 10 * stats["pairs_won"] >= 9 * stats["pairs"] and gained > parent["q3"] - parent["q1"]:
+        return "gain"
+    if bound is not None and stats["median_change"] is not None and sign * stats["median_change"] < -bound:
+        return "worse than bound"
+    return "no change"
+
+
+def summarize(runs: list[dict], directions: dict[str, str], bounds: dict[str, float]) -> dict:
+    """Per workload and metric: both sides' spread, the median change, the pairs won and the verdict."""
     summary: dict[str, dict] = {}
     for workload, metrics in runs[0]["change"]["metrics"].items():
         for metric in metrics:
@@ -70,13 +93,15 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
                 continue
             sign = -1.0 if directions.get(metric, "lower") == "lower" else 1.0
             parent, change = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
-            summary.setdefault(workload, {})[metric] = {
+            stats = {
                 "parent": parent,
                 "change": change,
                 "median_change": change["median"] / parent["median"] - 1.0 if parent["median"] else None,
                 "pairs_won": sum(sign * (c - p) > 0 for p, c in pairs),
                 "pairs": len(pairs),
             }
+            stats["verdict"] = verdict(stats, directions.get(metric, "lower"), bounds.get(metric))
+            summary.setdefault(workload, {})[metric] = stats
     return summary
 
 
@@ -113,6 +138,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((CHANGE / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     ok = all(r[side]["correct"] and r[side]["failed"] == 0 for r in runs for side in SIDES)
     result = {
         "command": {"pairs": args.pairs, "seconds": args.seconds, "seeds": seeds, "workload": args.workload},
@@ -120,7 +146,7 @@ def main(argv=None) -> int:
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": version("numpy"), "scipy": version("scipy")},
         "all_correct": ok,
-        "summary": summarize(runs, directions) if runs else {},
+        "summary": summarize(runs, directions, bounds) if runs else {},
         "runs": runs,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
@@ -128,7 +154,7 @@ def main(argv=None) -> int:
         for metric, s in metrics.items():
             change = "" if s["median_change"] is None else f" ({100 * s['median_change']:+.1f}%)"
             print(f"{workload} {metric}: {s['parent']['median']:.4g} -> {s['change']['median']:.4g}{change}, "
-                  f"won {s['pairs_won']}/{s['pairs']}")
+                  f"won {s['pairs_won']}/{s['pairs']}: {s['verdict']}")
     return 0 if ok else 1
 
 
