@@ -17,9 +17,13 @@ decode the delivered payloads. The runner keeps the epoch loop, the link
 and the records: it thresholds each posterior grid once into its support,
 extracts target estimates within it, and ``reconstruct_scene`` unites it
 with the step's fresh likelihood support into the radar's next support.
-In federation mode an observer can additionally run a pooled-cloud
-reference posterior per neighbourhood to sample divergences against; it
-never touches the sidelink accounting.
+Each posterior's estimates are matched to the true target centres with
+the least total distance by ``_assign``, a port of scipy's
+``linear_sum_assignment`` that makes the same choices, ties included, so
+the package needs no ``scipy.optimize``. In federation mode an observer
+can additionally run a pooled-cloud reference posterior per neighbourhood
+to sample divergences against; it builds each pool's ``quad_features``
+once for both of its fits and never touches the sidelink accounting.
 
 Per-epoch work is done once per distinct input object. An outbox message
 is never decoded (its sender's cloud and clustering, or local posterior and
@@ -52,13 +56,13 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .config import ExperimentConfig
 from .fusion import (
@@ -74,7 +78,7 @@ from .fusion import (
     reconstruct_scene,
     refit_posterior_mixture,
 )
-from .mixture import GaussianMixture, eval_on_grid, grid_density, kl_divergence, normalized_density
+from .mixture import GaussianMixture, eval_on_grid, grid_density, kl_divergence, normalized_density, quad_features
 from .scene import advance_scene, initial_scene, target_routes
 from .sensor import PointCloud, dbscan, observe, preprocess
 from .sidelink import (
@@ -194,10 +198,74 @@ def _associate(
         return matched
     centers = np.array([truth[t] for t in tids])
     cost = np.linalg.norm(centers[:, None, :] - positions[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    for i, j in zip(rows, cols):
+    for i, j in zip(*_assign(cost.tolist())):
         matched[tids[i]] = (float(positions[j, 0]), float(positions[j, 1]))
     return matched
+
+
+def _assign(cost: list[list[float]]) -> tuple[list[int], list[int]]:
+    """Minimum-cost assignment on a finite cost matrix given as rows of floats:
+    the matched rows, in increasing order, and their columns.
+
+    A step-for-step port of scipy's ``linear_sum_assignment`` (``_lsap.c``:
+    Crouse's shortest augmenting path without initialization), so it returns
+    the same pairs, ties included. The unscanned columns are listed in
+    reverse, so a constant matrix gives the identity; a tie in path cost goes
+    to an unassigned column; a matrix with more rows than columns is solved
+    transposed and its pairs sorted by row.
+    """
+    if not cost or not cost[0]:
+        return [], []
+    transpose = len(cost[0]) < len(cost)
+    if transpose:
+        cost = [list(column) for column in zip(*cost)]
+    nr, nc = len(cost), len(cost[0])
+    u, v = [0.0] * nr, [0.0] * nc
+    col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
+    for cur in range(nr):
+        # Shortest augmenting path from row ``cur`` to an unassigned column.
+        costs = [math.inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        scanned_rows, scanned_cols = [], []
+        i, sink, min_val = cur, -1, 0.0
+        while sink == -1:
+            scanned_rows.append(i)
+            index, lowest = -1, math.inf
+            row, ui = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < costs[j]:
+                    path[j] = i
+                    costs[j] = r
+                if costs[j] < lowest or (costs[j] == lowest and row4col[j] == -1):
+                    lowest = costs[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            scanned_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # Dual update, then flip the path's assignments.
+        u[cur] += min_val
+        for i in scanned_rows[1:]:
+            u[i] += min_val - costs[col4row[i]]
+        for j in scanned_cols:
+            v[j] -= min_val - costs[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        pairs = sorted((r, c) for c, r in enumerate(col4row))
+        return [r for r, _ in pairs], [c for _, c in pairs]
+    return list(range(nr)), col4row
 
 
 def _nearest_waypoint(cfg: ExperimentConfig, spec, center: np.ndarray) -> str:
@@ -326,12 +394,14 @@ def _kl_reference(cfg, clouds, starts, posteriors, local_densities, ref_prev):
     for k in clouds:
         ids = tuple(sorted({k, *cfg.topology.neighbors(k)}))
         if ids not in ref_grids:
-            lik_grid, lik_mix = pooled_likelihood([(clouds[i], starts[i]) for i in ids], cfg.grid, cfg.fit)
+            member_pts = [clouds[i].points for i in ids if not starts[i].is_empty()]
+            pool = np.concatenate(member_pts) if member_pts else np.empty((0, 3))
+            features = quad_features(pool) if member_pts else None
+            lik_grid, lik_mix = pooled_likelihood([(clouds[i], starts[i]) for i in ids], cfg.grid, cfg.fit,
+                                                  features)
             no_support = np.zeros((cfg.grid.ny, cfg.grid.nx), dtype=bool)
             ref_prior = motion_prior(ref_prev.get(ids, no_support), cfg.prior_speed, cfg.dt, cfg.grid)
-            member_pts = [clouds[i].points for i in ids if len(clouds[i])]
-            pool = np.concatenate(member_pts) if member_pts else np.empty((0, 3))
-            ref_mix = refit_posterior_mixture(PointCloud(pool), lik_mix, ref_prior, cfg.fit)
+            ref_mix = refit_posterior_mixture(PointCloud(pool), lik_mix, ref_prior, cfg.fit, features)
             ref_grids[ids] = eval_on_grid(ref_mix, cfg.grid)
             ref_prev[ids] = reconstruct_scene(grid_support(ref_grids[ids], cfg.tau), grid_support(lik_grid, cfg.tau))
         if (ids, id(posteriors[k])) not in kl_of:

@@ -10,6 +10,7 @@ so a fixed seed reproduces a run exactly.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -39,15 +40,18 @@ class TargetSpec:
     center_height: float = 1.0  # z of the scatter center, meters
 
     def __post_init__(self):
+        # Written so that NaN and +-inf fail each comparison.
         extent = np.asarray(self.body_extent, dtype=float)
-        if extent.shape != (3,) or not np.all(extent > 0):
-            raise ConfigError(f"target {self.id}: body_extent must be 3 positive std devs")
+        if extent.shape != (3,) or not np.all((extent > 0) & (extent < np.inf)):
+            raise ConfigError(f"target {self.id}: body_extent must be 3 positive finite std devs")
         object.__setattr__(self, "body_extent", extent)
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
-        if self.speed < 0:
-            raise ConfigError(f"target {self.id}: speed must be >= 0")
-        if self.points_per_frame < 1:
-            raise ConfigError(f"target {self.id}: points_per_frame must be >= 1")
+        if not 0 <= self.speed < math.inf:
+            raise ConfigError(f"target {self.id}: speed must be >= 0 and finite")
+        if not 1 <= self.points_per_frame < math.inf:
+            raise ConfigError(f"target {self.id}: points_per_frame must be >= 1 and finite")
+        if not math.isfinite(self.center_height):
+            raise ConfigError(f"target {self.id}: center_height must be finite")
         if not self.waypoints:
             raise ConfigError(f"target {self.id}: needs at least one waypoint")
 

@@ -75,13 +75,13 @@ class RadarModel:
     occlusion_attenuation: float = 0.1
 
     def __post_init__(self):
-        # Written so that NaN fails each comparison.
+        # Written so that NaN and +-inf fail each comparison.
         for name in ("fov_azimuth", "max_range", "detection_range_ref", "occlusion_width"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
         for name in ("noise_sigma", "outlier_rate"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
         if not 0 <= self.occlusion_attenuation <= 1:
             raise ValueError("occlusion_attenuation must be in [0, 1]")
 

@@ -128,11 +128,11 @@ def test_run_rejects_bad_radar_keys_in_one_line(tmp_path, capsys, edit, reason):
         (lambda data: data["mixture"].update(em_max_iters=-1), "mixture: em_max_iters must be >= 0"),
         (lambda data: data["mixture"].update(em_tol=-1.0), "mixture: em_tol must be >= 0 and finite"),
         (lambda data: data["radars"][1].setdefault("model", {}).update(max_range=-1),
-         "radar 2: model: max_range must be > 0"),
+         "radar 2: model: max_range must be > 0 and finite"),
         (lambda data: data["radars"][1].setdefault("model", {}).update(fov_azimuth_deg=0),
-         "radar 2: model: fov_azimuth must be > 0"),
+         "radar 2: model: fov_azimuth must be > 0 and finite"),
         (lambda data: data["radars"][1].setdefault("model", {}).update(noise_sigma=-0.1),
-         "radar 2: model: noise_sigma must be >= 0"),
+         "radar 2: model: noise_sigma must be >= 0 and finite"),
         (lambda data: data["radars"][1].setdefault("model", {}).update(occlusion_attenuation=5.0),
          "radar 2: model: occlusion_attenuation must be in [0, 1]"),
         (lambda data: data["radars"][1].setdefault("model", {}).update(occlusion_attenuation=-2.0),

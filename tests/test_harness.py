@@ -1,14 +1,20 @@
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from radarfuse import fusion, harness
+from radarfuse import fusion, harness, mixture
 from radarfuse.fusion import FitOptions, alpha_weights, federated_posterior, grid_support
 from radarfuse.config import MODES, ConfigError, config_from_dict, load_config, resolve_scenario
 from radarfuse.harness import (
@@ -323,6 +329,36 @@ def test_kl_study_summaries():
     med = study["fed_pooled"]["median"]
     dec = study["fed_pooled"]["deciles"]
     assert dec[0] <= med <= dec[-1]
+
+
+@st.composite
+def cost_matrices(draw):
+    """0-6 x 0-6 cost matrices, of real costs or of small integers (ties)."""
+    ny, nx = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    values = draw(st.sampled_from([st.floats(-10.0, 10.0), st.integers(0, 2).map(float)]))
+    return np.array(draw(st.lists(values, min_size=ny * nx, max_size=ny * nx))).reshape(ny, nx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost_matrices())
+@example(np.full((4, 4), 1.0))
+@example(np.full((3, 5), 2.0))
+def test_assignment_matches_scipy(cost):
+    # scipy is the oracle, ties included: a constant matrix is matched to
+    # the identity, and a tall matrix (the transpose) to the same pairs.
+    for matrix in (cost, cost.T):
+        rows, cols = linear_sum_assignment(matrix)
+        got_rows, got_cols = harness._assign(matrix.tolist())
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
+
+
+def test_importing_the_package_loads_no_scipy_optimize():
+    # A fresh interpreter: the oracle test above loads scipy.optimize here.
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, radarfuse, radarfuse.cli; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 # ------------------------------------------------------------------- csv
@@ -660,6 +696,20 @@ def test_a_replaying_cooperation_run_computes_only_decoded_members_cluster_momen
     for rec, expected in zip(records, expected_records, strict=True):
         assert_same_fields(rec, expected)
     assert_same_fields(metrics, expected_metrics)
+
+
+def test_the_kl_reference_builds_each_pools_features_once(monkeypatch):
+    # Default federation, one neighbourhood: per epoch, cloud_start builds
+    # each radar's cloud features and the reference builds the pool's once
+    # for both of its fits.
+    built = []
+    for module in (mixture, fusion, harness):
+        def counted(points, _original=module.quad_features):
+            built.append(points.tobytes())
+            return _original(points)
+        monkeypatch.setattr(module, "quad_features", counted)
+    run_experiment(load_config("default", mode="federation", epochs=20, seed=3, kl_reference=True))
+    assert (len(built), len(set(built))) == (20 * (3 + 1), 20 * (3 + 1))
 
 
 def capture_posteriors(monkeypatch, mode):

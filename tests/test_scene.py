@@ -161,11 +161,13 @@ def test_seeded_runs_are_identical():
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
-        make_spec(speed=-1.0)
-    with pytest.raises(ConfigError):
-        make_spec(points_per_frame=0)
-    with pytest.raises(ConfigError):
-        make_spec(body_extent=np.array([0.1, -0.1, 0.1]))
-    with pytest.raises(ConfigError):
-        make_spec(waypoints=())
+    # NaN and +-inf are refused as the loader refuses them: a NaN speed would
+    # fail at the first epoch, and a NaN height or an infinite extent would
+    # silently lose the target.
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"speed": -1.0}, {"speed": nan}, {"speed": inf}, {"points_per_frame": 0},
+                {"body_extent": np.array([0.1, -0.1, 0.1])}, {"body_extent": np.array([0.1, inf, 0.1])},
+                {"body_extent": np.array([0.1, 0.1, nan])}, {"center_height": nan}, {"center_height": -inf},
+                {"waypoints": ()}):
+        with pytest.raises(ConfigError):
+            make_spec(**bad)

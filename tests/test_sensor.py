@@ -75,6 +75,16 @@ def test_model_refuses_an_occlusion_attenuation_outside_zero_to_one(value):
         RadarModel(occlusion_attenuation=bound)
 
 
+@pytest.mark.parametrize("key", ["fov_azimuth", "max_range", "detection_range_ref", "occlusion_width",
+                                 "noise_sigma", "outlier_rate"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_model_refuses_a_negative_or_non_finite_number(key, value):
+    # An infinite noise, range, outlier rate or field of view would fail
+    # inside the k-d tree or the RNG, mid-run.
+    with pytest.raises(ValueError, match=f"{key} must be >=? 0 and finite"):
+        RadarModel(**{key: value})
+
+
 def test_noiseless_boresight_point_is_identity():
     pose = RadarPose(np.zeros(3), 0.0)
     scene = make_scene([[2.0, 0.0, 0.0]])

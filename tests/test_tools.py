@@ -56,3 +56,13 @@ def test_summarize_records_a_verdict_per_metric(bench_pairs):
                                     {"epochs_per_s": 0.25, "peak_rss_mb": 0.1})
     assert summary["w"]["epochs_per_s"]["verdict"] == "gain"
     assert summary["w"]["peak_rss_mb"]["verdict"] == "worse than bound"
+
+
+def test_summarize_skips_a_failed_run_but_not_the_others(bench_pairs):
+    runs = [{"parent": {"metrics": {"w": {"peak_rss_mb": 100.0 + i % 3}}},
+             "change": {"metrics": {"w": {"peak_rss_mb": 80.0 + i % 3}}}}
+            for i in range(11)]
+    runs[0]["change"]["metrics"] = {}  # the first run failed
+    summary = bench_pairs.summarize(runs, {"peak_rss_mb": "lower"}, {"peak_rss_mb": 0.1})
+    assert summary["w"]["peak_rss_mb"]["pairs"] == 10
+    assert summary["w"]["peak_rss_mb"]["verdict"] == "gain"

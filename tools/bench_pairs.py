@@ -82,13 +82,18 @@ def verdict(stats: dict, better: str, bound: float | None) -> str:
 
 
 def summarize(runs: list[dict], directions: dict[str, str], bounds: dict[str, float]) -> dict:
-    """Per workload and metric: both sides' spread, the median change, the pairs won and the verdict."""
+    """Per workload and metric: both sides' spread, the median change, the pairs won and the verdict,
+    over the pairs in which both runs read the metric. A failed run reads none."""
+    names: dict[str, dict[str, None]] = {}  # workload -> metric names, in the order first seen
+    for run in runs:
+        for side in SIDES:
+            for workload, metrics in run[side]["metrics"].items():
+                names.setdefault(workload, {}).update(dict.fromkeys(metrics))
     summary: dict[str, dict] = {}
-    for workload, metrics in runs[0]["change"]["metrics"].items():
+    for workload, metrics in names.items():
         for metric in metrics:
-            pairs = [(r["parent"]["metrics"].get(workload, {}).get(metric), r["change"]["metrics"][workload][metric])
-                     for r in runs if workload in r["change"]["metrics"]]
-            pairs = [(p, c) for p, c in pairs if p is not None]
+            pairs = [tuple(r[side]["metrics"].get(workload, {}).get(metric) for side in SIDES) for r in runs]
+            pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
             if not pairs:
                 continue
             sign = -1.0 if directions.get(metric, "lower") == "lower" else 1.0
