@@ -323,6 +323,32 @@ def test_em_reverts_an_m_step_that_lowers_the_log_likelihood(monkeypatch):
         assert np.array_equal(getattr(mix, name), getattr(good, name)), name
 
 
+def test_a_capped_fit_reverts_its_last_m_step_if_it_lowers_the_log_likelihood(monkeypatch):
+    # The same overshoot as above, on the second and last M-step of a fit
+    # capped at two iterations: the loop ends there, and the fit must still
+    # return the one-iteration fit.
+    rng = np.random.default_rng(9)
+    pts = np.concatenate([rng.normal([1, 1, 1], 0.2, (60, 3)), rng.normal([3, 1, 1], 0.3, (40, 3))])
+    init = np.array([[1.5, 1.2, 1.0], [2.5, 0.8, 1.0]])
+    good = fit_em(pts, em_start(pts, init), max_iters=1, tol=EM["tol"])
+
+    floor_eigh = mixture._floor_eigh
+    m_steps = []
+
+    def overshooting(covs, floor, each=False):
+        if not each:
+            m_steps.append(covs)
+            if len(m_steps) == 2:
+                covs = 100.0 * covs
+        return floor_eigh(covs, floor, each)
+
+    monkeypatch.setattr(mixture, "_floor_eigh", overshooting)
+    mix, trace = fit_em(pts, em_start(pts, init), max_iters=2, tol=EM["tol"], return_trace=True)
+    assert len(m_steps) == 2 and len(trace) == 2
+    for name in ("weights", "means", "covs", "counts"):
+        assert np.array_equal(getattr(mix, name), getattr(good, name)), name
+
+
 def test_mixture_arrays_must_agree_in_shape():
     mix = GaussianMixture([0.25, 0.75], np.zeros((2, 3)), [iso_cov(1.0)] * 2, [3, 4])
     assert mix.n_components == 2 and mix.total_points == 7 and mix.counts.dtype.kind == "i"

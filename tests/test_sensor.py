@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from radarfuse import config
-from radarfuse.scene import Scene
+from radarfuse.scene import Scene, advance_scene, initial_scene, target_routes
 from radarfuse.sensor import (
     OUTLIER,
     PointCloud,
@@ -310,6 +310,28 @@ def test_dbscan_matches_brute_force_oracle(case):
     expected, n_clusters = brute_force_dbscan(points, eps, min_pts)
     assert res.n_clusters == n_clusters
     assert list(res.labels) == expected
+
+
+def test_dbscan_matches_brute_force_oracle_on_shipped_clouds():
+    # The raw clouds of the default scenario (about 540 points: two dense
+    # bodies and outliers) fill a k-d tree with many nodes, so its whole
+    # node-pair shortcut runs, which the small oracle clouds above rarely reach.
+    cfg = config.load_config("default")
+    routes = target_routes(cfg.targets, cfg.landmarks)
+    rng = np.random.default_rng(3)
+    scene = initial_scene(cfg.targets, routes, rng)
+    radar_at = {1: cfg.radars[1], 30: cfg.radars[2]}
+    for epoch in range(1, 31):
+        scene = advance_scene(scene, cfg.targets, routes, cfg.dt, rng)
+        if epoch not in radar_at:
+            continue
+        radar = radar_at[epoch]
+        points = observe(scene, radar.pose, radar.model, rng).points
+        assert len(points) > 500
+        res = dbscan(cloud_of(points), cfg.dbscan_eps, cfg.dbscan_min_pts)
+        expected, n_clusters = brute_force_dbscan(points, cfg.dbscan_eps, cfg.dbscan_min_pts)
+        assert res.n_clusters == n_clusters >= 2 and OUTLIER in expected
+        assert list(res.labels) == expected
 
 
 def test_membership_is_permutation_invariant():

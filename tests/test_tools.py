@@ -1,19 +1,29 @@
-"""The verdict rule of ``tools/bench_pairs.py``."""
+"""The verdict rule of ``tools/bench_pairs.py`` and the output comparison of
+``tools/output_digest.py``."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-BENCH_PAIRS = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("bench_pairs")
+
+
+@pytest.fixture(scope="module")
+def output_digest():
+    return load_tool("output_digest")
 
 
 def stats(parent, change, pairs_won, pairs=10):
@@ -66,3 +76,43 @@ def test_summarize_skips_a_failed_run_but_not_the_others(bench_pairs):
     summary = bench_pairs.summarize(runs, {"peak_rss_mb": "lower"}, {"peak_rss_mb": 0.1})
     assert summary["w"]["peak_rss_mb"]["pairs"] == 10
     assert summary["w"]["peak_rss_mb"]["verdict"] == "gain"
+
+
+def test_worst_change_is_the_largest_relative_move_of_a_number(output_digest):
+    assert output_digest.worst_change("x,1.0,4\n", "x,1.0,4\n") == 0.0
+    assert output_digest.worst_change("x,2.0,-4\n", "x,1.5,-5e0\n") == pytest.approx(0.25)
+    assert output_digest.worst_change("x,1.0\n", "y,1.0\n") is None
+    assert output_digest.worst_change("x,1.0\n", "x,1.0,2.0\n") is None
+
+
+def test_moved_cells_names_a_column_or_a_summary_row(output_digest):
+    before, after = "epoch,mae_x,mode\n1,0.5,coop\n2,0.25,coop\n", "epoch,mae_x,mode\n1,0.5,fed\n2,0.2,coop\n"
+    assert output_digest.moved_cells(before, after) == {"mae_x": pytest.approx(0.2), "mode": None}
+    summary = "metric,value\nmae_x,0.5\ntx_bits,100\n"
+    assert output_digest.moved_cells(summary, summary.replace("100", "110")) == {"tx_bits": pytest.approx(1 / 11)}
+    assert output_digest.moved_cells(summary, "metric,value,extra\nmae_x,0.5,1\ntx_bits,100,1\n") == {}
+
+
+@pytest.mark.parametrize(
+    "change, status, line",
+    [
+        ({}, 0, None),
+        ({"run/epochs.csv": "epoch,mae_x\n1,0.4\n"}, 1, "       0.2  run/epochs.csv  (mae_x 0.2)"),
+        ({"run/log.jsonl": '{"kind": "fed"}\n'}, 1, "      text  run/log.jsonl"),
+        ({"run/grid.csv": None}, 1, " only in A  run/grid.csv"),
+        ({"run/extra.csv": "a\n"}, 1, " only in B  run/extra.csv"),
+    ],
+    ids=["identical", "moved-number", "changed-text", "only-in-a", "only-in-b"],
+)
+def test_compare_lists_each_moved_file_and_fails_if_any_moved(output_digest, tmp_path, capsys, change, status, line):
+    files = {"run/epochs.csv": "epoch,mae_x\n1,0.5\n", "run/log.jsonl": '{"kind": "coop"}\n',
+             "run/grid.csv": "0.25,0.75\n"}
+    for side, contents in (("a", files), ("b", {**files, **change})):
+        for rel, text in contents.items():
+            if text is not None:
+                (tmp_path / side / rel).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / side / rel).write_text(text)
+    assert output_digest.compare(tmp_path / "a", tmp_path / "b") == status
+    total = len(files) + ("run/extra.csv" in change)
+    expected = ([line] if line else []) + [f"{status} of {total} files moved"]
+    assert capsys.readouterr().out.splitlines() == expected
