@@ -25,7 +25,7 @@ from .fusion import FitOptions
 from .mixture import GridSpec
 from .scene import ConfigError, TargetSpec
 from .sensor import RadarModel, RadarPose
-from .sidelink import ClockModel, Topology, json_kind
+from .sidelink import ClockModel, Topology
 
 MODES = ("isolated", "cooperation", "federation")
 
@@ -41,7 +41,10 @@ class RadarSetup:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run's settings, checked when built (also by ``dataclasses.replace``)."""
+    """One run's settings, checked when built (also by ``dataclasses.replace``).
+    An integer setting (``seed``, ``n_epochs``, ``dbscan_min_pts``,
+    ``fit.m_max``, ``fit.max_iters``) must be an integer, as the loader reads
+    it: a numpy integer is one; a boolean, or a float such as 3.0, is not."""
 
     name: str
     mode: str
@@ -73,6 +76,9 @@ class ExperimentConfig:
         # The float period must neither overflow nor round to 0.
         if not (self.update_period <= sys.float_info.max and self.dt > 0):
             raise ConfigError("update period must be > 0 and finite as a double")
+        for value, key in ((self.seed, "seed"), (self.n_epochs, "epochs"), (self.dbscan_min_pts, "dbscan: min_pts"),
+                           (self.fit.m_max, "mixture: m_max"), (self.fit.max_iters, "mixture: em_max_iters")):
+            _typed(value, int, key)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.n_epochs < 0:
@@ -118,6 +124,17 @@ class ExperimentConfig:
             for w in spec.waypoints:
                 if w not in self.landmarks:
                     raise ConfigError(f"target {spec.id}: unknown landmark {w!r}")
+
+
+_JSON_KINDS = {int: "number", float: "number", str: "string", list: "array", dict: "object"}
+
+
+def json_kind(value) -> str:
+    """How JSON names a decoded value's kind: null, true, false, number,
+    string, array or object. A value JSON cannot hold is named by its type."""
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
+    return _JSON_KINDS.get(type(value), type(value).__name__)
 
 
 def _object(raw: Any, where: str) -> Mapping[str, Any]:

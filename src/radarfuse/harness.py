@@ -775,7 +775,8 @@ def run_sweep(
     A sweep never computes the KL reference, whatever ``cfg.kl_reference``
     says: no sweep row holds a divergence. ``kl_reference=True``, ``workers``
     below 1, no mode or a mode listed twice raise ValueError before any run.
-    Every run's config is built, and so checked, before the first run. Each
+    Every run's config is built, and so checked, before the first run: a
+    seed that is not an integer (3.7, "5") is refused there. Each
     seed is one task: its modes run in the given order on one
     ``SensingRecord``, so the seed is sensed once. With ``workers > 1`` the
     seeds are spread over a process pool, and fewer seeds than workers leave
@@ -790,7 +791,6 @@ def run_sweep(
     repeated = [mode for i, mode in enumerate(modes) if mode in modes[:i]]
     if repeated:
         raise ValueError(f"mode {repeated[0]!r} is listed twice")
-    seeds = [int(seed) for seed in seeds]
     tasks = [(seed, [replace(cfg, mode=mode, seed=seed, kl_reference=False) for mode in modes])
              for seed in seeds]
     if workers > 1:
@@ -805,7 +805,8 @@ def run_sweep(
 
 def read_sweep(path: Path | str) -> list[dict]:
     """The rows of a sweep.csv, typed as ``run_sweep`` returns them. ValueError names the
-    first missing column, a row whose cell count is not the header's, or a cell that does not parse."""
+    first missing column, a row whose cell count is not the header's, or a cell that does not parse
+    (a float cell must be finite: ``run_sweep`` writes no NaN or infinity)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -822,6 +823,8 @@ def read_sweep(path: Path | str) -> list[dict]:
             for name, kind in SWEEP_COLUMNS.items():
                 try:
                     rows[-1][name] = kind(raw[name]) if raw[name] else None
+                    if kind is float and raw[name] and not math.isfinite(rows[-1][name]):
+                        raise ValueError
                 except ValueError:
                     raise ValueError(f"{where}, column {name!r}: cannot read {raw[name]!r} as {kind.__name__}") \
                         from None

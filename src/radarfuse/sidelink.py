@@ -2,12 +2,12 @@
 
 A ``Message`` is its wire payload: the 64-bit values of a preprocessed point
 cloud (cooperation) or of mixture parameters (federation). The link charges,
-delivers and logs those values, and one decoder per kind reads them for
-live receivers and replay logs alike. Bandwidth accounting counts the
-payload only; transport framing is not part of the overhead figure. Delivery
-is lossless and instantaneous, with per-radar clock offsets rounded to whole
-update periods so a one-period offset delivers the sender's previous-epoch
-content.
+delivers and logs those values, and one decoder per kind checks and reads
+them for a receiver; the package writes the replay log but never reads it.
+Bandwidth accounting counts the payload only; transport framing is not part
+of the overhead figure. Delivery is lossless and instantaneous, with
+per-radar clock offsets rounded to whole update periods so a one-period
+offset delivers the sender's previous-epoch content.
 """
 
 from __future__ import annotations
@@ -260,64 +260,14 @@ def deliver(
     return inboxes
 
 
-_JSON_KINDS = {int: "number", float: "number", str: "string", list: "array", dict: "object"}
-
-
-def json_kind(value) -> str:
-    """How JSON names a decoded value's kind: null, true, false, number,
-    string, array or object. A value JSON cannot hold is named by its type."""
-    if value is None or isinstance(value, bool):
-        return json.dumps(value)
-    return _JSON_KINDS.get(type(value), type(value).__name__)
-
-
 def write_replay(messages: Iterable[Message], fh) -> None:
     """Append messages to an open text stream, one JSON object per line.
 
     Floats serialize via their shortest round-tripping representation, so
-    the numeric payload survives the text format bit-exactly.
+    the numeric payload survives the text format bit-exactly: a line's
+    ``values``, parsed by ``json.loads`` into a float64 array, are the
+    message's values, which ``decode_coop`` or ``decode_fed`` reads.
     """
     for msg in messages:
         record = {"sender": msg.sender, "epoch": msg.epoch, "kind": msg.kind, "values": msg.values.tolist()}
         fh.write(json.dumps(record) + "\n")
-
-
-def read_replay(path) -> list[Message]:
-    """Messages of a replay log, each checked by the decoder for its kind; a
-    malformed record raises ValueError naming its line. Run epochs start at
-    1, so an epoch below 1 is malformed."""
-    messages = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError(f"record must be a JSON object, got {json_kind(rec)}")
-                missing = [key for key in ("sender", "epoch", "kind", "values") if key not in rec]
-                if missing:
-                    raise ValueError(f"record has no {missing[0]!r}")
-                for key in ("sender", "epoch"):
-                    if type(rec[key]) is not int:  # a JSON true or false is a bool, not an int
-                        raise ValueError(f"{key} must be an integer, got {json_kind(rec[key])}")
-                if rec["epoch"] < 1:
-                    raise ValueError(f"epoch must be >= 1, got {rec['epoch']}")
-                if type(rec["kind"]) is not str:
-                    raise ValueError(f"kind must be a string, got {json_kind(rec['kind'])}")
-                decode = {COOP_KIND: decode_coop, FED_KIND: decode_fed}.get(rec["kind"])
-                if decode is None:
-                    raise ValueError(f"unknown message kind {rec['kind']!r}")
-                if isinstance(rec["values"], list):  # numpy would read "1.0" and true as numbers
-                    kinds = [json_kind(v) for v in rec["values"] if type(v) not in (int, float)]
-                    if kinds:
-                        raise ValueError(f"values must be a flat list of numbers, got {kinds[0]}")
-                values = np.asarray(rec["values"], dtype=np.float64)
-                if values.ndim != 1:
-                    raise ValueError("values must be a flat list of numbers")
-                msg = Message(rec["sender"], rec["epoch"], rec["kind"], values)
-                decode(msg)
-                messages.append(msg)
-            except (TypeError, ValueError) as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
-    return messages

@@ -6,9 +6,9 @@ import pytest
 from radarfuse import config, harness
 from radarfuse.cli import main
 from radarfuse.config import load_config, resolve_scenario
-from radarfuse.sidelink import read_replay
 
 from test_harness import SMALL
+from test_sidelink import read_log
 
 
 @pytest.fixture()
@@ -29,7 +29,7 @@ def test_run_subcommand(tmp_path, small_scenario, capsys):
     assert (out / "epochs.csv").exists()
     assert (out / "summary.csv").exists()
     assert (out / "grids" / "epoch00006_radar1.csv").exists()
-    assert len(read_replay(tmp_path / "replay.jsonl")) == 6 * 3
+    assert len(read_log(tmp_path / "replay.jsonl")) == 6 * 3
     assert "mae_x" in capsys.readouterr().out
 
 
@@ -310,8 +310,11 @@ def test_report_refuses_a_sweep_without_a_column(tmp_path, capsys):
     [("isolated,0,0.1", "line 3: 3 cells, the header has 7"),
      ("isolated,0,0.1,0.2,3,0.5,100.0,9", "line 3: 8 cells, the header has 7"),
      ("isolated,zero,0.1,0.2,3,0.5,100.0", "line 3, column 'seed': cannot read 'zero' as int"),
-     ("isolated,0,0.1,0.2,3,half,100.0", "line 3, column 'p_u': cannot read 'half' as float")],
-    ids=["short-row", "long-row", "word-seed", "word-p-u"],
+     ("isolated,0,0.1,0.2,3,half,100.0", "line 3, column 'p_u': cannot read 'half' as float"),
+     ("isolated,0,nan,0.2,3,0.5,100.0", "line 3, column 'mae_x': cannot read 'nan' as float"),
+     ("isolated,0,0.1,-inf,3,0.5,100.0", "line 3, column 'mae_y': cannot read '-inf' as float"),
+     ("isolated,0,0.1,0.2,3,0.5,1e999", "line 3, column 'tx_rate_ego': cannot read '1e999' as float")],
+    ids=["short-row", "long-row", "word-seed", "word-p-u", "nan-mae-x", "minus-infinity-mae-y", "overflowing-rate"],
 )
 def test_report_refuses_a_malformed_sweep_row(tmp_path, capsys, row, reason):
     header = ",".join(harness.SWEEP_COLUMNS)

@@ -32,9 +32,10 @@ from radarfuse.harness import (
 )
 from radarfuse.mixture import GaussianMixture, choose_components, cluster_moments, eval_on_grid
 from radarfuse.sensor import dbscan
-from radarfuse.sidelink import Message, decode_coop, decode_fed, read_replay
+from radarfuse.sidelink import Message, decode_coop, decode_fed
 
 from test_mixture import assert_same_mixture
+from test_sidelink import read_log
 
 SMALL = {
     "name": "small",
@@ -395,16 +396,45 @@ def test_summary_round_trip_is_exact(tmp_path):
     assert all(float(cell) == v for cell, v in floats)
 
 
-@pytest.mark.parametrize("mode", ["cooperation", "federation"])
-def test_message_log_replays(tmp_path, mode):
-    cfg = small_config(mode=mode, epochs=5)
+@pytest.mark.parametrize(
+    "mode, clock",
+    [("cooperation", None), ("federation", None),
+     ("cooperation", {"offsets": {"2": 0.010}, "jitter_std": 0.005}),
+     ("federation", {"offsets": {"2": 0.010}, "jitter_std": 0.005})],
+    ids=["cooperation", "federation", "cooperation-late-jittered", "federation-late-jittered"],
+)
+def test_message_log_replays(tmp_path, monkeypatch, mode, clock):
+    # The log holds each sent message once, in its send epoch, with its
+    # sender's own payload: not a late delivery, nor a receiver's noisy copy.
+    cfg = config_from_dict({**SMALL, "clock": clock or SMALL["clock"]}, mode=mode, epochs=5)
+    name = "encode_coop" if mode == "cooperation" else "encode_fed"
+    sent, delivered = [], []  # every encoded message; (delivery epoch, message) per receiver
+
+    def spy_encode(*args, encode=getattr(harness, name)):
+        sent.append(encode(*args))
+        return sent[-1]
+
+    def spy_deliver(topology, history, epoch, *args, deliver=harness.deliver, **kwargs):
+        inboxes = deliver(topology, history, epoch, *args, **kwargs)
+        delivered.extend((epoch, msg) for msgs in inboxes.values() for msg in msgs)
+        return inboxes
+
+    monkeypatch.setattr(harness, name, spy_encode)
+    monkeypatch.setattr(harness, "deliver", spy_deliver)
     log = tmp_path / "messages.jsonl"
-    records, _ = run_experiment(cfg, message_log=log)
-    msgs = read_replay(log)
-    assert len(msgs) == 5 * 3
+    records, metrics = run_experiment(cfg, message_log=log)
+    msgs = read_log(log)
+    assert [(m.epoch, m.sender) for m in msgs] == [(epoch, k) for epoch in range(1, 6) for k in (1, 2, 3)]
+    assert [(m.epoch, m.sender, m.kind, m.values.tobytes()) for m in msgs] == \
+        [(m.epoch, m.sender, m.kind, m.values.tobytes()) for m in sent]
+    # The link did move and delay copies when the clock says so.
+    payload = {(m.epoch, m.sender): m.values.tobytes() for m in sent}
+    assert any(msg.values.tobytes() != payload[msg.epoch, msg.sender] for _, msg in delivered) == bool(clock)
+    assert any(epoch != msg.epoch for epoch, msg in delivered) == bool(clock)
     total_logged = sum(m.payload_bits for m in msgs)
     total_recorded = sum(bits for rec in records for bits in rec.tx_bits.values())
     assert total_logged == total_recorded
+    assert {k: sum(m.payload_bits for m in msgs if m.sender == k) for k in (1, 2, 3)} == metrics.tx_bits
     for msg in msgs:
         # Each message describes its sender's own cloud of that epoch.
         points = records[msg.epoch - 1].cloud_points[msg.sender]
@@ -512,8 +542,12 @@ def test_sweep_never_computes_the_kl_reference(monkeypatch):
     [({"workers": 0}, "workers must be >= 1, got 0"),
      ({"workers": -2}, "workers must be >= 1, got -2"),
      ({"modes": []}, "a sweep needs at least one mode"),
-     ({"modes": ("isolated", "federation", "isolated")}, "mode 'isolated' is listed twice")],
-    ids=["zero-workers", "negative-workers", "no-mode", "repeated-mode"],
+     ({"modes": ("isolated", "federation", "isolated")}, "mode 'isolated' is listed twice"),
+     ({"seeds": [0, 3.7]}, "seed must be an integer, got 3.7"),
+     ({"seeds": ["5"]}, 'seed must be an integer, got "5"'),
+     ({"seeds": [True]}, "seed must be an integer, got true")],
+    ids=["zero-workers", "negative-workers", "no-mode", "repeated-mode", "fractional-seed", "string-seed",
+         "boolean-seed"],
 )
 def test_sweep_refuses_what_it_cannot_run_before_any_run(monkeypatch, kwargs, reason):
     def no_run(cfg, **_):
@@ -834,14 +868,23 @@ def test_config_validation_errors():
     [{"mode": "telepathy"}, {"ego_radar": 99}, {"prior_speed": -1.0}, {"prior_speed": float("nan")},
      {"prior_speed": float("inf")}, {"min_separation": float("nan")}, {"dbscan_eps": float("nan")},
      {"fit": FitOptions(m_max=0)}, {"fit": FitOptions(max_iters=-1)}, {"fit": FitOptions(tol=-1.0)},
-     {"fit": FitOptions(tol=float("nan"))}, {"fit": FitOptions(tol=float("inf"))}, {"seed": -1}],
+     {"fit": FitOptions(tol=float("nan"))}, {"fit": FitOptions(tol=float("inf"))}, {"seed": -1},
+     {"seed": 3.7}, {"seed": float("nan")}, {"seed": True}, {"seed": "5"}, {"n_epochs": 2.5},
+     {"n_epochs": 3.0}, {"dbscan_min_pts": 2.5}, {"fit": FitOptions(m_max=2.0)},
+     {"fit": FitOptions(max_iters=True)}],
     ids=["unknown-mode", "undeployed-ego", "negative-prior-speed", "nan-prior-speed", "infinite-prior-speed",
          "nan-min-separation", "nan-dbscan-eps", "zero-m-max", "negative-max-iters", "negative-tol", "nan-tol",
-         "infinite-tol", "negative-seed"],
+         "infinite-tol", "negative-seed", "fractional-seed", "nan-seed", "boolean-seed", "string-seed",
+         "fractional-epochs", "float-epochs", "fractional-min-pts", "float-m-max", "boolean-max-iters"],
 )
 def test_replaced_config_is_checked(change):
     with pytest.raises(ConfigError):
         replace(config_from_dict(SMALL), **change)
+
+
+def test_a_numpy_integer_is_an_integer_setting():
+    cfg = replace(config_from_dict(SMALL), seed=np.int64(3), n_epochs=np.int32(2))
+    assert (cfg.seed, cfg.n_epochs) == (3, 2)
 
 
 def test_update_period_is_a_decimal_string_or_a_number():

@@ -68,6 +68,17 @@ def test_summarize_records_a_verdict_per_metric(bench_pairs):
     assert summary["w"]["peak_rss_mb"]["verdict"] == "worse than bound"
 
 
+def test_bench_pairs_prints_the_src_line_counts_last(bench_pairs, tmp_path, capsys):
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("")
+    (parent / "src" / "pkg").mkdir(parents=True)
+    (parent / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    assert bench_pairs.main(["--parent", str(parent), "--pairs", "0", "--out", str(tmp_path / "b.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"src/ lines: 2 -> {bench_pairs.src_lines(bench_pairs.CHANGE)}"
+
+
 def test_summarize_skips_a_failed_run_but_not_the_others(bench_pairs):
     runs = [{"parent": {"metrics": {"w": {"peak_rss_mb": 100.0 + i % 3}}},
              "change": {"metrics": {"w": {"peak_rss_mb": 80.0 + i % 3}}}}

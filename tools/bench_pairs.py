@@ -25,7 +25,8 @@ and a verdict, which is also printed:
 * ``no change`` otherwise.
 
 It also records the machine, the library versions and the ``src/`` line
-count of both trees. The exit status is 1 unless every run ended
+count of both trees, and prints the line counts after the verdicts as
+``src/ lines: <parent> -> <change>``. The exit status is 1 unless every run ended
 ``correct`` with 0 failed operations.
 """
 
@@ -160,6 +161,7 @@ def main(argv=None) -> int:
             change = "" if s["median_change"] is None else f" ({100 * s['median_change']:+.1f}%)"
             print(f"{workload} {metric}: {s['parent']['median']:.4g} -> {s['change']['median']:.4g}{change}, "
                   f"won {s['pairs_won']}/{s['pairs']}: {s['verdict']}")
+    print(f"src/ lines: {result['src_lines']['parent']} -> {result['src_lines']['change']}")
     return 0 if ok else 1
 
 
