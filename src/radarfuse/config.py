@@ -42,9 +42,12 @@ class RadarSetup:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's settings, checked when built (also by ``dataclasses.replace``).
-    An integer setting (``seed``, ``n_epochs``, ``dbscan_min_pts``,
-    ``fit.m_max``, ``fit.max_iters``) must be an integer, as the loader reads
-    it: a numpy integer is one; a boolean, or a float such as 3.0, is not."""
+    Every scalar setting is typed as the loader reads its key: an integer
+    setting (``seed``, ``n_epochs``, ``dbscan_min_pts``, ``fit.m_max``,
+    ``fit.max_iters``, ``ego_radar``) must be an integer, a float setting a
+    finite number, ``name`` and ``mode`` strings and ``kl_reference`` a
+    boolean. A numpy number is a number; a boolean is not, and a float such
+    as 3.0 is not an integer."""
 
     name: str
     mode: str
@@ -71,34 +74,38 @@ class ExperimentConfig:
         return float(self.update_period)
 
     def __post_init__(self):
+        if not self.radars:  # before the types: the loader leaves ego_radar None then
+            raise ConfigError("at least one radar is required")
+        for value, kind, key in (
+                (self.name, str, "name"), (self.mode, str, "mode"), (self.seed, int, "seed"),
+                (self.n_epochs, int, "epochs"), (self.tau, float, "tau"), (self.min_separation, float, "min_separation"),
+                (self.dbscan_eps, float, "dbscan: eps"), (self.dbscan_min_pts, int, "dbscan: min_pts"),
+                (self.fit.m_max, int, "mixture: m_max"), (self.fit.max_iters, int, "mixture: em_max_iters"),
+                (self.fit.tol, float, "mixture: em_tol"), (self.prior_speed, float, "prior_speed"),
+                (self.ego_radar, int, "ego_radar"), (self.kl_reference, bool, "kl_reference")):
+            _typed(value, kind, key)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         # The float period must neither overflow nor round to 0.
         if not (self.update_period <= sys.float_info.max and self.dt > 0):
             raise ConfigError("update period must be > 0 and finite as a double")
-        for value, key in ((self.seed, "seed"), (self.n_epochs, "epochs"), (self.dbscan_min_pts, "dbscan: min_pts"),
-                           (self.fit.m_max, "mixture: m_max"), (self.fit.max_iters, "mixture: em_max_iters")):
-            _typed(value, int, key)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.n_epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if not self.radars:
-            raise ConfigError("at least one radar is required")
         if not 0.0 < self.tau < 1.0:
             raise ConfigError("tau must be in (0, 1)")
-        # Written so that NaN fails each comparison.
-        if not self.min_separation > 0:
+        if self.min_separation <= 0:
             raise ConfigError("min_separation must be > 0")
         if not (self.dbscan_eps > 0 and self.dbscan_min_pts >= 1):
             raise ConfigError("invalid density-clustering parameters")
-        if not 0 <= self.prior_speed <= sys.float_info.max:
+        if self.prior_speed < 0:
             raise ConfigError("prior_speed must be >= 0 and finite")
         if self.fit.m_max < 1:
             raise ConfigError("mixture: m_max must be >= 1")
         if self.fit.max_iters < 0:
             raise ConfigError("mixture: em_max_iters must be >= 0")
-        if not 0 <= self.fit.tol <= sys.float_info.max:
+        if self.fit.tol < 0:
             raise ConfigError("mixture: em_tol must be >= 0 and finite")
         ids = [r.id for r in self.radars]
         if len(set(ids)) != len(ids):

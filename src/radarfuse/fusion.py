@@ -17,8 +17,8 @@ cluster moments. The caller keeps a cloud's start for its later fits and
 its ``quad_features`` for its likelihood fit and posterior refit.
 
 A support covers a few small windows of the grid, so ``motion_prior`` and
-``extract_targets`` work only in its bounding box (padded by the blur
-radius for the prior). Their results are bit-identical to the full grid's.
+``extract_targets`` work only in its ``_window`` (padded by the blur radius
+for the prior). Their results are bit-identical to the full grid's.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import correlate1d, gaussian_filter1d
+from scipy.ndimage import correlate1d, gaussian_filter1d, maximum_filter
 
 from .mixture import (
     DensityGrid,
@@ -142,9 +142,9 @@ def motion_prior(
     Gaussian with sigma = speed * dt + SIGMA_FLOOR: a separable Gaussian blur
     of the mask (truncated at 6 sigma), ``gaussian_filter``'s two
     ``correlate1d`` passes with its kernel, which ``_blur_kernel`` builds
-    once per sigma. The blur runs on the support's bounding box padded by
+    once per sigma. The blur runs on the support's ``_window`` padded by
     the kernel radius: every cell outside it is a sum of zeros, and where
-    the box is clipped its edge is the grid's, so the result equals the
+    the window is clipped its edge is the grid's, so the result equals the
     full-grid ``gaussian_filter`` bit for bit. An empty support means an
     uninformative uniform prior.
     """
@@ -154,20 +154,25 @@ def motion_prior(
         raise ValueError("speed must be >= 0")
     if support.shape != (spec.ny, spec.nx):
         raise ValueError(f"support mask must have shape {(spec.ny, spec.nx)}, got {support.shape}")
-    rows = np.flatnonzero(support.any(axis=1))
-    if len(rows) == 0:
-        return DensityGrid.uniform(spec)
-    cols = np.flatnonzero(support.any(axis=0))
     kernel = _blur_kernel((speed * dt + SIGMA_FLOOR) / spec.resolution)
-    radius = len(kernel) // 2
-    win = (
-        slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
-        slice(max(cols[0] - radius, 0), cols[-1] + radius + 1),
-    )
+    win = _window(support, pad=len(kernel) // 2)
+    if win is None:
+        return DensityGrid.uniform(spec)
     mass = np.zeros((spec.ny, spec.nx))
     rows_blurred = correlate1d(support[win].astype(float), kernel, axis=0, mode="constant")
     mass[win] = correlate1d(rows_blurred, kernel, axis=1, mode="constant")
     return normalized_density(mass, spec)
+
+
+def _window(support: np.ndarray, pad: int = 0) -> tuple[slice, slice] | None:
+    """The bounding box of the ``support`` cells, widened by ``pad`` cells
+    and clipped to the grid, or None for an empty support."""
+    rows = np.flatnonzero(support.any(axis=1))
+    if len(rows) == 0:
+        return None
+    cols = np.flatnonzero(support.any(axis=0))
+    return (slice(max(rows[0] - pad, 0), rows[-1] + pad + 1),
+            slice(max(cols[0] - pad, 0), cols[-1] + pad + 1))
 
 
 @lru_cache(maxsize=16)
@@ -277,41 +282,26 @@ def extract_targets(grid: DensityGrid, support: np.ndarray, min_separation: floa
     """MAP target positions ``(m, 2)``: 8-neighborhood maxima of the grid
     among the cells of ``support``, its ``grid_support`` at some ``tau``.
 
-    Candidates are accepted greedily in descending posterior order subject
-    to a pairwise separation of at least ``min_separation``. Ties break by
-    grid index, so the result only depends on posterior shape (it is
-    invariant under positive rescaling of the grid). A flat grid has no
-    support and so yields no targets.
+    A support cell is a maximum when it equals the 3x3 ``maximum_filter``
+    around it, so a tie with a neighbor keeps it: every cell of a flat top
+    is one. Candidates are accepted greedily in descending posterior order,
+    at least ``min_separation`` apart; ties break by grid index (row, then
+    column), so the result depends only on posterior shape (it is invariant
+    under positive rescaling). A flat grid has no support and no targets.
 
-    Only support cells can be maxima, and a cell outside the support has
-    mass at most ``tau * peak``, below every support cell, so it never beats
-    one. The neighbor maximum therefore runs on the support's bounding box
-    alone, and its result is that of the full grid.
+    A cell outside the support has mass at most ``tau * peak``, below every
+    support cell, so the filter runs on the support's ``_window`` alone
+    (``-inf`` beyond its edge) and gives the full grid's result.
     """
-    mass, spec = grid.mass, grid.spec
-    rows = np.flatnonzero(support.any(axis=1))
-    if len(rows) == 0:
+    box = _window(support)
+    if box is None:
         return np.empty((0, 2))
-    cols = np.flatnonzero(support.any(axis=0))
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    window = mass[box]
-    ny, nx = window.shape
-
-    padded = np.full((ny + 2, nx + 2), -np.inf)
-    padded[1:-1, 1:-1] = window
-    neighbor_max = np.full_like(window, -np.inf)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            shifted = padded[1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
-            neighbor_max = np.maximum(neighbor_max, shifted)
-    is_max = support[box] & (window >= neighbor_max)
-
+    window = grid.mass[box]
+    is_max = support[box] & (window == maximum_filter(window, size=3, mode="constant", cval=-np.inf))
     iy, ix = np.nonzero(is_max)
-    iy, ix = iy + rows[0], ix + cols[0]
-    order = np.lexsort((ix, iy, -mass[iy, ix]))
-    xc, yc = spec.x_centers(), spec.y_centers()
+    iy, ix = iy + box[0].start, ix + box[1].start
+    order = np.lexsort((ix, iy, -grid.mass[iy, ix]))
+    xc, yc = grid.spec.x_centers(), grid.spec.y_centers()
     accepted: list[np.ndarray] = []
     for k in order:
         cand = np.array([xc[ix[k]], yc[iy[k]]])

@@ -805,14 +805,17 @@ def run_sweep(
 
 def read_sweep(path: Path | str) -> list[dict]:
     """The rows of a sweep.csv, typed as ``run_sweep`` returns them. ValueError names the
-    first missing column, a row whose cell count is not the header's, or a cell that does not parse
-    (a float cell must be finite: ``run_sweep`` writes no NaN or infinity)."""
+    first missing or repeated column, a row whose cell count is not the header's, or a cell that does
+    not parse (a float cell must be finite: ``run_sweep`` writes no NaN or infinity)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [name for name in SWEEP_COLUMNS if name not in header]
         if missing:
             raise ValueError(f"{path}: no {missing[0]!r} column")
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise ValueError(f"{path}: column {repeated[0]!r} is repeated")
         rows = []
         for cells in filter(None, reader):  # skips blank lines
             where = f"{path}, line {reader.line_num}"

@@ -348,12 +348,11 @@ def fit_em(
     trace: list[float] = []
     prev_ll = -np.inf
     prev = (beta, means, covs, prec, logdet)
-    stale_resp = False
     ll, e, s = e_step(beta, means, prec, logdet)
     for it in range(max_iters + 1):
         if ll < prev_ll - 1e-12 * max(1.0, abs(prev_ll)):
             beta, means, covs, prec, logdet = prev  # floored M-step overshot; keep the last good fit
-            stale_resp = True
+            _, e, s = e_step(beta, means, prec, logdet)
             break
         if it == max_iters:  # the last M-step's log-likelihood is checked, not traced
             break
@@ -387,8 +386,6 @@ def fit_em(
         steps = np.diff(trace)
         assert np.all(steps >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1]))), "EM log-likelihood decreased"
 
-    if stale_resp:
-        _, e, s = e_step(beta, means, prec, logdet)
     mixture = GaussianMixture(beta, means + centre, covs, _apportion((e / s).sum(axis=1), n))
     return (mixture, trace) if return_trace else mixture
 

@@ -305,6 +305,14 @@ def test_report_refuses_a_sweep_without_a_column(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_report_refuses_a_sweep_that_repeats_a_column(tmp_path, capsys):
+    header = [*harness.SWEEP_COLUMNS, "mae_x"]
+    (tmp_path / "sweep.csv").write_text(",".join(header) + "\nisolated,0,0.1,0.2,3,0.5,100.0,9.9\n")
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'sweep.csv'}: column 'mae_x' is repeated\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
 @pytest.mark.parametrize(
     "row, reason",
     [("isolated,0,0.1", "line 3: 3 cells, the header has 7"),

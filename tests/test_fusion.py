@@ -572,6 +572,17 @@ def test_extract_matches_exhaustive_enumeration():
         got = targets(post, 0.45, 0.5)
         expected = exhaustive_extract(post.mass, spec, 0.45, 0.5)
         assert np.array_equal(got, expected)
+    # Plateaus: mixtures of both kinds with the mass rounded to a few
+    # levels, so neighbors tie and peaks are flat, also on the edges.
+    for k in range(60):
+        m = int(rng.integers(1, 5))
+        mix = random_mixture(rng, m, (0.5, 3.5), (0.02, 0.2)) if k < 30 else edge_mixture(rng, m, spec, (0.002, 0.2))
+        mass = eval_on_grid(mix, spec).mass
+        levels = np.round(mass / mass.max() * rng.integers(2, 6))
+        post = DensityGrid(spec, levels / levels.sum())
+        got = targets(post, 0.45, 0.5)
+        expected = exhaustive_extract(post.mass, spec, 0.45, 0.5)
+        assert np.array_equal(got, expected)
 
 
 def test_grid_support_threshold_strictness():

@@ -871,11 +871,16 @@ def test_config_validation_errors():
      {"fit": FitOptions(tol=float("nan"))}, {"fit": FitOptions(tol=float("inf"))}, {"seed": -1},
      {"seed": 3.7}, {"seed": float("nan")}, {"seed": True}, {"seed": "5"}, {"n_epochs": 2.5},
      {"n_epochs": 3.0}, {"dbscan_min_pts": 2.5}, {"fit": FitOptions(m_max=2.0)},
-     {"fit": FitOptions(max_iters=True)}],
+     {"fit": FitOptions(max_iters=True)}, {"ego_radar": True}, {"ego_radar": 1.0}, {"prior_speed": True},
+     {"min_separation": True}, {"fit": FitOptions(tol=True)}, {"kl_reference": "yes"}, {"name": 3},
+     {"dbscan_eps": "0.5"}, {"prior_speed": "1"}, {"min_separation": "1"}, {"tau": "0.5"}],
     ids=["unknown-mode", "undeployed-ego", "negative-prior-speed", "nan-prior-speed", "infinite-prior-speed",
          "nan-min-separation", "nan-dbscan-eps", "zero-m-max", "negative-max-iters", "negative-tol", "nan-tol",
          "infinite-tol", "negative-seed", "fractional-seed", "nan-seed", "boolean-seed", "string-seed",
-         "fractional-epochs", "float-epochs", "fractional-min-pts", "float-m-max", "boolean-max-iters"],
+         "fractional-epochs", "float-epochs", "fractional-min-pts", "float-m-max", "boolean-max-iters",
+         "boolean-ego", "float-ego", "boolean-prior-speed", "boolean-min-separation", "boolean-tol",
+         "string-kl-reference", "number-name", "string-dbscan-eps", "string-prior-speed", "string-min-separation",
+         "string-tau"],
 )
 def test_replaced_config_is_checked(change):
     with pytest.raises(ConfigError):
@@ -883,8 +888,9 @@ def test_replaced_config_is_checked(change):
 
 
 def test_a_numpy_integer_is_an_integer_setting():
-    cfg = replace(config_from_dict(SMALL), seed=np.int64(3), n_epochs=np.int32(2))
-    assert (cfg.seed, cfg.n_epochs) == (3, 2)
+    # ... and a numpy float a float setting.
+    cfg = replace(config_from_dict(SMALL), seed=np.int64(3), n_epochs=np.int32(2), tau=np.float64(0.4))
+    assert (cfg.seed, cfg.n_epochs, cfg.tau) == (3, 2, 0.4)
 
 
 def test_update_period_is_a_decimal_string_or_a_number():
