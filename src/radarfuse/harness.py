@@ -37,27 +37,21 @@ read-only) and one next support is made per (support, fresh) pair. Without
 clock jitter the link hands every receiver the object its sender pushed, so
 under a full topology with exact clocks all radars hold one posterior.
 
-A run that senses turns each cloud's clustering into its ``cloud_start``,
-the kept cluster moments its likelihood fits start from, and keeps the
-cloud's ``quad_features`` for the epoch: the cloud's likelihood fit and,
-in federation, its posterior refit reuse them. The target routes are
-resolved once per run.
-
-Every mode of one seed senses the same clouds, so ``run_sweep`` runs a
-seed's modes on one ``SensingRecord`` and senses each seed once. The
-record keeps each cloud and its start, so a replaying cooperation run or
-KL reference computes no cluster moments of a sensed cloud, and each
-radar's likelihood mixture and its support, packed to bits (about 3.8 MB
-for a 190-epoch ``converging`` seed), so a replaying federation run
-evaluates no likelihood grid.
+What one radar sensed at one epoch is one ``Sensed`` value: its cloud,
+the cloud's ``cloud_start`` and, once fitted, its likelihood. A run that
+senses also keeps each cloud's ``quad_features`` for the epoch, for the
+cloud's likelihood fit and, in federation, its posterior refit. Every mode
+of one seed senses the same clouds, so ``run_sweep`` runs a seed's modes
+on one ``SensingRecord`` of ``Sensed`` values and senses each seed once.
+The target routes are resolved once per run.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import math
-from dataclasses import dataclass, field, replace
+import pickle
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -94,8 +88,6 @@ from .sidelink import (
     encode_fed,
     write_replay,
 )
-
-log = logging.getLogger(__name__)
 
 DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # A grid dump: this header, the grid's extent and resolution, then its mass row by row.
@@ -141,42 +133,47 @@ class MetricsRecord:
     kl_fed_deciles: tuple[float, ...] | None
 
 
+@dataclass(eq=False, slots=True)
+class Sensed:
+    """One radar's preprocessed cloud and its ``cloud_start`` (the kept
+    cluster moments its likelihood fits start from) at one epoch, frozen
+    when built. ``_likelihood`` sets ``likelihood`` once: the read-only
+    ``likelihood_from_cloud`` mixture and ``grid_support``, packed to one
+    bit per cell (``np.packbits``)."""
+
+    cloud: PointCloud
+    start: GaussianMixture
+    likelihood: tuple[GaussianMixture, np.ndarray] | None = None
+
+    def __post_init__(self):
+        _freeze(self.cloud.points)
+        _freeze_mixture(self.start)
+
+
 @dataclass(eq=False)
 class SensingRecord:
     """What one seed's radars sensed, shared by that seed's runs in every mode.
 
     The scene and observation RNGs are seeded by the seed alone, so every
-    mode senses the same clouds. Per epoch (index ``epoch - 1``) the record
-    holds each radar's preprocessed cloud and its ``cloud_start``, the kept
-    cluster moments every likelihood fit of the cloud starts from, appended
-    by the first run on the record; a replaying run computes no cluster
-    moments of a recorded cloud. It also holds each radar's likelihood, kept
-    by the first isolated or federation run: the ``likelihood_from_cloud``
-    mixture and the likelihood's ``grid_support``, packed to one bit per
-    cell (``np.packbits``). A run that reads a likelihood back evaluates no
-    likelihood grid, except that isolated rebuilds it with ``eval_on_grid``
-    for the Bayes product. Recorded arrays are read-only. A record belongs
-    to one seed of one scenario (the starts depend on its ``m_max``); only
-    the seed is checked.
+    mode senses the same clouds. ``epochs[epoch - 1]`` maps each radar to
+    its ``Sensed`` value, appended by the first run on the record; a
+    replaying cooperation run or KL reference computes no cluster moments
+    of a recorded cloud. The first isolated or federation run sets each
+    likelihood; a replaying federation run evaluates no likelihood grid,
+    and isolated rebuilds it with ``eval_on_grid`` for the Bayes product.
+    A run whose config differs from ``cfg`` in a setting other than
+    ``_PER_RUN`` is refused, as is a run longer than a filled record.
 
-    A 190-epoch ``converging`` record holds about 3.8 MB of arrays: 1.9 MB
-    of clouds, starts and mixtures and 1.8 MB of packed supports (3,200
-    bytes per radar and epoch on its 160 x 160 grid, an eighth of the
-    boolean mask).
+    A 190-epoch ``converging`` record holds about 3.8 MB of arrays, 1.8 MB
+    of them packed supports (an eighth of the boolean masks).
     """
 
-    seed: int
-    clouds: list[dict[int, PointCloud]] = field(default_factory=list)
-    starts: list[dict[int, GaussianMixture]] = field(default_factory=list)
-    likelihoods: list[dict[int, tuple[GaussianMixture, np.ndarray]]] = field(default_factory=list)
+    cfg: ExperimentConfig
+    epochs: list[dict[int, Sensed]] = field(default_factory=list)
 
-    def append(self, clouds: dict[int, PointCloud], starts: dict[int, GaussianMixture]) -> None:
-        for k in clouds:
-            _freeze(clouds[k].points)
-            _freeze_mixture(starts[k])
-        self.clouds.append(clouds)
-        self.starts.append(starts)
-        self.likelihoods.append({})
+
+# The settings in which the runs sharing one sensing record may differ.
+_PER_RUN = ("mode", "kl_reference", "n_epochs")
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -275,32 +272,31 @@ def _nearest_waypoint(cfg: ExperimentConfig, spec, center: np.ndarray) -> str:
 
 # --------------------------------------------------------------- mode steps
 #
-# Every step takes (cfg, epoch, clouds, starts, features, priors, exchange,
-# recorded), where clouds, starts (each cloud's ``cloud_start``) and priors
-# are per-radar dicts in deployment order, ``features`` holds the
-# ``quad_features`` of the clouds sensed in this run (empty in a replaying
-# run, whose fits build their own), and ``recorded`` is the epoch's dict of
-# recorded likelihoods (without a sensing record, a fresh dict per epoch).
-# It returns (posterior grids, fresh supports, local densities). The fresh
-# support is each radar's thresholded likelihood, which ``reconstruct_scene``
-# unites with the posterior's to seed the next prior. The local densities
-# are the ``grid_density`` of each radar's local-posterior mixture, which
-# the KL reference is compared against; only federation has them.
+# Every step takes (cfg, epoch, sensed, features, priors, exchange), where
+# sensed (each radar's ``Sensed`` value) and priors are per-radar dicts in
+# deployment order and ``features`` holds the ``quad_features`` of the
+# clouds sensed in this run (empty in a replaying run, whose fits build
+# their own). It returns (posterior grids, fresh supports, local
+# densities). The fresh support is each radar's thresholded likelihood,
+# which ``reconstruct_scene`` unites with the posterior's to seed the next
+# prior. The local densities are the ``grid_density`` of each radar's
+# local-posterior mixture, which the KL reference is compared against;
+# only federation has them.
 
 
-def _likelihood(cfg, k, clouds, starts, features, recorded):
-    """Radar k's likelihood grid, mixture and support. A likelihood in
-    ``recorded`` is read back without its grid (None); else it is fitted,
-    thresholded and recorded there, its support packed to bits."""
-    if k in recorded:
-        mixture, bits = recorded[k]
+def _likelihood(cfg, sensed, features):
+    """A ``Sensed`` value's likelihood grid, mixture and support. A set
+    likelihood is read back without its grid (None); else it is fitted,
+    thresholded and set, its support packed to bits."""
+    if sensed.likelihood is not None:
+        mixture, bits = sensed.likelihood
         return None, mixture, np.unpackbits(bits, count=cfg.grid.n_cells).view(bool).reshape(cfg.grid.ny, -1)
-    grid, mixture = likelihood_from_cloud(clouds[k], starts[k], cfg.grid, cfg.fit, features.get(k))
+    grid, mixture = likelihood_from_cloud(sensed.cloud, sensed.start, cfg.grid, cfg.fit, features)
     support = grid_support(grid, cfg.tau)
     bits = np.packbits(support)
     _freeze(bits)
     _freeze_mixture(mixture)
-    recorded[k] = (mixture, bits)
+    sensed.likelihood = mixture, bits
     return grid, mixture, support
 
 
@@ -310,27 +306,27 @@ def _member_key(own, inbox):
     return tuple(sorted([own, *inbox], key=lambda msg: (msg.sender, msg.epoch)))
 
 
-def _isolated_step(cfg, epoch, clouds, starts, features, priors, exchange, recorded):
+def _isolated_step(cfg, epoch, sensed, features, priors, exchange):
     posteriors, supports = {}, {}
-    for k in clouds:
-        grid, mixture, supports[k] = _likelihood(cfg, k, clouds, starts, features, recorded)
+    for k in sensed:
+        grid, mixture, supports[k] = _likelihood(cfg, sensed[k], features.get(k))
         if grid is None:  # read back: the product needs the grid
             grid = eval_on_grid(mixture, cfg.grid)
         posteriors[k] = bayes_product(grid, priors[k])
     return posteriors, supports, {}
 
 
-def _cooperation_step(cfg, epoch, clouds, starts, features, priors, exchange, recorded):
-    outbox = {k: encode_coop(clouds[k], k, epoch) for k in clouds}
+def _cooperation_step(cfg, epoch, sensed, features, priors, exchange):
+    outbox = {k: encode_coop(sensed[k].cloud, k, epoch) for k in sensed}
     inboxes = exchange(outbox)
     # A sender's own message keeps the start of its clustering: DBSCAN is
     # idempotent on ``preprocess``'s output, because a noise point lies within
     # eps of no core point, so dropping it changes no core degree or border
     # anchor, and the filter keeps the input order.
-    members = {outbox[k]: (clouds[k], starts[k]) for k in clouds}
+    members = {outbox[k]: (sensed[k].cloud, sensed[k].start) for k in sensed}
     pooled, fused = {}, {}
     posteriors, supports = {}, {}
-    for k in clouds:
+    for k in sensed:
         key = _member_key(outbox[k], inboxes[k])
         if key not in pooled:
             for msg in key:
@@ -347,17 +343,17 @@ def _cooperation_step(cfg, epoch, clouds, starts, features, priors, exchange, re
     return posteriors, supports, {}
 
 
-def _federation_step(cfg, epoch, clouds, starts, features, priors, exchange, recorded):
+def _federation_step(cfg, epoch, sensed, features, priors, exchange):
     local_mixtures, densities, supports = {}, {}, {}
-    for k in clouds:
-        _, lik_mix, supports[k] = _likelihood(cfg, k, clouds, starts, features, recorded)
-        local_mixtures[k] = refit_posterior_mixture(clouds[k], lik_mix, priors[k], cfg.fit, features.get(k))
+    for k in sensed:
+        _, lik_mix, supports[k] = _likelihood(cfg, sensed[k], features.get(k))
+        local_mixtures[k] = refit_posterior_mixture(sensed[k].cloud, lik_mix, priors[k], cfg.fit, features.get(k))
         densities[k] = grid_density(local_mixtures[k], cfg.grid)
-    outbox = {k: encode_fed(local_mixtures[k], k, epoch) for k in clouds}
+    outbox = {k: encode_fed(local_mixtures[k], k, epoch) for k in sensed}
     inboxes = exchange(outbox)
-    received = {outbox[k]: (local_mixtures[k].total_points, densities[k]) for k in clouds}
+    received = {outbox[k]: (local_mixtures[k].total_points, densities[k]) for k in sensed}
     fused, posteriors = {}, {}
-    for k in clouds:
+    for k in sensed:
         key = _member_key(outbox[k], inboxes[k])
         if key not in fused:
             for msg in key:
@@ -377,7 +373,7 @@ STEPS = {
 }
 
 
-def _kl_reference(cfg, clouds, starts, posteriors, local_densities, ref_prev):
+def _kl_reference(cfg, sensed, posteriors, local_densities, ref_prev):
     """Divergences of the federated and local posteriors from the pooled-cloud
     reference posterior of each radar's neighbourhood (the radar and its
     in-neighbours).
@@ -391,14 +387,14 @@ def _kl_reference(cfg, clouds, starts, posteriors, local_densities, ref_prev):
     """
     ref_grids, kl_of = {}, {}
     kl_fed, kl_local = {}, {}
-    for k in clouds:
+    for k in sensed:
         ids = tuple(sorted({k, *cfg.topology.neighbors(k)}))
         if ids not in ref_grids:
-            member_pts = [clouds[i].points for i in ids if not starts[i].is_empty()]
+            member_pts = [sensed[i].cloud.points for i in ids if not sensed[i].start.is_empty()]
             pool = np.concatenate(member_pts) if member_pts else np.empty((0, 3))
             features = quad_features(pool) if member_pts else None
-            lik_grid, lik_mix = pooled_likelihood([(clouds[i], starts[i]) for i in ids], cfg.grid, cfg.fit,
-                                                  features)
+            lik_grid, lik_mix = pooled_likelihood([(sensed[i].cloud, sensed[i].start) for i in ids], cfg.grid,
+                                                  cfg.fit, features)
             no_support = np.zeros((cfg.grid.ny, cfg.grid.nx), dtype=bool)
             ref_prior = motion_prior(ref_prev.get(ids, no_support), cfg.prior_speed, cfg.dt, cfg.grid)
             ref_mix = refit_posterior_mixture(PointCloud(pool), lik_mix, ref_prior, cfg.fit, features)
@@ -425,12 +421,13 @@ def run_experiment(
     creates anything. The directories of the grid dump and of the
     ``message_log`` file are created as needed.
 
-    With ``sensing``, a record of this seed, the first run on the record
-    senses and records its clouds, and a later run replays them. Every run
-    replays the likelihoods recorded by earlier runs and records those it
+    With ``sensing``, the first run on the record senses and records one
+    ``Sensed`` value per radar and epoch, and a later run replays them.
+    Every run replays the likelihoods set by earlier runs and sets those it
     fits first. Its outputs are those of a run without the record. A record
-    of another seed, or a later run longer than the record, raises
-    ``ValueError`` before the first epoch.
+    built from a config that differs from ``cfg`` in a setting other than
+    ``mode``, ``kl_reference`` and ``n_epochs``, or a later run longer than
+    the record, raises ``ValueError`` before the first epoch.
     """
     if grid_dump is not None and grid_dump[1] < 1:
         raise ValueError(f"grid dump period must be >= 1 epoch, got {grid_dump[1]}")
@@ -441,11 +438,17 @@ def run_experiment(
     scene_rng = np.random.default_rng(children[0])
     link_rng = np.random.default_rng(children[1])
     radar_rngs = {k: np.random.default_rng(children[2 + i]) for i, k in enumerate(radar_ids)}
-    replaying = sensing is not None and len(sensing.clouds) > 0
-    if sensing is not None and sensing.seed != cfg.seed:
-        raise ValueError(f"sensing record of seed {sensing.seed} given to a run of seed {cfg.seed}")
-    if replaying and cfg.n_epochs > len(sensing.clouds):
-        raise ValueError(f"sensing record of {len(sensing.clouds)} epochs given to a run of {cfg.n_epochs}")
+    replaying = sensing is not None and len(sensing.epochs) > 0
+    if sensing is not None:
+        # Settings compare by their pickled bytes, so nested numpy arrays
+        # compare by value (their ``==`` is elementwise); equal settings
+        # that pickle apart, such as 0.0 and -0.0, are refused.
+        differ = [f.name for f in fields(cfg) if f.name not in _PER_RUN
+                  and pickle.dumps(getattr(sensing.cfg, f.name)) != pickle.dumps(getattr(cfg, f.name))]
+        if differ:
+            raise ValueError(f"sensing record of another {differ[0]} given to this run")
+    if replaying and cfg.n_epochs > len(sensing.epochs):
+        raise ValueError(f"sensing record of {len(sensing.epochs)} epochs given to a run of {cfg.n_epochs}")
 
     step = STEPS[cfg.mode]
     routes = target_routes(cfg.targets, cfg.landmarks)
@@ -470,28 +473,27 @@ def run_experiment(
             scene = advance_scene(scene, cfg.targets, routes, cfg.dt, scene_rng)
 
             if not replaying:
-                clouds, starts, features = {}, {}, {}
+                sensed, features = {}, {}
                 for k in radar_ids:
                     raw = observe(scene, setups[k].pose, setups[k].model, radar_rngs[k])
-                    clouds[k], clusters = preprocess(raw, cfg.dbscan_eps, cfg.dbscan_min_pts)
-                    starts[k], features[k] = cloud_start(clouds[k], clusters, cfg.fit)
+                    cloud, clusters = preprocess(raw, cfg.dbscan_eps, cfg.dbscan_min_pts)
+                    start, features[k] = cloud_start(cloud, clusters, cfg.fit)
+                    sensed[k] = Sensed(cloud, start)
                 if sensing is not None:
-                    sensing.append(clouds, starts)
+                    sensing.epochs.append(sensed)
             else:
-                clouds, starts, features = sensing.clouds[epoch - 1], sensing.starts[epoch - 1], {}
-            recorded = sensing.likelihoods[epoch - 1] if sensing is not None else {}
+                sensed, features = sensing.epochs[epoch - 1], {}
             distinct = {id(support): support for support in prev_support.values()}
             prior_of = {i: motion_prior(s, cfg.prior_speed, cfg.dt, cfg.grid) for i, s in distinct.items()}
             priors = {k: prior_of[id(prev_support[k])] for k in radar_ids}
 
             tx_bits = {k: 0 for k in radar_ids}
             exchange = partial(_exchange, cfg, history, stats, link_rng, log_fh, epoch, tx_bits)
-            posteriors, fresh, local_densities = step(cfg, epoch, clouds, starts, features, priors, exchange,
-                                                      recorded)
+            posteriors, fresh, local_densities = step(cfg, epoch, sensed, features, priors, exchange)
             kl_fed: dict[int, float] = {}
             kl_local: dict[int, float] = {}
             if cfg.kl_reference and local_densities:
-                kl_fed, kl_local = _kl_reference(cfg, clouds, starts, posteriors, local_densities, ref_prev)
+                kl_fed, kl_local = _kl_reference(cfg, sensed, posteriors, local_densities, ref_prev)
 
             estimates: dict[int, np.ndarray] = {}
             matched: dict[int, dict[int, tuple[float, float] | None]] = {}
@@ -530,7 +532,7 @@ def run_experiment(
                     matched=matched,
                     resolved=resolved,
                     tx_bits=tx_bits,
-                    cloud_points={k: len(clouds[k]) for k in radar_ids},
+                    cloud_points={k: len(sensed[k].cloud) for k in radar_ids},
                     kl_fed=kl_fed,
                     kl_local=kl_local,
                 )
@@ -750,9 +752,9 @@ AGGREGATED = tuple(name for name, kind in SWEEP_COLUMNS.items() if kind is float
 REPORT_COLUMNS = ("mode", "runs", *(f"{name}_{stat}" for name in AGGREGATED for stat in ("mean", "median")))
 
 
-def _sweep_seed(seed: int, configs: Sequence[ExperimentConfig]) -> list[dict]:
-    """One seed's ``SWEEP_COLUMNS`` rows, one run per config in order, sharing one sensing record."""
-    sensing = SensingRecord(seed)
+def _sweep_seed(configs: Sequence[ExperimentConfig]) -> list[dict]:
+    """One seed's ``SWEEP_COLUMNS`` rows, one run per config in order, all on one record of the first."""
+    sensing = SensingRecord(configs[0])
     rows = []
     for cfg in configs:
         _, metrics = run_experiment(cfg, sensing=sensing)
@@ -774,13 +776,14 @@ def run_sweep(
 
     A sweep never computes the KL reference, whatever ``cfg.kl_reference``
     says: no sweep row holds a divergence. ``kl_reference=True``, ``workers``
-    below 1, no mode or a mode listed twice raise ValueError before any run.
-    Every run's config is built, and so checked, before the first run: a
-    seed that is not an integer (3.7, "5") is refused there. Each
+    below 1, no mode, or a mode or seed listed twice raise ValueError before
+    any run. Every run's config is built, and so checked, before the first
+    run: a seed that is not an integer (3.7, "5") is refused there. Each
     seed is one task: its modes run in the given order on one
-    ``SensingRecord``, so the seed is sensed once. With ``workers > 1`` the
-    seeds are spread over a process pool, and fewer seeds than workers leave
-    a worker idle. Each run is still fully determined by its (config, seed).
+    ``SensingRecord`` built from its first config, so the seed is sensed
+    once. With ``workers > 1`` the seeds are spread over a process pool,
+    and fewer seeds than workers leave a worker idle. Each run is still
+    fully determined by its (config, seed).
     """
     if kl_reference:
         raise ValueError("a sweep never computes the KL reference; no sweep row holds a divergence")
@@ -788,18 +791,19 @@ def run_sweep(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not modes:
         raise ValueError("a sweep needs at least one mode")
-    repeated = [mode for i, mode in enumerate(modes) if mode in modes[:i]]
-    if repeated:
-        raise ValueError(f"mode {repeated[0]!r} is listed twice")
-    tasks = [(seed, [replace(cfg, mode=mode, seed=seed, kl_reference=False) for mode in modes])
-             for seed in seeds]
+    seeds = list(seeds)
+    tasks = [[replace(cfg, mode=mode, seed=seed, kl_reference=False) for mode in modes] for seed in seeds]
+    for name, values in (("mode", modes), ("seed", seeds)):
+        repeated = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeated:
+            raise ValueError(f"{name} {repeated[0]!r} is listed twice")
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            per_seed = pool.starmap(_sweep_seed, tasks, chunksize=1)
+            per_seed = pool.map(_sweep_seed, tasks, chunksize=1)
     else:
-        per_seed = [_sweep_seed(*task) for task in tasks]
+        per_seed = [_sweep_seed(task) for task in tasks]
     return [rows[i] for i in range(len(modes)) for rows in per_seed]
 
 

@@ -9,14 +9,11 @@ so a fixed seed reproduces a run exactly.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):

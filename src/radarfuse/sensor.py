@@ -21,7 +21,6 @@ alternating passes on one core of a 2-vCPU x86-64 machine, scipy 1.17.1).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -29,8 +28,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .scene import Scene
-
-log = logging.getLogger(__name__)
 
 OUTLIER = -1
 

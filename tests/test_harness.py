@@ -513,7 +513,7 @@ def test_sweep_runs_each_mode_of_a_seed_on_one_record(monkeypatch):
     assert [(mode, seed) for mode, seed, _ in calls] == [
         ("cooperation", 5), ("isolated", 5), ("cooperation", 6), ("isolated", 6)]
     assert calls[0][2] is calls[1][2] and calls[2][2] is calls[3][2] and calls[1][2] is not calls[2][2]
-    assert all(sensing.seed == seed for _, seed, sensing in calls)
+    assert all(sensing.cfg.seed == seed for _, seed, sensing in calls)
 
 
 def test_sweep_never_computes_the_kl_reference(monkeypatch):
@@ -543,11 +543,12 @@ def test_sweep_never_computes_the_kl_reference(monkeypatch):
      ({"workers": -2}, "workers must be >= 1, got -2"),
      ({"modes": []}, "a sweep needs at least one mode"),
      ({"modes": ("isolated", "federation", "isolated")}, "mode 'isolated' is listed twice"),
+     ({"seeds": [3, 1, 3]}, "seed 3 is listed twice"),
      ({"seeds": [0, 3.7]}, "seed must be an integer, got 3.7"),
      ({"seeds": ["5"]}, 'seed must be an integer, got "5"'),
      ({"seeds": [True]}, "seed must be an integer, got true")],
-    ids=["zero-workers", "negative-workers", "no-mode", "repeated-mode", "fractional-seed", "string-seed",
-         "boolean-seed"],
+    ids=["zero-workers", "negative-workers", "no-mode", "repeated-mode", "repeated-seed", "fractional-seed",
+         "string-seed", "boolean-seed"],
 )
 def test_sweep_refuses_what_it_cannot_run_before_any_run(monkeypatch, kwargs, reason):
     def no_run(cfg, **_):
@@ -604,7 +605,7 @@ def assert_same_fields(a, b):
 @pytest.mark.parametrize("order", SENSING_ORDERS, ids=["-".join(o) for o in SENSING_ORDERS])
 @pytest.mark.parametrize("case", sorted(SENSING_CASES))
 def test_runs_on_a_shared_record_match_separate_runs(case, order):
-    sensing = SensingRecord(3)
+    sensing = SensingRecord(sensing_config(case, order[0]))
     for mode in order:
         records, metrics = run_experiment(sensing_config(case, mode), sensing=sensing)
         expected_records, expected_metrics = separate_run(case, mode)
@@ -612,18 +613,19 @@ def test_runs_on_a_shared_record_match_separate_runs(case, order):
         for rec, expected in zip(records, expected_records):
             assert_same_fields(rec, expected)
         assert_same_fields(metrics, expected_metrics)
-    assert len(sensing.clouds) == SENSING_EPOCHS
-    assert all(len(likelihoods) == 3 for likelihoods in sensing.likelihoods)
+    assert len(sensing.epochs) == SENSING_EPOCHS
+    assert all(len(sensed) == 3 and all(s.likelihood is not None for s in sensed.values())
+               for sensed in sensing.epochs)
 
 
 def record_contents(sensing):
     """The objects a sensing record holds, by identity, epoch by epoch."""
-    return [[{k: id(v) for k, v in held.items()} for held in epoch]
-            for epoch in zip(sensing.clouds, sensing.starts, sensing.likelihoods)]
+    return [{k: (id(s), id(s.cloud), id(s.start), id(s.likelihood)) for k, s in sensed.items()}
+            for sensed in sensing.epochs]
 
 
 def test_a_run_longer_than_its_record_is_refused_before_its_first_epoch(monkeypatch):
-    sensing = SensingRecord(0)
+    sensing = SensingRecord(small_config(mode="isolated", epochs=4))
     run_experiment(small_config(mode="isolated", epochs=4), sensing=sensing)
     contents = record_contents(sensing)
 
@@ -636,26 +638,83 @@ def test_a_run_longer_than_its_record_is_refused_before_its_first_epoch(monkeypa
     assert record_contents(sensing) == contents and len(contents) == 4
 
 
-def test_a_record_of_another_seed_is_refused():
-    sensing = SensingRecord(1)
-    with pytest.raises(ValueError, match="seed 1 .* seed 2"):
-        run_experiment(small_config(seed=2, epochs=2), sensing=sensing)
-    assert sensing.clouds == []
+# A record's config, and the config of a run the record refuses: (record config, run config, refused setting).
+MISMATCHES = {
+    "seed": (small_config(seed=1, epochs=2), small_config(seed=2, epochs=2), "seed"),
+    "scenario": (load_config("converging", mode="isolated", seed=3, epochs=5),
+                 load_config("default", mode="federation", seed=3, epochs=5), "name"),
+    "tau": (small_config(epochs=2), replace(small_config(epochs=2), tau=0.3), "tau"),
+    "dbscan-eps": (small_config(epochs=2), replace(small_config(epochs=2), dbscan_eps=0.3), "dbscan_eps"),
+    "dbscan-min-pts": (small_config(epochs=2), replace(small_config(epochs=2), dbscan_min_pts=5),
+                       "dbscan_min_pts"),
+    "m-max": (small_config(epochs=2), replace(small_config(epochs=2), fit=FitOptions(m_max=4)), "fit"),
+    "em-tol": (small_config(epochs=2), small_config(epochs=2, mixture={**SMALL["mixture"], "em_tol": 1e-3}),
+               "fit"),
+    "landmark": (small_config(epochs=2), small_config(epochs=2, landmarks={**SMALL["landmarks"], "B": [6.0, 3.5]}),
+                 "landmarks"),
+    "radar-position": (small_config(epochs=2), small_config(epochs=2, radars=[
+        {**SMALL["radars"][0], "position": [4.0, 0.3, 1.0]}, *SMALL["radars"][1:]]), "radars"),
+    "late-partial": (small_config(epochs=2), small_config(epochs=2, clock={"offsets": {"2": 0.010}},
+                                                          topology=[[2, 1], [3, 1], [1, 3], [2, 3], [3, 2]]),
+                     "topology"),
+}
 
 
-def test_recorded_arrays_are_read_only():
-    sensing = SensingRecord(0)
-    cfg = small_config(mode="isolated", epochs=2)
+@pytest.mark.parametrize("case", list(MISMATCHES))
+def test_a_record_of_another_config_is_refused_before_the_run(monkeypatch, case):
+    # Every setting of the run but its mode, KL reference and length must
+    # be the record's, nested arrays compared by value.
+    recorded, cfg, setting = MISMATCHES[case]
+    sensing = SensingRecord(recorded)
+    run_experiment(recorded, sensing=sensing)
+    contents = record_contents(sensing)
+
+    def no_scene(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(harness, "initial_scene", no_scene)
+    with pytest.raises(ValueError, match=f"^sensing record of another {setting} given to this run$"):
+        run_experiment(cfg, sensing=sensing)
+    assert record_contents(sensing) == contents
+
+
+def test_a_record_accepts_an_equal_config_loaded_again():
+    # Separately loaded configs hold distinct but equal arrays, which a plain
+    # ``==`` cannot compare; a replaced config keeps them.
+    cfg = load_config("converging", mode="isolated", seed=3, epochs=3)
+    sensing = SensingRecord(cfg)
     run_experiment(cfg, sensing=sensing)
-    cloud, start, (mixture, bits) = sensing.clouds[0][1], sensing.starts[0][1], sensing.likelihoods[0][1]
-    assert len(cloud) and start.n_components and mixture.n_components
-    # The support is packed to one bit per cell.
-    support = grid_support(eval_on_grid(mixture, cfg.grid), cfg.tau)
-    assert support.any() and np.array_equal(bits, np.packbits(support))
-    for array in (cloud.points, start.weights, start.means, start.covs, start.counts,
-                  mixture.weights, mixture.means, mixture.covs, mixture.counts, bits):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
+    with pytest.raises(ValueError, match="truth value of an array"):
+        cfg == load_config("converging", seed=3, epochs=3, mode="isolated")  # noqa: B015
+    for other in (load_config("converging", mode="federation", seed=3, epochs=2, kl_reference=True),
+                  replace(cfg, mode="cooperation")):
+        run_experiment(other, sensing=sensing)
+
+
+def test_recorded_arrays_are_read_only(monkeypatch):
+    cfg = small_config(mode="isolated", epochs=2)
+    sensing = SensingRecord(cfg)
+    run_experiment(cfg, sensing=sensing)
+    # A lone run builds the same Sensed values, frozen alike.
+    built, sensed = [], harness.Sensed
+
+    def spy(*args):
+        built.append(sensed(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "Sensed", spy)
+    run_experiment(cfg)
+    assert len(built) == 2 * 3
+    for recorded in (sensing.epochs[0][1], built[0]):
+        cloud, start, (mixture, bits) = recorded.cloud, recorded.start, recorded.likelihood
+        assert len(cloud) and start.n_components and mixture.n_components
+        # The support is packed to one bit per cell.
+        support = grid_support(eval_on_grid(mixture, cfg.grid), cfg.tau)
+        assert support.any() and np.array_equal(bits, np.packbits(support))
+        for array in (cloud.points, start.weights, start.means, start.covs, start.counts,
+                      mixture.weights, mixture.means, mixture.covs, mixture.counts, bits):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def count_calls(monkeypatch, bindings):
@@ -673,7 +732,7 @@ def count_calls(monkeypatch, bindings):
                          [("isolated", "federation", 0, 4), ("federation", "isolated", 3 * 4, 3 * 4)],
                          ids=["federation", "isolated"])
 def test_a_replaying_run_evaluates_no_likelihood_grid_it_can_skip(monkeypatch, first, mode, grids, posteriors):
-    sensing = SensingRecord(0)
+    sensing = SensingRecord(small_config(mode=first, epochs=4, kl_reference=False))
     run_experiment(small_config(mode=first, epochs=4, kl_reference=False), sensing=sensing)
     calls = count_calls(monkeypatch, [(harness, "likelihood_from_cloud"), (harness, "eval_on_grid"),
                                       (harness, "grid_support")])
@@ -714,14 +773,15 @@ def test_a_replaying_cooperation_run_computes_only_decoded_members_cluster_momen
     # replays the record computes the moments of the clouds it decodes
     # (see test_each_delivered_message_is_decoded_once) and of no other.
     cfg = small_config(mode="isolated", epochs=6, kl_reference=False, clock=clock)
-    sensing = SensingRecord(0)
+    sensing = SensingRecord(cfg)
     run_experiment(cfg, sensing=sensing)
-    for clouds, starts in zip(sensing.clouds, sensing.starts, strict=True):
-        for k, cloud in clouds.items():
+    for sensed in sensing.epochs:
+        for recorded in sensed.values():
+            cloud = recorded.cloud
             clusters = dbscan(cloud, cfg.dbscan_eps, cfg.dbscan_min_pts)
             keep = choose_components(clusters, cfg.fit.m_max)
             means, covs, counts = cluster_moments(cloud.points, clusters.labels, clusters.n_clusters, keep=keep)
-            assert_same_mixture(starts[k], GaussianMixture(counts, means, covs, counts))
+            assert_same_mixture(recorded.start, GaussianMixture(counts, means, covs, counts))
     calls = count_calls(monkeypatch, [(fusion, "cluster_moments"), (harness, "decode_coop")])
     records, metrics = run_experiment(replace(cfg, mode="cooperation"), sensing=sensing)
     assert calls == {"cluster_moments": decoded, "decode_coop": decoded}

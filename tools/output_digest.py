@@ -22,7 +22,10 @@ The matrix covers every output the CLI writes:
   2, radar 2 only from radar 3), and one with clock jitter
   (``jitter_std`` 0.002). There receivers get older or noisy copies of a
   message and pool different member sets, which the shipped scenarios,
-  exact and fully connected, never do.
+  exact and fully connected, never do;
+* ``kl``, seed 3, on the late-radar copy, whose radars have two distinct
+  neighbourhoods, (1, 2, 3) and (2, 3): the KL reference runs once per
+  neighbourhood and shares each between the radars that have it.
 
 Each output line is ``sha256  relative/path``, sorted by path. Two source
 trees produce the same outputs exactly when their digests are equal, so a
@@ -34,7 +37,7 @@ refactor that must not move a byte is checked with
     diff parent.txt change.txt
 
 The output directory must be new or empty. Runs are sequential, one
-process at a time; the whole matrix writes 294 files in about a minute on
+process at a time; the whole matrix writes 297 files in about a minute on
 two cores.
 
 A change that moves floating-point results is reported with
@@ -103,6 +106,10 @@ def run_command(scenario: str, mode: str, seed: int, out: str) -> list[str]:
             "--out", out, "--dump-grids", "10", "--messages-out", f"{out}/messages.jsonl"]
 
 
+def kl_command(scenario: str, out: str) -> list[str]:
+    return ["kl", "--config", scenario, "--seed", "3", "--epochs", str(EPOCHS), "--out", out]
+
+
 def commands(copies: dict[str, tuple[Path, tuple[str, ...]]]) -> list[list[str]]:
     """CLI argument lists of the matrix, relative to the output directory;
     ``copies`` maps each output directory of ``variants`` to its scenario
@@ -112,8 +119,7 @@ def commands(copies: dict[str, tuple[Path, tuple[str, ...]]]) -> list[list[str]]
         for mode in MODES:
             for seed in SEEDS:
                 cmds.append(run_command(scenario, mode, seed, f"run/{scenario}-{mode}-s{seed}"))
-        cmds.append(["kl", "--config", scenario, "--seed", "3", "--epochs", str(EPOCHS),
-                     "--out", f"kl/{scenario}"])
+        cmds.append(kl_command(scenario, f"kl/{scenario}"))
     cmds.append(["sweep", "--config", "converging", "--seeds", "3", "--out", "sweep"])
     cmds.append(["report", "--out", "sweep"])
     cmds.append(["sweep", "--config", "converging", "--seeds", "3", "--modes", "federation,isolated,cooperation",
@@ -121,6 +127,7 @@ def commands(copies: dict[str, tuple[Path, tuple[str, ...]]]) -> list[list[str]]
     for name, (path, modes) in copies.items():
         for mode in modes:
             cmds.append(run_command(str(path), mode, 3, f"{name}/converging-{mode}-s3"))
+    cmds.append(kl_command(str(copies["late-partial"][0]), "late-partial/kl"))
     return cmds
 
 
