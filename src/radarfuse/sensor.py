@@ -183,8 +183,9 @@ def dbscan(cloud: PointCloud, eps: float, min_pts: int) -> ClusterResult:
 
     Core components are labelled by min-label propagation over the core-core
     pairs: each round lowers every root to the smallest root across its
-    edges (``np.minimum.at``) and then flattens the forest by pointer
-    jumping, until a round changes nothing. A component's root is then its
+    edges (``np.minimum.at``), flattens the forest by pointer jumping and
+    replaces each edge by its two roots, dropping the edges whose roots are
+    equal; the loop ends when no edge is left. A component's root is then its
     smallest index, which is its first appearance in input order, so ranking
     the roots gives cluster ids in input order. Real clouds settle in about
     three rounds; no ``scipy.sparse`` graph is built. Everything is taken by
@@ -213,20 +214,18 @@ def dbscan(cloud: PointCloud, eps: float, min_pts: int) -> ClusterResult:
     both = ci & cj
     a, b = i[both], j[both]  # core-core edges
     root = np.arange(n)
-    while True:
-        ra, rb = root[a], root[b]
-        lo = np.minimum(ra, rb)
-        new = root.copy()
-        np.minimum.at(new, ra, lo)
-        np.minimum.at(new, rb, lo)
+    while a.size:
+        lo = np.minimum(a, b)
+        np.minimum.at(root, a, lo)
+        np.minimum.at(root, b, lo)
         while True:
-            jumped = new[new]
-            if np.array_equal(jumped, new):
+            jumped = root[root]
+            if np.array_equal(jumped, root):
                 break
-            new = jumped
-        if np.array_equal(new, root):
-            break
-        root = new
+            root = jumped
+        a, b = root[a], root[b]  # contract each edge to its roots; keep those not yet joined
+        apart = a != b
+        a, b = a[apart], b[apart]
     roots, labels[core_idx] = np.unique(root[core_idx], return_inverse=True)
     n_clusters = len(roots)
 

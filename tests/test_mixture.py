@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
@@ -21,6 +21,7 @@ from radarfuse.mixture import (
     cluster_moments,
     eval_on_grid,
     fit_em,
+    grid_density,
     kl_divergence,
     normalized_density,
     quad_features,
@@ -281,6 +282,62 @@ def test_floor_eigh_returns_the_precisions_and_log_determinants_of_its_stack(cov
         assert np.array_equal(floored, sym)
 
 
+def floor_on_linalg_eigh(covs, floor, each=False):
+    """``_floor_eigh``'s floored stack, precisions and log-determinants,
+    computed from the eigenpairs of the public ``np.linalg.eigh``."""
+    if covs.tobytes() != covs.transpose(0, 2, 1).tobytes():
+        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    vals, vecs = np.linalg.eigh(covs)
+    low = ~(vals[:, 0] >= floor)
+    if low.any() and not each:
+        low[:] = True
+    vals[low] = np.maximum(vals[low], floor)
+    floored = covs.copy()
+    floored[low] = np.einsum("mij,mj,mkj->mik", vecs[low], vals[low], vecs[low])
+    return floored, (vecs / vals[:, None, :]) @ vecs.transpose(0, 2, 1), np.log(vals).sum(axis=1)
+
+
+@settings(deadline=None)
+@given(covs=covariance_stacks(), each=st.booleans(), symmetric=st.booleans())
+def test_floor_eigh_uses_the_eigenpairs_of_linalg_eigh_bit_for_bit(covs, each, symmetric):
+    # A drawn stack is not symmetric bit for bit; its symmetrized copy is.
+    if symmetric:
+        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    got = _floor_eigh(covs, COV_EIG_FLOOR, each=each)
+    want = floor_on_linalg_eigh(covs, COV_EIG_FLOOR, each)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+
+def floor_outcome(floor, covs):
+    """What ``floor(covs, COV_EIG_FLOOR)`` returns, or the message of the
+    LinAlgError it raises."""
+    try:
+        return floor(covs, COV_EIG_FLOOR)
+    except np.linalg.LinAlgError as err:
+        return str(err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(1, 1), (1, 0), (2, 0)], ids=["diagonal", "next-to-diagonal", "corner"])
+def test_floor_eigh_of_a_non_finite_stack_does_what_linalg_eigh_does(value, entry):
+    # Any warning is an error here. On a non-finite matrix LAPACK either
+    # returns NaN eigenvalues or fails, which np.linalg.eigh's error state
+    # (kept by _floor_eigh) turns into LinAlgError; the bare gufunc would
+    # warn and return NaN instead. With numpy 2.4.6 a NaN or infinity at
+    # (1, 1) or (1, 0) gives NaN, and one at (2, 0) fails.
+    covs = np.stack([np.diag([0.5, 0.25, 1.0])] * 3)
+    covs[1][entry] = covs[1][entry[::-1]] = value
+    got = floor_outcome(_floor_eigh, covs)
+    want = floor_outcome(floor_on_linalg_eigh, covs)
+    if entry == (2, 0):
+        assert got == want == "Eigenvalues did not converge"
+        return
+    assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want, strict=True))
+    logdet = got[2]
+    assert np.isnan(logdet[1]) and np.array_equal(logdet[[0, 2]], [math.log(0.125)] * 2)
+
+
 def test_component_far_from_every_point_keeps_its_start():
     # 64 points on a 1/64 m lattice: every sum, the mean and every shift by
     # it are exact, so the dead component's start comes back bit for bit.
@@ -524,6 +581,52 @@ def test_density_integrates_to_one_on_enlarged_grid():
     for weight, mean, cov in zip(mix.weights, mix.means, mix.covs):
         total += weight * multivariate_normal(mean[:2], cov[:2, :2]).pdf(cells).sum() * big.cell_area
     assert abs(total - 1.0) < 1e-3
+
+
+def plain_grid_density(mix, spec):
+    """``grid_density`` with each component's window written as one
+    expression, into a grid of zeros scaled by the cell area at the end."""
+    xc, yc = spec.x_centers(), spec.y_centers()
+    dens = np.zeros((spec.ny, spec.nx))
+    for weight, mu, cov in zip(mix.weights, mix.means[:, :2], mix.covs[:, :2, :2]):
+        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+        inv00, inv11, inv01 = cov[1, 1] / det, cov[0, 0] / det, -cov[0, 1] / det
+        reach = 6.0 * math.sqrt(max(cov[0, 0], cov[1, 1]))
+        ix0, ix1 = np.searchsorted(xc, (mu[0] - reach, mu[0] + reach))
+        iy0, iy1 = np.searchsorted(yc, (mu[1] - reach, mu[1] + reach))
+        dx, dy = xc[ix0:ix1] - mu[0], yc[iy0:iy1] - mu[1]
+        quad = inv00 * (dx * dx)[None, :] + 2.0 * inv01 * dy[:, None] * dx[None, :] + inv11 * (dy * dy)[:, None]
+        dens[iy0:iy1, ix0:ix1] += weight * np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+    return dens * spec.cell_area
+
+
+@st.composite
+def grid_mixtures(draw):
+    """(mixture, grid): 1..6 components from ``covariance_stacks``, on
+    ``SPEC`` or a small grid off the origin. Each mean lies within 20% of the
+    grid's span around it, so many windows are clipped at an edge, or 3 to 4
+    spans away (no cell within reach)."""
+    spec = draw(st.sampled_from([SPEC, GridSpec(-1.0, 2.0, 0.5, 2.5, 0.05)]))
+    covs = draw(covariance_stacks())
+    m = len(covs)
+    span = np.array([spec.x_max - spec.x_min, spec.y_max - spec.y_min, 2.0])
+    spot = draw(hnp.arrays(np.float64, (m, 3), elements=st.floats(-0.2, 1.2)))
+    off = draw(hnp.arrays(np.float64, (m, 3), elements=st.sampled_from([0.0, 0.0, 3.0, -4.0])))
+    off[:, 2] = 0.0
+    means = np.array([spec.x_min, spec.y_min, 0.0]) + (spot + off) * span
+    weights = draw(hnp.arrays(np.float64, m, elements=st.floats(0.01, 1.0)))
+    return GaussianMixture(weights, means, covs, np.ones(m, dtype=int)), spec
+
+
+@settings(deadline=None)
+@given(case=grid_mixtures())
+@example(case=(GaussianMixture([0.2, 0.3, 0.5], [[0.05, 7.9, 1.0], [40.0, 4.0, 1.0], [4.0, 4.0, 1.0]],
+                               [np.diag([4.0, 1.0, 1.0]), iso_cov(0.5), iso_cov(0.01)], [1, 1, 1]), SPEC))
+def test_grid_density_is_the_plain_per_component_sum_bit_for_bit(case):
+    # The example's first window is clipped at the left and top edges, its
+    # second component is off the grid and its third lies inside.
+    mix, spec = case
+    assert grid_density(mix, spec).tobytes() == plain_grid_density(mix, spec).tobytes()
 
 
 # ------------------------------------------------------------ divergence

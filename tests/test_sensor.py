@@ -312,6 +312,41 @@ def test_dbscan_matches_brute_force_oracle(case):
     assert list(res.labels) == expected
 
 
+def propagation_rounds(n, edges):
+    """Rounds ``dbscan`` labels the graph of ``edges`` in, in plain Python:
+    every edge joins two roots, each of which takes the smallest root across
+    its edges; then every point follows its roots to the end, and an edge
+    whose two ends now share a root is dropped."""
+    root, rounds = list(range(n)), 0
+    while edges:
+        rounds += 1
+        for a, b in edges:
+            root[a], root[b] = min(root[a], b), min(root[b], a)
+        for v in range(n):
+            while root[root[v]] != root[v]:
+                root[v] = root[root[v]]
+        edges = [(root[a], root[b]) for a, b in edges if root[a] != root[b]]
+    return rounds
+
+
+def test_dbscan_labels_a_chain_that_needs_many_propagation_rounds():
+    # Along this chain the indices run in bit-reversed order (0, 16, 8, 24,
+    # 4, ...): each round keeps every other root of the round before, so the
+    # chain takes log2(32) = 5 rounds. A chain in index order, or in reverse
+    # index order, which is the same path, takes one.
+    n, eps = 32, 0.5
+    order = [int(f"{k:05b}"[::-1], 2) for k in range(n)]
+    points = np.zeros((n, 3))
+    points[order, 0] = np.arange(n) * 0.45  # neighbours along the chain only
+    assert propagation_rounds(n, [tuple(sorted(e)) for e in zip(order, order[1:])]) == 5
+    assert propagation_rounds(n, [(k, k + 1) for k in range(n - 1)]) == 1
+    for min_pts in (1, 2, 3):
+        res = dbscan(cloud_of(points), eps, min_pts)
+        expected, n_clusters = brute_force_dbscan(points, eps, min_pts)
+        assert res.n_clusters == n_clusters == 1
+        assert list(res.labels) == expected
+
+
 def test_dbscan_matches_brute_force_oracle_on_shipped_clouds():
     # The raw clouds of the default scenario (about 540 points: two dense
     # bodies and outliers) fill a k-d tree with many nodes, so its whole
